@@ -412,7 +412,10 @@ impl ExplorationCache {
 fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
     match result {
         Err(_) => true,
-        Ok(r) => r.completion == Completion::Finished,
+        // A refinement sub-run reports `Finished` with its quarantined
+        // candidates attached (only the top level folds them into
+        // `Degraded`), so the log is checked as well.
+        Ok(r) => r.completion == Completion::Finished && r.quarantine.is_empty(),
     }
 }
 

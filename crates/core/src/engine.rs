@@ -373,8 +373,7 @@ impl Engine {
         })
     }
 
-    /// Stage 3: lowers every mapping to a mapped program (§6), concurrently
-    /// on the configured worker count.
+    /// Stage 3: lowers every mapping to a mapped program (§6).
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 use crate::cache::{ExplorationCache, WarmStart};
 use crate::generate::MappingGenerator;
 use crate::mapping::Mapping;
-use crate::parallel::{parallel_fill_map, parallel_map};
+use crate::parallel::parallel_map;
 use crate::perf_model::{predict_batch_with, predict_with, PerfBreakdown};
 use amos_hw::AcceleratorSpec;
 use amos_ir::ComputeDef;
@@ -19,10 +19,10 @@ use amos_sim::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Exploration failure modes.
@@ -272,10 +272,15 @@ pub struct ExplorerConfig {
     pub measure_top: usize,
     /// RNG seed for reproducibility.
     pub seed: u64,
-    /// Worker threads for candidate evaluation; `0` means one per available
-    /// CPU. The search is bit-identical for every value of `jobs`: each
-    /// candidate slot draws from its own RNG stream derived from
-    /// `(seed, generation, slot)`, and results are reduced in slot order.
+    /// Worker threads for the refinement rounds, the independent searches
+    /// inside one exploration; `0` means one per available CPU. A
+    /// generation itself always runs on the calling thread (its candidates
+    /// are microsecond tasks, below the cost of a pool hand-off). The search
+    /// is bit-identical for every value of `jobs`: each candidate slot
+    /// draws from its own RNG stream derived from `(seed, generation,
+    /// slot)`, each round from its own seed, and rounds are merged in round
+    /// order. A counter limit in [`ExplorerConfig::budget`] keeps the rounds
+    /// sequential, so truncated runs stay prefixes of the unlimited run.
     pub jobs: usize,
     /// Resource limits; the default is unlimited. Like `jobs`, the budget
     /// never changes *which* candidates a generation evaluates — it only
@@ -547,10 +552,11 @@ impl ExplorationResult {
     }
 }
 
-/// Run-wide fault-tolerance state shared by every phase of one top-level
-/// exploration (including refinement sub-runs and multi-intrinsic units):
-/// the budget clock/counters consulted at generation boundaries, and the
-/// quarantine log of isolated panics.
+/// Run-wide budget state shared by every phase of one top-level exploration
+/// (including refinement sub-runs and multi-intrinsic units): the clock,
+/// cancellation flag and counters consulted at generation boundaries.
+/// Quarantine records travel in each run's own result instead, so
+/// concurrent refinement rounds never interleave theirs.
 struct Supervisor {
     deadline: Option<Instant>,
     max_measurements: Option<usize>,
@@ -558,7 +564,6 @@ struct Supervisor {
     cancel: Option<CancelToken>,
     measurements: AtomicUsize,
     evaluations: AtomicUsize,
-    quarantine: Mutex<Vec<QuarantineRecord>>,
 }
 
 impl Supervisor {
@@ -573,7 +578,6 @@ impl Supervisor {
             cancel: config.cancel.clone(),
             measurements: AtomicUsize::new(0),
             evaluations: AtomicUsize::new(0),
-            quarantine: Mutex::new(Vec::new()),
         }
     }
 
@@ -615,53 +619,23 @@ impl Supervisor {
         None
     }
 
-    /// Logs one isolated panic. Callers invoke this from the sequential
-    /// reduction over slot outcomes (never from worker threads), so the log
-    /// order is deterministic.
-    fn quarantine(
-        &self,
-        phase: &'static str,
-        generation: u64,
-        slot: u64,
-        seed: u64,
-        detail: String,
-    ) {
-        self.quarantine
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(QuarantineRecord {
-                phase,
-                generation,
-                slot,
-                seed,
-                detail,
-            });
+    /// `true` when a counter limit is set. Counter truncation promises a
+    /// bit-identical prefix of the unlimited run, which holds only while
+    /// refinement rounds draw on the shared counters one after another.
+    fn has_counter_limit(&self) -> bool {
+        self.max_measurements.is_some() || self.max_evaluations.is_some()
     }
+}
 
-    /// Drains the quarantine log into a report (top-level finalisation).
-    fn take_report(&self) -> QuarantineReport {
-        QuarantineReport {
-            records: std::mem::take(
-                &mut *self
-                    .quarantine
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
-            ),
-        }
+/// Top-level finalisation: a clean finish with a non-empty quarantine log
+/// becomes [`Completion::Degraded`].
+fn finalize(mut result: ExplorationResult) -> ExplorationResult {
+    if result.completion == Completion::Finished && !result.quarantine.is_empty() {
+        result.completion = Completion::Degraded {
+            quarantined: result.quarantine.len(),
+        };
     }
-
-    /// Applies the quarantine log and completion to a finished top-level
-    /// result: a clean finish with a non-empty quarantine becomes
-    /// [`Completion::Degraded`].
-    fn finalize(&self, mut result: ExplorationResult) -> ExplorationResult {
-        result.quarantine = self.take_report();
-        if result.completion == Completion::Finished && !result.quarantine.is_empty() {
-            result.completion = Completion::Degraded {
-                quarantined: result.quarantine.len(),
-            };
-        }
-        result
-    }
+    result
 }
 
 /// One per-intrinsic exploration unit of a (possibly heterogeneous)
@@ -793,21 +767,19 @@ impl Explorer {
         self.generator.enumerate(def, &unit.intrinsic)
     }
 
-    /// Lowers a mapping set for one unit, concurrently on
-    /// [`ExplorerConfig::jobs`] workers. The first failure (in mapping
-    /// order) aborts, matching the serial behaviour.
+    /// Lowers a mapping set for one unit on the calling thread (a lowering
+    /// is microseconds, below the cost of a pool hand-off). The first
+    /// failure in mapping order aborts.
     pub(crate) fn lower_mappings(
         &self,
         def: &ComputeDef,
         unit: &AcceleratorSpec,
         mappings: &[Mapping],
     ) -> Result<Vec<MappedProgram>, ExploreError> {
-        let jobs = self.config.effective_jobs();
-        let intr = &unit.intrinsic;
-        let programs = parallel_map(jobs, mappings.len(), |i| mappings[i].lower(def, intr))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        Ok(programs)
+        mappings
+            .iter()
+            .map(|m| Ok(m.lower(def, &unit.intrinsic)?))
+            .collect()
     }
 
     /// The multi-unit merge loop over pre-lowered units: explores each unit
@@ -833,6 +805,7 @@ impl Explorer {
         let mut warm_stats = WarmStartStats::default();
         let mut completion = Completion::Finished;
         let mut generations_completed = 0usize;
+        let mut quarantine = QuarantineReport::default();
         for unit in units {
             // A unit whose intrinsic admits no mapping simply contributes
             // nothing, exactly like the per-unit `NoValidMapping` of the
@@ -840,7 +813,7 @@ impl Explorer {
             if unit.mappings.is_empty() {
                 continue;
             }
-            let result = self.explore_programs(
+            let mut result = self.explore_programs(
                 def,
                 &unit.accel,
                 &unit.mappings,
@@ -850,6 +823,7 @@ impl Explorer {
                 &sup,
                 warm,
             )?;
+            quarantine.records.append(&mut result.quarantine.records);
             evaluations.extend(result.evaluations.iter().copied());
             num_mappings += result.num_mappings;
             sim_failures += result.sim_failures;
@@ -885,19 +859,22 @@ impl Explorer {
         best.warm_start = warm_stats;
         best.completion = completion;
         best.generations_completed = generations_completed;
-        Ok(sup.finalize(best))
+        best.quarantine = quarantine;
+        Ok(finalize(best))
     }
 
     /// Explores with a fixed mapping set (used by the fixed-mapping baseline
     /// ablations of paper §7.6, which keep AMOS's schedule tuner but freeze
     /// the mapping).
     ///
-    /// Candidate lowering, simulation and model screening run on
-    /// [`ExplorerConfig::jobs`] worker threads. The search is nevertheless
-    /// deterministic for a given seed: every candidate slot draws from its
-    /// own RNG stream keyed by `(seed, generation, slot)` and all reductions
-    /// walk results in slot order, so the winner is bit-identical for any
-    /// thread count.
+    /// Lowering and the generation loop (sampling, screening, simulation,
+    /// breeding) run on the calling thread; with more than one mapping, the
+    /// up-to-three refinement rounds that follow run as one wave on
+    /// [`ExplorerConfig::jobs`] worker threads. The search is deterministic
+    /// for a given seed: every candidate slot draws from its own RNG stream
+    /// keyed by `(seed, generation, slot)`, every round from its own seed,
+    /// and rounds are merged in round order, so the winner is bit-identical
+    /// for any thread count.
     pub fn explore_mappings(
         &self,
         def: &ComputeDef,
@@ -941,18 +918,23 @@ impl Explorer {
             &sup,
             None,
         )?;
-        Ok(sup.finalize(result))
+        Ok(finalize(result))
     }
 
-    /// The generation loop over already-lowered programs. Refinement
-    /// re-enters this function on single-element slices of
-    /// `mappings`/`programs`, so shortlisted mappings are never re-lowered
-    /// and no `Explorer`/`ExplorerConfig` clones are made per round.
+    /// The generation loop over already-lowered programs. Every phase of a
+    /// generation (sampling, screening, measurement, breeding) runs on the
+    /// calling thread: a generation is microseconds of work, less than one
+    /// pool hand-off. The one parallel step is the refinement wave at the
+    /// end, which re-enters this function on single-element slices of
+    /// `mappings`/`programs` (so shortlisted mappings are never re-lowered
+    /// and no `Explorer`/`ExplorerConfig` clones are made), one long task
+    /// per round.
     ///
     /// Fault tolerance: every candidate evaluation runs inside
     /// [`amos_sim::isolate::run_isolated`], so a panicking candidate is
-    /// quarantined into `sup` instead of unwinding the search; the budget in
-    /// `sup` is checked cooperatively at phase and generation boundaries.
+    /// logged in the result's quarantine report instead of unwinding the
+    /// search; the budget in `sup` is checked cooperatively at phase and
+    /// generation boundaries.
     #[allow(clippy::too_many_arguments)] // internal: mirrors the phase inputs
     fn explore_programs(
         &self,
@@ -965,7 +947,6 @@ impl Explorer {
         sup: &Supervisor,
         warm: Option<&WarmStart>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let jobs = self.config.effective_jobs();
         // `Some` once a budget limit fires: later phases are skipped and the
         // best-so-far is returned with the truncation status.
         let mut truncated: Option<Completion> = sup.check();
@@ -976,10 +957,21 @@ impl Explorer {
             .iter()
             .map(|p| p.screening_context(accel))
             .collect();
-        let screened = AtomicUsize::new(0);
+        let mut screened = 0usize;
         let mut survivor_memo_hits = 0usize;
         let mut measured_memo_hits = 0usize;
         let mut screen_seconds = 0f64;
+        // Isolated panics of this run, in evaluation order.
+        let mut quarantine: Vec<QuarantineRecord> = Vec::new();
+        let mut log_panic = |phase, generation: u64, slot: u64, detail| {
+            quarantine.push(QuarantineRecord {
+                phase,
+                generation,
+                slot,
+                seed,
+                detail,
+            })
+        };
 
         let mut evaluations: Vec<(f64, f64)> = Vec::new();
         let mut sim_failures = 0usize;
@@ -997,57 +989,39 @@ impl Explorer {
         if truncated.is_none() {
             let seed_count = mappings.len().min(64);
             let stride = (mappings.len() / seed_count.max(1)).max(1);
-            let seed_idxs: Vec<usize> = (0..mappings.len())
+            let mut seeds = 0usize;
+            for (i, idx) in (0..mappings.len())
                 .step_by(stride)
                 .take(seed_count)
-                .collect();
-            let seeded = parallel_map(jobs, seed_idxs.len(), |i| {
-                let idx = seed_idxs[i];
-                let prog = &programs[idx];
-                amos_sim::isolate::run_isolated(|| {
-                    self.injected_fault("seed", seed, 0, i as u64)?;
-                    let schedule = Schedule::balanced(prog, accel);
-                    simulate(prog, &schedule, accel).map(|report| {
-                        screened.fetch_add(1, Ordering::Relaxed);
-                        let predicted = predict_with(&ctxs[idx], &schedule)
-                            .map(|b| b.cycles)
-                            .unwrap_or(report.cycles);
-                        (schedule, predicted, report)
-                    })
-                })
-            });
-            sup.note_measurements(seed_idxs.len());
-            sup.note_evaluations(seed_idxs.len());
-            for (i, (&idx, entry)) in seed_idxs.iter().zip(seeded).enumerate() {
-                let entry = match entry {
-                    Ok(outcome) => outcome,
-                    Err(detail) => {
-                        sup.quarantine("seed", 0, i as u64, seed, detail);
-                        continue;
+                .enumerate()
+            {
+                seeds += 1;
+                let slot = i as u64;
+                match self.measure_balanced("seed", seed, slot, &programs[idx], &ctxs[idx], accel) {
+                    Err(detail) => log_panic("seed", 0, slot, detail),
+                    Ok(Err(_)) => sim_failures += 1,
+                    Ok(Ok((schedule, predicted, report))) => {
+                        screened += 1;
+                        evaluations.push((predicted, report.cycles));
+                        let e = best_per_mapping.entry(idx).or_insert(f64::INFINITY);
+                        *e = e.min(report.cycles);
+                        if best
+                            .as_ref()
+                            .is_none_or(|(_, _, b)| report.cycles < b.cycles)
+                        {
+                            best = Some((idx, schedule, report));
+                        }
                     }
-                };
-                let Ok((schedule, predicted, report)) = entry else {
-                    sim_failures += 1;
-                    continue;
-                };
-                evaluations.push((predicted, report.cycles));
-                let e = best_per_mapping.entry(idx).or_insert(f64::INFINITY);
-                *e = e.min(report.cycles);
-                let better = best
-                    .as_ref()
-                    .map(|(_, _, b)| report.cycles < b.cycles)
-                    .unwrap_or(true);
-                if better {
-                    best = Some((idx, schedule, report));
                 }
             }
+            sup.note_measurements(seeds);
+            sup.note_evaluations(seeds);
             truncated = sup.check();
         }
 
         // ---- warm-start donor -----------------------------------------------
-        // Resolve the donor before any parallel phase starts: adaptation is a
-        // pure function of (donor, context), so the seeded population is
-        // deterministic for a fixed cache state at any thread count. A donor
+        // Adaptation is a pure function of (donor, context), so the seeded
+        // population is deterministic for a fixed cache state. A donor
         // whose mapping is not in this unit's enumeration, or whose schedule
         // cannot be re-validated on the new extents, is dropped and the
         // affected slots fall back to the naive random init.
@@ -1069,10 +1043,10 @@ impl Explorer {
         }
 
         // ---- initial population --------------------------------------------
-        // Phase A: one RNG stream per slot, workers *sample* into reusable
-        // `Schedule` buffers in a flat arena and return only plain metadata —
-        // so the population is the same set for any thread count. The first
-        // `warm_slots` slots clone the adapted donor instead (slot 0
+        // Phase A: one RNG stream per slot, each slot *sampled* into a
+        // reusable `Schedule` buffer of a flat arena — so the population
+        // depends on `(seed, slot)` only, never on evaluation order. The
+        // first `warm_slots` slots clone the adapted donor instead (slot 0
         // verbatim, the rest with one mutation from the slot's own stream).
         // Phase B then screens every sampled slot through the batched model
         // ([`screen_sampled`]), bit-identical to per-candidate
@@ -1080,6 +1054,7 @@ impl Explorer {
         let mut arena = PopulationArena::new();
         arena.ensure_slots(self.config.population);
         let mut scratch = ScreenScratch::default();
+        let mut sampled: Vec<(usize, bool)> = Vec::new();
         let mut metas: Vec<(usize, f64, bool)> = Vec::new();
         if truncated.is_none() {
             if warm_seed.is_some() {
@@ -1088,47 +1063,42 @@ impl Explorer {
                 warm_stats.fallback_slots = warm_slots;
             }
             let screen_start = Instant::now();
-            let raw = {
-                let ctxs = &ctxs[..];
-                let num_programs = programs.len();
-                let warm_seed = warm_seed.as_ref();
-                parallel_fill_map(
-                    jobs,
-                    &mut arena.schedules[..self.config.population],
-                    |slot, sched| {
-                        match amos_sim::isolate::run_isolated(
-                            || -> Result<(usize, bool), SimError> {
-                                self.injected_fault("screen", seed, 0, slot as u64)?;
-                                let mut rng = stream_rng(seed, 0, slot as u64);
-                                if let Some((widx, wsched)) = warm_seed {
-                                    if slot < warm_slots {
-                                        sched.clone_from(wsched);
-                                        if slot > 0 {
-                                            mutate_schedule_ctx(&ctxs[*widx], sched, &mut rng);
-                                        }
-                                        return Ok((*widx, true));
-                                    }
-                                }
-                                let mapping_idx = rng.gen_range(0..num_programs);
-                                random_schedule_into(&ctxs[mapping_idx], sched, &mut rng, true);
-                                Ok((mapping_idx, true))
-                            },
-                        ) {
-                            Ok(Ok(meta)) => (meta, None),
-                            // An injected `SimError` concedes the slot.
-                            Ok(Err(_)) => ((0, false), None),
-                            Err(detail) => ((0, false), Some(detail)),
+            for (slot, sched) in arena.schedules[..self.config.population]
+                .iter_mut()
+                .enumerate()
+            {
+                let outcome = amos_sim::isolate::run_isolated(|| -> Result<usize, SimError> {
+                    self.injected_fault("screen", seed, 0, slot as u64)?;
+                    let mut rng = stream_rng(seed, 0, slot as u64);
+                    if let Some((widx, wsched)) = &warm_seed {
+                        if slot < warm_slots {
+                            sched.clone_from(wsched);
+                            if slot > 0 {
+                                mutate_schedule_ctx(&ctxs[*widx], sched, &mut rng);
+                            }
+                            return Ok(*widx);
                         }
-                    },
-                )
-            };
-            let sampled = drain_quarantined(raw, "screen", 0, seed, sup);
+                    }
+                    let mapping_idx = rng.gen_range(0..programs.len());
+                    random_schedule_into(&ctxs[mapping_idx], sched, &mut rng, true);
+                    Ok(mapping_idx)
+                });
+                sampled.push(match outcome {
+                    Ok(Ok(mapping_idx)) => (mapping_idx, true),
+                    // An injected `SimError` concedes the slot.
+                    Ok(Err(_)) => (0, false),
+                    Err(detail) => {
+                        log_panic("screen", 0, slot as u64, detail);
+                        (0, false)
+                    }
+                });
+            }
             screen_sampled(
                 &ctxs,
                 &arena.schedules,
                 0,
                 &sampled,
-                &screened,
+                &mut screened,
                 &mut scratch,
                 &mut metas,
             );
@@ -1149,77 +1119,52 @@ impl Explorer {
             arena.sort_live_by_predicted();
 
             // Measure the most promising unmeasured candidates on the ground
-            // truth, concurrently; the reduction walks them in rank order so
-            // `best` ties resolve identically for every job count.
-            let mut batch: HashSet<(usize, Schedule)> = HashSet::new();
-            let mut chosen: Vec<usize> = Vec::new();
+            // truth, in rank order. Every outcome lands in `measured` at
+            // once, so a duplicate further down the same batch is a memo hit
+            // like one from an earlier generation.
+            let mut measurements = 0usize;
             for rank in 0..arena.live.min(self.config.measure_top) {
                 let key = (arena.mapping_idx[rank], arena.schedules[rank].clone());
-                if measured.contains_key(&key) || !batch.insert(key) {
+                if measured.contains_key(&key) {
                     measured_memo_hits += 1;
                     continue;
                 }
-                chosen.push(rank);
-            }
-            let reports = {
-                let arena = &arena;
-                parallel_map(jobs, chosen.len(), |i| {
-                    let rank = chosen[i];
-                    amos_sim::isolate::run_isolated(|| {
-                        self.injected_fault("measure", seed, generation as u64, rank as u64)?;
-                        simulate(
-                            &programs[arena.mapping_idx[rank]],
-                            &arena.schedules[rank],
-                            accel,
-                        )
-                    })
-                })
-            };
-            sup.note_measurements(chosen.len());
-            for (&rank, outcome) in chosen.iter().zip(reports) {
-                let key = (arena.mapping_idx[rank], arena.schedules[rank].clone());
-                let outcome = match outcome {
-                    Ok(outcome) => outcome,
+                measurements += 1;
+                let outcome = amos_sim::isolate::run_isolated(|| {
+                    self.injected_fault("measure", seed, generation as u64, rank as u64)?;
+                    simulate(&programs[key.0], &key.1, accel)
+                });
+                let cycles = match outcome {
                     Err(detail) => {
                         // Quarantined (not a sim failure): poison the
                         // candidate so it is never re-measured, and log it.
-                        sup.quarantine("measure", generation as u64, rank as u64, seed, detail);
-                        measured.insert(key, f64::INFINITY);
-                        continue;
+                        log_panic("measure", generation as u64, rank as u64, detail);
+                        f64::INFINITY
                     }
-                };
-                match outcome {
-                    Ok(report) => {
-                        evaluations.push((arena.predicted[rank], report.cycles));
-                        measured.insert(key, report.cycles);
-                        let e = best_per_mapping
-                            .entry(arena.mapping_idx[rank])
-                            .or_insert(f64::INFINITY);
-                        *e = e.min(report.cycles);
-                        let better = best
-                            .as_ref()
-                            .map(|(_, _, b)| report.cycles < b.cycles)
-                            .unwrap_or(true);
-                        if better {
-                            best = Some((
-                                arena.mapping_idx[rank],
-                                arena.schedules[rank].clone(),
-                                report,
-                            ));
-                        }
-                    }
-                    Err(_) => {
+                    Ok(Err(_)) => {
                         // Infeasible on hardware; poison its predicted score.
                         sim_failures += 1;
-                        measured.insert(key, f64::INFINITY);
+                        f64::INFINITY
                     }
-                }
+                    Ok(Ok(report)) => {
+                        let cycles = report.cycles;
+                        evaluations.push((arena.predicted[rank], cycles));
+                        let e = best_per_mapping.entry(key.0).or_insert(f64::INFINITY);
+                        *e = e.min(cycles);
+                        if best.as_ref().is_none_or(|(_, _, b)| cycles < b.cycles) {
+                            best = Some((key.0, key.1.clone(), report));
+                        }
+                        cycles
+                    }
+                };
+                measured.insert(key, cycles);
             }
+            sup.note_measurements(measurements);
 
             // Selection + mutation. Survivors keep their slots *and* their
             // predictions (the cross-generation memo: they are never
-            // re-screened); children are bred into the tail slots in
-            // parallel, each on its own (seed, generation, slot) stream.
+            // re-screened); children are bred into the tail slots, each on
+            // its own (seed, generation, slot) stream.
             arena.live = arena.live.min(self.config.survivors.max(1));
             if arena.live == 0 {
                 generations_completed = generation + 1;
@@ -1232,45 +1177,44 @@ impl Explorer {
             let wanted = self.config.population.saturating_sub(survivors);
             arena.ensure_slots(survivors + wanted);
             let screen_start = Instant::now();
-            let raw = {
-                let (parents, rest) = arena.schedules.split_at_mut(survivors);
-                let parents: &[Schedule] = parents;
-                let child_slots = &mut rest[..wanted];
-                let parent_maps = &arena.mapping_idx[..survivors];
-                let ctxs = &ctxs[..];
-                let num_programs = programs.len();
-                parallel_fill_map(jobs, child_slots, |slot, sched| {
-                    match amos_sim::isolate::run_isolated(|| -> Result<(usize, bool), SimError> {
-                        self.injected_fault("breed", seed, generation as u64 + 1, slot as u64)?;
-                        let mut rng = stream_rng(seed, generation as u64 + 1, slot as u64);
-                        let p = rng.gen_range(0..parents.len());
-                        let mut mapping_idx = parent_maps[p];
-                        // Occasionally jump to a different mapping entirely.
-                        if rng.gen_bool(0.2) {
-                            mapping_idx = rng.gen_range(0..num_programs);
-                        }
-                        let ctx = &ctxs[mapping_idx];
-                        if mapping_idx == parent_maps[p] {
-                            sched.clone_from(&parents[p]);
-                        } else {
-                            random_schedule_into(ctx, sched, &mut rng, true);
-                        }
-                        mutate_schedule_ctx(ctx, sched, &mut rng);
-                        Ok((mapping_idx, true))
-                    }) {
-                        Ok(Ok(meta)) => (meta, None),
-                        Ok(Err(_)) => ((0, false), None),
-                        Err(detail) => ((0, false), Some(detail)),
+            let bred = generation as u64 + 1;
+            let (parents, rest) = arena.schedules.split_at_mut(survivors);
+            let parent_maps = &arena.mapping_idx[..survivors];
+            sampled.clear();
+            for (slot, sched) in rest[..wanted].iter_mut().enumerate() {
+                let outcome = amos_sim::isolate::run_isolated(|| -> Result<usize, SimError> {
+                    self.injected_fault("breed", seed, bred, slot as u64)?;
+                    let mut rng = stream_rng(seed, bred, slot as u64);
+                    let p = rng.gen_range(0..parents.len());
+                    let mut mapping_idx = parent_maps[p];
+                    // Occasionally jump to a different mapping entirely.
+                    if rng.gen_bool(0.2) {
+                        mapping_idx = rng.gen_range(0..programs.len());
                     }
-                })
-            };
-            let sampled = drain_quarantined(raw, "breed", generation as u64 + 1, seed, sup);
+                    let ctx = &ctxs[mapping_idx];
+                    if mapping_idx == parent_maps[p] {
+                        sched.clone_from(&parents[p]);
+                    } else {
+                        random_schedule_into(ctx, sched, &mut rng, true);
+                    }
+                    mutate_schedule_ctx(ctx, sched, &mut rng);
+                    Ok(mapping_idx)
+                });
+                sampled.push(match outcome {
+                    Ok(Ok(mapping_idx)) => (mapping_idx, true),
+                    Ok(Err(_)) => (0, false),
+                    Err(detail) => {
+                        log_panic("breed", bred, slot as u64, detail);
+                        (0, false)
+                    }
+                });
+            }
             screen_sampled(
                 &ctxs,
                 &arena.schedules,
                 survivors,
                 &sampled,
-                &screened,
+                &mut screened,
                 &mut scratch,
                 &mut metas,
             );
@@ -1281,60 +1225,34 @@ impl Explorer {
         }
 
         // Guarantee at least one measured candidate: fall back to the
-        // balanced schedule of the best-predicted mapping. On a truncated
-        // run the sweep stops at the first mapping that simulates (bounded
-        // work past the deadline, still deterministic in mapping order);
-        // otherwise the full sweep runs and the best attempt wins.
+        // balanced schedule of every mapping in turn and keep the best
+        // attempt. On a truncated run the sweep stops at the first mapping
+        // that simulates (bounded work past the deadline, still
+        // deterministic in mapping order).
         if best.is_none() {
-            let fallback = |i: usize| {
-                amos_sim::isolate::run_isolated(|| {
-                    self.injected_fault("fallback", seed, 0, i as u64)?;
-                    let schedule = Schedule::balanced(&programs[i], accel);
-                    simulate(&programs[i], &schedule, accel).map(|report| {
-                        screened.fetch_add(1, Ordering::Relaxed);
-                        let predicted = predict_with(&ctxs[i], &schedule)
-                            .map(|b| b.cycles)
-                            .unwrap_or(report.cycles);
-                        (schedule, predicted, report)
-                    })
-                })
-            };
-            let attempts: Vec<_> = if truncated.is_some() {
-                let mut attempts = Vec::new();
-                for i in 0..programs.len() {
-                    let attempt = fallback(i);
-                    let hit = matches!(attempt, Ok(Ok(_)));
-                    attempts.push(attempt);
-                    if hit {
-                        break;
+            let mut attempts = 0usize;
+            for (idx, prog) in programs.iter().enumerate() {
+                attempts += 1;
+                let slot = idx as u64;
+                match self.measure_balanced("fallback", seed, slot, prog, &ctxs[idx], accel) {
+                    Err(detail) => log_panic("fallback", 0, slot, detail),
+                    Ok(Err(_)) => sim_failures += 1,
+                    Ok(Ok((schedule, predicted, report))) => {
+                        screened += 1;
+                        evaluations.push((predicted, report.cycles));
+                        if best
+                            .as_ref()
+                            .is_none_or(|(_, _, b)| report.cycles < b.cycles)
+                        {
+                            best = Some((idx, schedule, report));
+                        }
+                        if truncated.is_some() {
+                            break;
+                        }
                     }
-                }
-                attempts
-            } else {
-                parallel_map(jobs, programs.len(), fallback)
-            };
-            sup.note_measurements(attempts.len());
-            for (idx, entry) in attempts.into_iter().enumerate() {
-                let entry = match entry {
-                    Ok(outcome) => outcome,
-                    Err(detail) => {
-                        sup.quarantine("fallback", 0, idx as u64, seed, detail);
-                        continue;
-                    }
-                };
-                let Ok((schedule, predicted, report)) = entry else {
-                    sim_failures += 1;
-                    continue;
-                };
-                evaluations.push((predicted, report.cycles));
-                let better = best
-                    .as_ref()
-                    .map(|(_, _, b)| report.cycles < b.cycles)
-                    .unwrap_or(true);
-                if better {
-                    best = Some((idx, schedule, report));
                 }
             }
+            sup.note_measurements(attempts);
         }
 
         let (mut idx, mut schedule, mut report) =
@@ -1351,7 +1269,7 @@ impl Explorer {
         // AMOS's search a strict superset of the fixed-mapping ablations
         // (paper §7.6).
         let mut screening = ScreeningStats {
-            screened: screened.load(Ordering::Relaxed),
+            screened,
             survivor_memo_hits,
             measured_memo_hits,
             screen_seconds,
@@ -1362,15 +1280,25 @@ impl Explorer {
                 best_per_mapping.iter().map(|(&i, &c)| (i, c)).collect();
             shortlist.sort_by(|a, b| a.1.total_cmp(&b.1));
             shortlist.truncate(3);
-            for (round, (ridx, _)) in shortlist.into_iter().enumerate() {
-                truncated = sup.check();
-                if truncated.is_some() {
-                    break;
+            // The rounds are independently seeded full-depth searches —
+            // milliseconds each, the only tasks in a search worth a pool
+            // hand-off — so they run as one wave and merge in round order
+            // below. A counter limit keeps them on this thread: which
+            // generation it fires in depends on the rounds drawing on the
+            // shared counters one after another.
+            let jobs = if sup.has_counter_limit() {
+                1
+            } else {
+                self.config.effective_jobs()
+            };
+            let rounds = parallel_map(jobs, shortlist.len(), |round| {
+                if let Some(stop) = sup.check() {
+                    return Err(stop);
                 }
                 // Re-enter the generation loop on a one-mapping slice: the
-                // program (and its screening context) is reused as-is — no
-                // re-lowering and no explorer/config clones per round. When
+                // program (and its screening context) is reused as-is. When
                 // a shared cache is present the whole sub-run is memoised.
+                let ridx = shortlist[round].0;
                 let refine_seed = seed.wrapping_add(round as u64) ^ 0x9e3779b97f4a7c15;
                 let run = || {
                     self.explore_programs(
@@ -1384,7 +1312,7 @@ impl Explorer {
                         None,
                     )
                 };
-                let refined = match cache {
+                Ok(match cache {
                     Some(c) => c.refine_tagged(
                         &format!("refine:{round}:{ridx}:{refine_seed}"),
                         &self.config,
@@ -1393,25 +1321,30 @@ impl Explorer {
                         run,
                     ),
                     None => run(),
+                })
+            });
+            for (&(ridx, _), outcome) in shortlist.iter().zip(rounds) {
+                // A round the shared budget stopped — before it started
+                // (`Err`) or part-way — carries the truncation status up.
+                let stop = match outcome {
+                    Err(stop) => Some(stop),
+                    Ok(Err(_)) => None,
+                    Ok(Ok(mut refined)) => {
+                        evaluations.extend(refined.evaluations.iter().copied());
+                        sim_failures += refined.sim_failures;
+                        screening.absorb(&refined.screening);
+                        generations_completed += refined.generations_completed;
+                        quarantine.append(&mut refined.quarantine.records);
+                        if refined.best_report.cycles < report.cycles {
+                            schedule = refined.best_schedule;
+                            report = refined.best_report;
+                            idx = ridx;
+                        }
+                        Some(refined.completion).filter(Completion::is_truncated)
+                    }
                 };
-                if let Ok(refined) = refined {
-                    evaluations.extend(refined.evaluations.iter().copied());
-                    sim_failures += refined.sim_failures;
-                    screening.absorb(&refined.screening);
-                    generations_completed += refined.generations_completed;
-                    // A sub-run that hit the shared budget mid-round carries
-                    // the truncation status up.
-                    if refined.completion.is_truncated() {
-                        truncated = Some(match truncated {
-                            Some(t) => t.merge(refined.completion),
-                            None => refined.completion,
-                        });
-                    }
-                    if refined.best_report.cycles < report.cycles {
-                        schedule = refined.best_schedule;
-                        report = refined.best_report;
-                        idx = ridx;
-                    }
+                if let Some(stop) = stop {
+                    truncated = Some(truncated.map_or(stop, |t| t.merge(stop)));
                 }
             }
         }
@@ -1428,7 +1361,32 @@ impl Explorer {
             warm_start: warm_stats,
             completion: truncated.unwrap_or(Completion::Finished),
             generations_completed,
-            quarantine: QuarantineReport::default(),
+            quarantine: QuarantineReport {
+                records: quarantine,
+            },
+        })
+    }
+
+    /// Measures the balanced heuristic schedule of one program on the
+    /// ground truth (the heuristic seeds and the fallback sweep), isolated
+    /// like every other candidate evaluation: `Err` carries a panic payload.
+    fn measure_balanced(
+        &self,
+        phase: &'static str,
+        seed: u64,
+        slot: u64,
+        prog: &MappedProgram,
+        ctx: &ScreeningContext,
+        accel: &AcceleratorSpec,
+    ) -> Result<Result<(Schedule, f64, TimingReport), SimError>, String> {
+        amos_sim::isolate::run_isolated(|| {
+            self.injected_fault(phase, seed, 0, slot)?;
+            let schedule = Schedule::balanced(prog, accel);
+            let report = simulate(prog, &schedule, accel)?;
+            let predicted = predict_with(ctx, &schedule)
+                .map(|b| b.cycles)
+                .unwrap_or(report.cycles);
+            Ok((schedule, predicted, report))
         })
     }
 
@@ -1474,26 +1432,6 @@ impl Explorer {
     }
 }
 
-/// Logs the quarantined slots of one screening batch into `sup` (in slot
-/// order, on the reducing thread — deterministic) and strips the markers.
-fn drain_quarantined<T>(
-    raw: Vec<(T, Option<String>)>,
-    phase: &'static str,
-    generation: u64,
-    seed: u64,
-    sup: &Supervisor,
-) -> Vec<T> {
-    raw.into_iter()
-        .enumerate()
-        .map(|(slot, (meta, quarantined))| {
-            if let Some(detail) = quarantined {
-                sup.quarantine(phase, generation, slot as u64, seed, detail);
-            }
-            meta
-        })
-        .collect()
-}
-
 /// Reusable buffers for [`screen_sampled`]: the mapping-grouped slot order,
 /// the batched integer tables and the per-chunk prediction outputs. One
 /// instance lives across every generation of a run, so screening allocates
@@ -1526,7 +1464,7 @@ fn screen_sampled(
     schedules: &[Schedule],
     start: usize,
     sampled: &[(usize, bool)],
-    screened: &AtomicUsize,
+    screened: &mut usize,
     scratch: &mut ScreenScratch,
     metas: &mut Vec<(usize, f64, bool)>,
 ) {
@@ -1559,7 +1497,7 @@ fn screen_sampled(
                 &mut scratch.tables,
                 &mut scratch.out,
             );
-            screened.fetch_add(group.len(), Ordering::Relaxed);
+            *screened += group.len();
             for (j, &(_, k)) in group.iter().enumerate() {
                 if let Ok(b) = &scratch.out[j] {
                     metas[k].1 = b.cycles;

@@ -99,9 +99,7 @@ pub use explore::{
 };
 pub use generate::{fragment_coherent, MappingGenerator, MappingPolicy};
 pub use mapping::Mapping;
-pub use parallel::{
-    amos_jobs_override, default_jobs, parallel_fill_map, parallel_map, parse_jobs_value,
-};
+pub use parallel::{amos_jobs_override, default_jobs, parallel_map, parse_jobs_value};
 pub use pool::{pool_stats, PoolStats};
 pub use report::MappingReport;
 

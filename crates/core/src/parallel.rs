@@ -1,5 +1,5 @@
-//! Deterministic data-parallel map primitives over the persistent worker
-//! pool ([`crate::pool`]).
+//! The deterministic data-parallel map over the persistent worker pool
+//! ([`crate::pool`]).
 //!
 //! The sandbox has no crates.io access, so the explorer cannot lean on
 //! rayon; this module provides the one primitive it needs: map an index
@@ -7,14 +7,18 @@
 //! the results **in index order**, so reductions over them are independent
 //! of thread count and scheduling.
 //!
-//! Earlier revisions spawned fresh `std::thread::scope` threads per call
-//! and merged `(index, value)` pairs through a mutex plus a final sort.
-//! Both entry points are now thin wrappers that submit one *wave* to the
-//! process-wide pool and write each result directly into its preallocated
-//! per-index slot — no collection lock, no sort, no thread spawns after
-//! the pool has warmed up. With `jobs <= 1`, a trivial range, or when the
-//! caller is itself pool work (nested parallelism), the work runs inline
-//! on the calling thread with no synchronisation at all.
+//! [`parallel_map`] submits one *wave* to the process-wide pool and writes
+//! each result directly into its preallocated per-index slot: no collection
+//! lock, no sort, no thread spawns after the pool has warmed up. With
+//! `jobs <= 1`, a trivial range, a pool already busy with another caller's
+//! wave, or a caller that is itself pool work (nested parallelism), the
+//! work runs inline on the calling thread with no synchronisation at all.
+//!
+//! A wave costs a condvar hand-off (tens of microseconds), so it pays only
+//! for tasks orders of magnitude longer than that: the explorer's
+//! refinement rounds and a network's distinct layer shapes. Everything
+//! smaller (a generation's candidates, lowering, heuristic seeds) is a
+//! plain loop on the caller.
 
 use std::cell::UnsafeCell;
 
@@ -34,10 +38,9 @@ fn as_cells<S: Send>(slots: &mut [S]) -> &[SlotCell<S>] {
 }
 
 /// Chunk size for one wave: aim for several chunks per worker so uneven
-/// task costs still balance (candidate simulation times vary by an order
-/// of magnitude), while paying one `fetch_add` per chunk instead of per
-/// index on cheap tasks. Deterministic in (n, workers) only — it never
-/// affects *what* runs, merely how indices are batched onto claims.
+/// task costs still balance (per-shape search times vary by an order of
+/// magnitude). Deterministic in (n, workers) only — it never affects
+/// *what* runs, merely how indices are batched onto claims.
 fn chunk_for(n: usize, workers: usize) -> usize {
     (n / (workers * 8)).clamp(1, 64)
 }
@@ -108,8 +111,9 @@ fn available_cores() -> usize {
 /// claim index chunks from a shared counter (dynamic load balancing) and
 /// write each value straight into its preallocated slot, so the output is
 /// index-ordered by construction and bit-identical at any `jobs`. With
-/// `jobs <= 1`, a trivial range, or when called from inside pool work, the
-/// work runs inline on the caller's thread.
+/// `jobs <= 1`, a trivial range, a pool busy with another caller's wave, or
+/// when called from inside pool work, the work runs inline on the caller's
+/// thread.
 ///
 /// If `work` panics on any index, the panic is re-raised on the calling
 /// thread with its **original payload** (first panicking participant wins;
@@ -132,53 +136,6 @@ where
             // so this is the only reference to slot `i`; the wave completes
             // before `out` is touched again.
             unsafe { *cells[i].0.get() = Some(value) };
-        };
-        let workers = jobs.min(n);
-        crate::pool::global().run(workers, n, chunk_for(n, workers), &task);
-    }
-    debug_assert!(out.iter().all(Option::is_some), "wave skipped an index");
-    out.into_iter()
-        .map(|slot| slot.expect("pool executes every index exactly once"))
-        .collect()
-}
-
-/// Like [`parallel_map`], but each index additionally gets **exclusive**
-/// mutable access to its slot of `slots` — the primitive behind the
-/// explorer's SoA population arena, where worker threads fill reusable
-/// `Schedule` buffers in place instead of allocating and returning them.
-///
-/// Determinism matches `parallel_map`: every index runs exactly once (work
-/// is claimed in chunks from the pool's wave counter) and the returned
-/// metadata is in index order, written directly into per-index slots. With
-/// `jobs <= 1`, a trivial range, or from inside pool work, everything runs
-/// inline. Worker panics propagate with their original payload, as in
-/// [`parallel_map`].
-pub fn parallel_fill_map<S, T, F>(jobs: usize, slots: &mut [S], work: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
-    let n = slots.len();
-    if jobs <= 1 || n <= 1 || crate::pool::in_pool() {
-        return slots
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| work(i, s))
-            .collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    {
-        let slot_cells = as_cells(slots);
-        let out_cells = as_cells(&mut out);
-        let task = |i: usize| {
-            // SAFETY: the pool hands index `i` to exactly one participant,
-            // so these are the only references to slot `i` and output `i`;
-            // the wave completes before either array is touched again.
-            let slot = unsafe { &mut *slot_cells[i].0.get() };
-            let value = work(i, slot);
-            unsafe { *out_cells[i].0.get() = Some(value) };
         };
         let workers = jobs.min(n);
         crate::pool::global().run(workers, n, chunk_for(n, workers), &task);
@@ -223,53 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_map_writes_every_slot_once() {
-        for jobs in [1, 2, 4, 8] {
-            let mut slots = vec![0u64; 100];
-            let metas = parallel_fill_map(jobs, &mut slots, |i, s| {
-                *s += (i * i) as u64;
-                i * 2
-            });
-            assert_eq!(
-                slots,
-                (0..100).map(|i| (i * i) as u64).collect::<Vec<_>>(),
-                "jobs={jobs}"
-            );
-            assert_eq!(metas, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn fill_map_reuses_slot_buffers() {
-        let mut slots: Vec<Vec<u8>> = (0..16).map(|_| Vec::with_capacity(64)).collect();
-        let before: Vec<*const u8> = slots.iter().map(|v| v.as_ptr()).collect();
-        parallel_fill_map(4, &mut slots, |i, v| {
-            v.clear();
-            v.extend_from_slice(&[i as u8; 8]);
-        });
-        let after: Vec<*const u8> = slots.iter().map(|v| v.as_ptr()).collect();
-        assert_eq!(
-            before, after,
-            "slot buffers must be reused, not reallocated"
-        );
-        assert!(slots.iter().enumerate().all(|(i, v)| v == &[i as u8; 8]));
-    }
-
-    #[test]
-    fn fill_map_empty_and_singleton() {
-        let mut none: Vec<u32> = Vec::new();
-        assert_eq!(
-            parallel_fill_map(4, &mut none, |i, _| i),
-            Vec::<usize>::new()
-        );
-        let mut one = vec![5u32];
-        assert_eq!(
-            parallel_fill_map(4, &mut one, |i, s| *s as usize + i),
-            vec![5]
-        );
-    }
-
-    #[test]
     fn map_propagates_original_panic_payload() {
         let caught = amos_sim::isolate::quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
@@ -286,27 +196,6 @@ mod tests {
             amos_sim::isolate::payload_text(payload.as_ref()),
             "boom 7",
             "the original payload must survive, not a poisoned-lock panic"
-        );
-    }
-
-    #[test]
-    fn fill_map_propagates_original_panic_payload() {
-        let mut slots = vec![0u64; 64];
-        let caught = amos_sim::isolate::quiet_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                parallel_fill_map(4, &mut slots, |i, s| {
-                    *s = i as u64;
-                    if i == 11 {
-                        panic!("slot failure {i}");
-                    }
-                    i
-                })
-            }))
-        });
-        let payload = caught.expect_err("worker panic must propagate");
-        assert_eq!(
-            amos_sim::isolate::payload_text(payload.as_ref()),
-            "slot failure 11"
         );
     }
 

@@ -1,19 +1,27 @@
 //! A persistent, deterministic worker pool.
 //!
-//! The explorer's hot loop makes six-plus `parallel_map`/`parallel_fill_map`
-//! calls per generation (lowering, heuristic seeds, population fill,
-//! measurement, breeding, fallback). Spawning OS threads per call — the old
-//! `std::thread::scope` implementation — pays thread creation plus two join
-//! barriers hundreds of times per exploration, which is exactly the overhead
-//! that kept whole-network parallel evaluation at ~1x. This module keeps one
-//! process-wide pool instead: workers are spawned lazily once, parked on a
-//! condvar between waves, and each `parallel_map` call becomes a *wave*
-//! broadcast to the parked workers.
+//! One process-wide pool serves every [`parallel_map`](crate::parallel_map)
+//! call: workers are spawned lazily once, parked on a condvar between
+//! waves, and each call becomes a *wave* broadcast to the parked workers —
+//! no per-call thread creation, no join barriers.
+//!
+//! A wave still costs a condvar hand-off, tens of microseconds. The rule
+//! for callers is therefore: **submit a wave only for tasks orders of
+//! magnitude above that cost.** Two callers qualify — the explorer's
+//! refinement rounds (up to three full-depth searches, milliseconds each,
+//! one wave per exploration unit) and a network's distinct layer shapes
+//! (one whole search per task). Everything inside a generation (sampling,
+//! screening, measurement, breeding), lowering, the heuristic seeds and the
+//! fallback sweep are microsecond tasks and run as plain loops on the
+//! calling thread; an earlier revision submitted a wave for each and ran
+//! 2.6x *slower* at `jobs = nproc` than at `jobs = 1`.
 //!
 //! ## Wave protocol
 //!
-//! A wave is submitted by the calling thread (waves serialize on a
-//! submission lock; concurrent callers queue):
+//! A wave is submitted by the calling thread. One wave is in flight at a
+//! time: a caller that finds the pool busy with someone else's wave (which
+//! may last milliseconds) runs its own range inline instead of queueing
+//! behind it — same results, by the `jobs` contract. Otherwise:
 //!
 //! 1. the caller resets the shared claim counter, publishes a type-erased
 //!    `&dyn Fn(usize)` task pointer under the state lock, bumps the wave
@@ -22,7 +30,7 @@
 //!    (`joiners_left`), copy the task descriptor and run the claim loop;
 //!    workers beyond the wave's worker budget go back to sleep;
 //! 3. the claim loop grabs **chunks** of indices with one `fetch_add` per
-//!    chunk (not per index), bounding atomic contention on cheap tasks;
+//!    chunk (not per index);
 //! 4. the caller participates in the claim loop itself (a pool serving
 //!    `jobs` threads spawns only `jobs - 1` workers), then cancels any
 //!    participation slots no worker picked up in time and blocks until the
@@ -56,7 +64,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::thread::JoinHandle;
 
 thread_local! {
@@ -86,8 +94,8 @@ pub struct PoolStats {
     /// Worker threads spawned since process start (workers live forever, so
     /// this is also the current worker count).
     pub threads: usize,
-    /// Waves submitted (one per pooled `parallel_map`/`parallel_fill_map`
-    /// call; inline fallbacks do not count).
+    /// Waves submitted (one per pooled `parallel_map` call; inline
+    /// fallbacks do not count).
     pub waves: u64,
     /// Task indices executed across all waves.
     pub tasks: u64,
@@ -225,12 +233,13 @@ fn worker_loop(shared: Arc<PoolShared>) {
 }
 
 /// A persistent worker pool executing index-range waves. One process-wide
-/// instance (see [`global`]) backs `parallel_map`/`parallel_fill_map`;
-/// dedicated instances exist only in tests.
+/// instance (see [`global`]) backs `parallel_map`; dedicated instances exist
+/// only in tests.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
-    /// Serializes waves: one in flight at a time (per-wave atomics are
-    /// shared state). Concurrent submitters queue here.
+    /// Held for the duration of a wave: one in flight at a time (per-wave
+    /// atomics are shared state). A submitter that finds it held runs
+    /// inline instead of queueing.
     submission: Mutex<()>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -299,6 +308,8 @@ impl WorkerPool {
     /// threads (the caller plus `workers - 1` pool workers), claiming
     /// indices in chunks of `chunk`. Blocks until every participant has
     /// left the wave; re-raises the first panicking task's original payload.
+    /// When another caller's wave is in flight the whole range runs inline
+    /// on this thread instead (no wave is counted).
     ///
     /// Every index is executed at most once, and — absent panics — exactly
     /// once; with the per-slot writes the parallel entry points perform,
@@ -312,7 +323,11 @@ impl WorkerPool {
     ) {
         debug_assert!(workers >= 2 && n >= 2 && chunk >= 1);
         let helpers = (workers - 1).min(n - 1);
-        let guard = lock_unpoisoned(&self.submission);
+        let guard = match self.submission.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return (0..n).for_each(task),
+        };
         self.ensure_spawned(helpers);
         self.shared.next.store(0, Ordering::Relaxed);
         self.shared.stop.store(false, Ordering::Relaxed);
@@ -382,8 +397,8 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The process-wide pool behind `parallel_map`/`parallel_fill_map`,
-/// created (empty) on first use. [`crate::Engine`] exposes its counters as
+/// The process-wide pool behind `parallel_map`, created (empty) on first
+/// use. [`crate::Engine`] exposes its counters as
 /// [`Engine::pool_stats`](crate::Engine::pool_stats).
 pub(crate) fn global() -> &'static WorkerPool {
     static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
@@ -499,23 +514,50 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_submitters_serialize_without_corruption() {
-        let pool = std::sync::Arc::new(WorkerPool::new());
-        let total = AtomicUsize::new(0);
+    fn concurrent_submitters_run_every_index_exactly_once() {
+        // Whichever submitters win the pool and whichever run inline, every
+        // call must execute each of its own indices exactly once.
+        let pool = WorkerPool::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let pool = &pool;
-                let total = &total;
                 scope.spawn(move || {
                     for _ in 0..20 {
-                        let task = |_i: usize| {
-                            total.fetch_add(1, Ordering::Relaxed);
+                        let hits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
+                        let task = |i: usize| {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
                         };
                         pool.run(3, 32, 4, &task);
+                        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
                     }
                 });
             }
         });
-        assert_eq!(total.load(Ordering::Relaxed), 4 * 20 * 32);
+    }
+
+    #[test]
+    fn busy_pool_runs_a_second_submitter_inline() {
+        let pool = WorkerPool::new();
+        let started = std::sync::Barrier::new(2);
+        let release = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let long = |i: usize| {
+                    if i == 0 {
+                        started.wait();
+                        release.wait();
+                    }
+                };
+                pool.run(2, 2, 1, &long);
+            });
+            // The first wave is now in flight and stays so until released:
+            // a queued submitter would deadlock here, an inline one returns.
+            started.wait();
+            let out = fill_squares(&pool, 4, 100, 7);
+            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(pool.stats().waves, 1, "the busy pool must not be queued on");
+            release.wait();
+        });
+        assert_eq!(pool.stats().tasks, 2, "inline ranges are not pool tasks");
     }
 }

@@ -122,6 +122,71 @@ fn measurement_budget_exhausts_after_the_first_batch() {
     assert_eq!(result.best_schedule, again.best_schedule);
 }
 
+/// A many-mapping convolution: after the joint search, three refinement
+/// rounds run (as one pool wave at `jobs > 1` when no counter limit is set).
+fn conv() -> amos::ir::ComputeDef {
+    ops::c2d(ops::ConvShape {
+        n: 4,
+        c: 32,
+        k: 32,
+        p: 14,
+        q: 14,
+        r: 3,
+        s: 3,
+        stride: 1,
+    })
+}
+
+fn explore_conv(jobs: usize, budget: Budget) -> amos::core::ExplorationResult {
+    let config = ExplorerConfig {
+        jobs,
+        ..config(budget)
+    };
+    Explorer::with_config(config)
+        .explore(&conv(), &catalog::v100())
+        .expect("exploration succeeds")
+}
+
+#[test]
+fn counter_truncation_inside_refinement_is_jobs_invariant_and_a_prefix() {
+    let full = explore_conv(4, Budget::default());
+    assert_eq!(full.completion, Completion::Finished);
+    let joint_generations = config(Budget::default()).generations;
+    assert_eq!(full.generations_completed, 4 * joint_generations);
+
+    let mut stopped_inside_refinement = 0;
+    for limit in [40, 75, 100, 130, 10_000] {
+        let budget = Budget {
+            max_evaluations: Some(limit),
+            ..Budget::default()
+        };
+        let serial = explore_conv(1, budget);
+        let pooled = explore_conv(4, budget);
+        assert_eq!(serial.evaluations, pooled.evaluations, "limit {limit}");
+        assert_eq!(serial.completion, pooled.completion, "limit {limit}");
+        assert_eq!(
+            serial.generations_completed, pooled.generations_completed,
+            "limit {limit}"
+        );
+        assert_eq!(serial.best_mapping, pooled.best_mapping, "limit {limit}");
+        assert_eq!(serial.best_schedule, pooled.best_schedule, "limit {limit}");
+        assert_eq!(
+            pooled.evaluations,
+            full.evaluations[..pooled.evaluations.len()],
+            "limit {limit}: not a prefix of the unlimited run"
+        );
+        if pooled.completion == Completion::BudgetExhausted
+            && pooled.generations_completed > joint_generations
+        {
+            stopped_inside_refinement += 1;
+        }
+    }
+    assert!(
+        stopped_inside_refinement >= 2,
+        "the limits must cut at least two runs short inside refinement"
+    );
+}
+
 #[test]
 fn invalid_configs_are_typed_errors_not_panics() {
     let mut cfg = config(Budget::default());
@@ -216,6 +281,55 @@ mod injected {
         });
         assert_eq!(faulty.evaluations, again.evaluations);
         assert_eq!(faulty.quarantine, again.quarantine);
+    }
+
+    /// Refinement rounds run concurrently at `jobs > 1`, each with its own
+    /// quarantine buffer appended in round order: the log and the degraded
+    /// completion must not depend on which round finished first.
+    #[test]
+    fn quarantine_inside_refinement_is_identical_at_every_width() {
+        let explore_at = |jobs: usize| {
+            let cfg = ExplorerConfig {
+                jobs,
+                faults: FaultPlan {
+                    panic_ppm: 100_000,
+                    ..FaultPlan::default()
+                },
+                ..config(Budget::default())
+            };
+            amos::sim::isolate::quiet_panics(|| {
+                Explorer::with_config(cfg)
+                    .explore(&conv(), &catalog::v100())
+                    .expect("degraded exploration still succeeds")
+            })
+        };
+        let serial = explore_at(1);
+        // Refinement rounds derive their own seeds, so a record carrying a
+        // seed other than the configured one was logged inside a round.
+        let mut round_seeds: Vec<u64> = serial
+            .quarantine
+            .records
+            .iter()
+            .map(|r| r.seed)
+            .filter(|&s| s != config(Budget::default()).seed)
+            .collect();
+        round_seeds.dedup();
+        assert!(
+            round_seeds.len() >= 2,
+            "the plan must fire inside at least two rounds: {round_seeds:?}"
+        );
+        assert_eq!(
+            serial.completion,
+            Completion::Degraded {
+                quarantined: serial.quarantine.len()
+            }
+        );
+        for jobs in [2, 4, 8] {
+            let pooled = explore_at(jobs);
+            assert_eq!(serial.quarantine, pooled.quarantine, "jobs={jobs}");
+            assert_eq!(serial.completion, pooled.completion, "jobs={jobs}");
+            assert_eq!(serial.evaluations, pooled.evaluations, "jobs={jobs}");
+        }
     }
 
     /// Injected `SimError`s at the measure phase are counted as ordinary

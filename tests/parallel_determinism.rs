@@ -23,12 +23,21 @@ fn budget(seed: u64, jobs: usize) -> ExplorerConfig {
 
 /// Same seed, different thread counts: best mapping, best schedule, measured
 /// cycles and even the raw (predicted, measured) trace must be identical at
-/// every pooled width, not just one.
-fn assert_jobs_invariant(def: &amos::ir::ComputeDef, seed: u64) {
-    let serial = Engine::with_config(budget(seed, 1))
+/// every pooled width, not just one. `rounds` is the number of refinement
+/// rounds the operator must go through — the part of a search that runs as
+/// a pool wave and is merged back in round order.
+fn assert_jobs_invariant(def: &amos::ir::ComputeDef, seed: u64, rounds: usize) {
+    let engine = Engine::with_config(budget(seed, 1));
+    let serial = engine
         .explore_op(def, &catalog::v100())
         .expect("serial exploration succeeds");
     assert!(serial.screening.screened > 0, "screening must have run");
+    assert_eq!(engine.refine_misses(), rounds, "refinement rounds run");
+    assert_eq!(
+        serial.generations_completed,
+        (1 + rounds) * budget(seed, 1).generations,
+        "the joint search and every round run to full depth"
+    );
     for jobs in [2, 4, 8] {
         let parallel = Engine::with_config(budget(seed, jobs))
             .explore_op(def, &catalog::v100())
@@ -69,12 +78,19 @@ fn assert_jobs_invariant(def: &amos::ir::ComputeDef, seed: u64) {
             serial.screening.measured_memo_hits, parallel.screening.measured_memo_hits,
             "measured memo hits differ between jobs=1 and jobs={jobs}"
         );
+        assert_eq!(
+            serial.generations_completed, parallel.generations_completed,
+            "generation count differs between jobs=1 and jobs={jobs}"
+        );
+        assert_eq!(serial.completion, parallel.completion);
+        assert_eq!(serial.quarantine, parallel.quarantine);
     }
 }
 
 #[test]
 fn gemm_search_is_identical_across_thread_counts() {
-    assert_jobs_invariant(&ops::gmm(256, 256, 256), 42);
+    // One valid mapping onto Tensor Core (paper Table 6): no refinement.
+    assert_jobs_invariant(&ops::gmm(256, 256, 256), 42, 0);
 }
 
 #[test]
@@ -89,7 +105,8 @@ fn conv_search_is_identical_across_thread_counts() {
         s: 3,
         stride: 1,
     });
-    assert_jobs_invariant(&def, 1234);
+    // Many mappings: the three-round refinement wave runs.
+    assert_jobs_invariant(&def, 1234, 3);
 }
 
 #[test]

@@ -1,27 +1,37 @@
-//! The persistent worker pool behind `parallel_map`/`parallel_fill_map`:
-//! worker threads must be spawned once and reused by every subsequent
-//! exploration, a panicking wave must leave the pool healthy, and the
+//! The persistent worker pool behind `parallel_map`: worker threads must be
+//! spawned once and reused by every subsequent exploration, an exploration
+//! must submit a wave for its refinement rounds only (never per
+//! generation), a panicking wave must leave the pool healthy, and the
 //! pooled path must preserve the bit-identical jobs-invariance contract.
 //!
-//! The pool is process-wide and its counters are cumulative, so every test
-//! here first warms the pool to the widest wave this binary ever submits
-//! (jobs = 8): afterwards `PoolStats::threads` can only stay constant, no
-//! matter how the test harness interleaves threads.
+//! The pool is process-wide, its counters are cumulative, and a submitter
+//! that finds it busy runs inline without counting a wave — so every test
+//! here holds one lock for its whole body (no other test's waves can
+//! interleave) and first warms the pool to the widest wave this binary ever
+//! submits (jobs = 8): afterwards `PoolStats::threads` can only stay
+//! constant.
 
 use amos::core::{parallel_map, pool_stats, Engine, ExplorerConfig};
 use amos::hw::catalog;
 use amos::workloads::ops::{self, ConvShape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard};
 
 /// Widest thread budget any test in this binary uses.
 const MAX_JOBS: usize = 8;
 
-/// Warms the process pool to its maximal width for this binary, so thread
-/// counts observed afterwards are stable.
-fn warm_pool() {
+/// Takes this binary's pool lock (held until the returned guard drops) and
+/// warms the process pool to its maximal width, so the thread and wave
+/// counts a test observes afterwards are its own.
+fn warm_pool() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let guard = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let out = parallel_map(MAX_JOBS, 64, |i| i);
     assert_eq!(out, (0..64).collect::<Vec<_>>());
     assert!(pool_stats().threads >= MAX_JOBS - 1);
+    guard
 }
 
 fn budget(seed: u64, jobs: usize) -> ExplorerConfig {
@@ -51,7 +61,7 @@ fn conv() -> amos::ir::ComputeDef {
 
 #[test]
 fn consecutive_explorations_reuse_the_same_worker_threads() {
-    warm_pool();
+    let _serial = warm_pool();
     let before = pool_stats();
     for seed in [3, 5, 9] {
         for jobs in [2, MAX_JOBS] {
@@ -65,17 +75,36 @@ fn consecutive_explorations_reuse_the_same_worker_threads() {
         after.threads, before.threads,
         "six explorations must reuse the warm pool, not spawn: {after:?}"
     );
-    assert!(
-        after.waves > before.waves,
-        "parallel explorations must submit waves: {before:?} -> {after:?}"
+}
+
+#[test]
+fn pool_waves_per_exploration_do_not_grow_with_generations() {
+    let _serial = warm_pool();
+    // v100 is one exploration unit, and the convolution has several
+    // mappings: the refinement rounds are the one wave a search submits.
+    let waves_at = |generations: usize| {
+        let before = pool_stats().waves;
+        let config = ExplorerConfig {
+            generations,
+            ..budget(13, 4)
+        };
+        Engine::with_config(config)
+            .explore_op(&conv(), &catalog::v100())
+            .expect("exploration succeeds");
+        pool_stats().waves - before
+    };
+    let shallow = waves_at(3);
+    let deep = waves_at(30);
+    assert_eq!(
+        shallow, deep,
+        "waves must not scale with generations: {shallow} at 3, {deep} at 30"
     );
-    assert!(after.tasks > before.tasks);
-    assert!(after.chunks >= after.waves, "every wave claims >= 1 chunk");
+    assert_eq!(deep, 1, "one wave per unit: the refinement rounds");
 }
 
 #[test]
 fn engine_surfaces_the_process_pool_counters() {
-    warm_pool();
+    let _serial = warm_pool();
     let engine = Engine::with_config(budget(11, 4));
     engine
         .explore_op(&conv(), &catalog::v100())
@@ -90,7 +119,7 @@ fn engine_surfaces_the_process_pool_counters() {
 
 #[test]
 fn panicking_wave_leaves_the_pool_usable_for_the_next_exploration() {
-    warm_pool();
+    let _serial = warm_pool();
     let caught = amos::sim::isolate::quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             parallel_map(4, 64, |i| {
@@ -126,7 +155,7 @@ fn panicking_wave_leaves_the_pool_usable_for_the_next_exploration() {
 
 #[test]
 fn pooled_explorations_are_bit_identical_at_every_width() {
-    warm_pool();
+    let _serial = warm_pool();
     let accel = catalog::v100();
     let def = conv();
     let mut reference = None;
