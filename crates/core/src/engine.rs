@@ -2,8 +2,8 @@
 //!
 //! [`Engine`] is the one front door to the AMOS stack. It owns every cache in
 //! one place — the structural exploration cache (and, transitively, the
-//! compiled lane programs and screening contexts that live on the lowered
-//! programs it stores) — plus a seeded base [`ExplorerConfig`], so batch and
+//! loop-nest shapes, screening contexts and lane programs that live on the
+//! lowered programs it stores) — plus a seeded base [`ExplorerConfig`], so batch and
 //! network compilation reuse work across calls without callers plumbing
 //! caches by hand.
 //!
@@ -102,8 +102,10 @@ impl MappingSet {
 }
 
 /// Mapped programs, one per mapping per unit (§6 lowering). Output of
-/// [`Engine::lower`]. Lane programs and screening contexts compiled during
-/// later stages are cached on these programs and travel with the value.
+/// [`Engine::lower`]. A unit's programs share one copy of the operator and
+/// the intrinsic; loop-nest shapes and screening contexts are derived when
+/// the search first touches a program, cached on it, and travel with the
+/// value.
 #[derive(Debug, Clone)]
 pub struct Lowered {
     def: ComputeDef,
@@ -747,6 +749,64 @@ mod tests {
         assert_eq!(err.accelerator.as_deref(), Some("v100"));
         assert!(matches!(err.kind, AmosErrorKind::Explore(_)));
         assert!(err.to_string().contains("[generate]"));
+    }
+
+    #[test]
+    fn an_operator_too_wide_for_the_masks_is_a_typed_error_not_a_panic() {
+        // `o[i] += a[i, k0 + … + k63] * w[k0 + … + k63]`: 65 iterations, one
+        // more than the iteration and axis bitmasks hold.
+        let mut b = ComputeBuilder::new("wide");
+        let i = b.spatial("i", 16);
+        let ks: Vec<_> = (0..64).map(|j| b.reduce(format!("k{j}"), 2)).collect();
+        let sum = ks.iter().map(|k| k.ex()).reduce(|x, y| x + y).unwrap();
+        let a = b.input("a", &[16, 65], DType::F16);
+        let w = b.input("w", &[65], DType::F16);
+        let o = b.output("o", &[16], DType::F32);
+        b.mul_acc(o.at([i.ex()]), a.at([i.ex(), sum.clone()]), w.at([sum]));
+        let def = b.finish().expect("valid def");
+        let accel = catalog::v100();
+        let engine = Engine::with_config(tiny_config(1));
+
+        // Enumeration declines the definition, so the one-shot call reports
+        // that no mapping exists and the staged pipeline stops at `generate`.
+        let err = engine.compile(&def, &accel).expect_err("no mapping");
+        assert!(matches!(
+            err.kind,
+            AmosErrorKind::Explore(ExploreError::NoValidMapping { .. })
+        ));
+        let err = engine
+            .generate(engine.analyze(&def, &accel))
+            .expect_err("no mapping");
+        assert_eq!(err.stage, Some(Stage::Generate));
+
+        // A hand-written mapping of it is rejected where programs are born:
+        // 64 outer loops plus three tile loops do not fit the axis masks.
+        let mapping = Mapping {
+            groups: vec![
+                amos_sim::FusedGroup::of(vec![i.id()]),
+                amos_sim::FusedGroup::empty(),
+                amos_sim::FusedGroup::of(vec![ks[0].id()]),
+            ],
+            correspondence: vec![0, 1],
+        };
+        assert!(!crate::validate::validate_mapping(
+            &def,
+            &accel.intrinsic,
+            &mapping
+        ));
+        assert!(matches!(
+            mapping.lower(&def, &accel.intrinsic),
+            Err(amos_sim::SimError::MalformedMapping { .. })
+        ));
+        let err = engine
+            .explore_fixed("wide", tiny_config(1), &def, &accel, vec![mapping])
+            .expect_err("cannot lower");
+        assert!(matches!(
+            err.kind,
+            AmosErrorKind::Explore(ExploreError::Sim(
+                amos_sim::SimError::MalformedMapping { .. }
+            ))
+        ));
     }
 
     #[test]

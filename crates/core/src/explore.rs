@@ -19,6 +19,7 @@ use amos_sim::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -768,17 +769,20 @@ impl Explorer {
     }
 
     /// Lowers a mapping set for one unit on the calling thread (a lowering
-    /// is microseconds, below the cost of a pool hand-off). The first
-    /// failure in mapping order aborts.
+    /// is microseconds, below the cost of a pool hand-off); the programs
+    /// share one copy of the definition and the intrinsic. The first failure
+    /// in mapping order aborts.
     pub(crate) fn lower_mappings(
         &self,
         def: &ComputeDef,
         unit: &AcceleratorSpec,
         mappings: &[Mapping],
     ) -> Result<Vec<MappedProgram>, ExploreError> {
+        let def = Arc::new(def.clone());
+        let intrinsic = Arc::new(unit.intrinsic.clone());
         mappings
             .iter()
-            .map(|m| Ok(m.lower(def, &unit.intrinsic)?))
+            .map(|m| Ok(m.lower_shared(&def, &intrinsic)?))
             .collect()
     }
 
@@ -950,13 +954,7 @@ impl Explorer {
         // `Some` once a budget limit fires: later phases are skipped and the
         // best-so-far is returned with the truncation status.
         let mut truncated: Option<Completion> = sup.check();
-        // One screening context per program: all per-candidate model queries
-        // and feasibility probes run over these precomputed tables, with no
-        // allocation on the hot path.
-        let ctxs: Vec<Arc<ScreeningContext>> = programs
-            .iter()
-            .map(|p| p.screening_context(accel))
-            .collect();
+        let ctxs = LazyContexts::new(programs, accel);
         let mut screened = 0usize;
         let mut survivor_memo_hits = 0usize;
         let mut measured_memo_hits = 0usize;
@@ -997,7 +995,14 @@ impl Explorer {
             {
                 seeds += 1;
                 let slot = i as u64;
-                match self.measure_balanced("seed", seed, slot, &programs[idx], &ctxs[idx], accel) {
+                match self.measure_balanced(
+                    "seed",
+                    seed,
+                    slot,
+                    &programs[idx],
+                    ctxs.get(idx),
+                    accel,
+                ) {
                     Err(detail) => log_panic("seed", 0, slot, detail),
                     Ok(Err(_)) => sim_failures += 1,
                     Ok(Ok((schedule, predicted, report))) => {
@@ -1036,7 +1041,7 @@ impl Explorer {
                 warm_stats.donors = 1;
                 warm_seed = mappings.iter().position(|m| *m == w.mapping).and_then(|i| {
                     let mut s = w.schedule.clone();
-                    adapt_schedule_to(&ctxs[i], &mut s).then_some((i, s))
+                    adapt_schedule_to(ctxs.get(i), &mut s).then_some((i, s))
                 });
                 warm_fallback = warm_seed.is_none();
             }
@@ -1074,13 +1079,13 @@ impl Explorer {
                         if slot < warm_slots {
                             sched.clone_from(wsched);
                             if slot > 0 {
-                                mutate_schedule_ctx(&ctxs[*widx], sched, &mut rng);
+                                mutate_schedule_ctx(ctxs.get(*widx), sched, &mut rng);
                             }
                             return Ok(*widx);
                         }
                     }
                     let mapping_idx = rng.gen_range(0..programs.len());
-                    random_schedule_into(&ctxs[mapping_idx], sched, &mut rng, true);
+                    random_schedule_into(ctxs.get(mapping_idx), sched, &mut rng, true);
                     Ok(mapping_idx)
                 });
                 sampled.push(match outcome {
@@ -1191,7 +1196,7 @@ impl Explorer {
                     if rng.gen_bool(0.2) {
                         mapping_idx = rng.gen_range(0..programs.len());
                     }
-                    let ctx = &ctxs[mapping_idx];
+                    let ctx = ctxs.get(mapping_idx);
                     if mapping_idx == parent_maps[p] {
                         sched.clone_from(&parents[p]);
                     } else {
@@ -1234,7 +1239,7 @@ impl Explorer {
             for (idx, prog) in programs.iter().enumerate() {
                 attempts += 1;
                 let slot = idx as u64;
-                match self.measure_balanced("fallback", seed, slot, prog, &ctxs[idx], accel) {
+                match self.measure_balanced("fallback", seed, slot, prog, ctxs.get(idx), accel) {
                     Err(detail) => log_panic("fallback", 0, slot, detail),
                     Ok(Err(_)) => sim_failures += 1,
                     Ok(Ok((schedule, predicted, report))) => {
@@ -1432,6 +1437,34 @@ impl Explorer {
     }
 }
 
+/// The screening contexts of one run's programs, each fetched from its
+/// program the first time the run samples, seeds or measures that mapping.
+/// All per-candidate model queries and feasibility probes run over these
+/// precomputed tables, with no allocation on the hot path; a default-depth
+/// search touches a few hundred of a mapping space that can hold thousands,
+/// and a context is a pure function of `(program, accelerator)`, so building
+/// them on demand changes no result.
+struct LazyContexts<'a> {
+    programs: &'a [MappedProgram],
+    accel: &'a AcceleratorSpec,
+    cells: Vec<OnceCell<Arc<ScreeningContext>>>,
+}
+
+impl<'a> LazyContexts<'a> {
+    fn new(programs: &'a [MappedProgram], accel: &'a AcceleratorSpec) -> Self {
+        LazyContexts {
+            programs,
+            accel,
+            cells: vec![OnceCell::new(); programs.len()],
+        }
+    }
+
+    /// The context of program `idx`.
+    fn get(&self, idx: usize) -> &ScreeningContext {
+        self.cells[idx].get_or_init(|| self.programs[idx].screening_context(self.accel))
+    }
+}
+
 /// Reusable buffers for [`screen_sampled`]: the mapping-grouped slot order,
 /// the batched integer tables and the per-chunk prediction outputs. One
 /// instance lives across every generation of a run, so screening allocates
@@ -1460,7 +1493,7 @@ struct ScreenScratch {
 /// thread count.
 #[allow(clippy::too_many_arguments)] // internal: mirrors the phase state
 fn screen_sampled(
-    ctxs: &[Arc<ScreeningContext>],
+    ctxs: &LazyContexts<'_>,
     schedules: &[Schedule],
     start: usize,
     sampled: &[(usize, bool)],
@@ -1484,7 +1517,7 @@ fn screen_sampled(
         while end < scratch.order.len() && scratch.order[end].0 == mapping {
             end += 1;
         }
-        let ctx = &ctxs[mapping];
+        let ctx = ctxs.get(mapping);
         for group in scratch.order[pos..end].chunks(BATCH_LANES) {
             let mut lanes = [&schedules[start + group[0].1]; BATCH_LANES];
             for (j, &(_, k)) in group.iter().enumerate() {

@@ -9,6 +9,16 @@
 //! final belt-and-braces pass. The *physical* step (problem-size `mod`
 //! restriction, tiling, padding) happens at lowering in [`Mapping::lower`].
 //!
+//! Everything the leaf of that enumeration checks — Algorithm 1, the rules
+//! below, fragment coherence, the mirror key — depends on the
+//! `(computation, intrinsic)` pair through a handful of small tables, so
+//! [`MappingGenerator::enumerate`] builds them once per call and the leaf
+//! works on bitmasks: one `u64` of software iterations per intrinsic axis.
+//! The final pass assembles `X` and `Y` from those masks into two reused
+//! matrices and runs the same [`crate::validate::algorithm1`], once per
+//! candidate that passes the rules; [`crate::validate::validate_mapping`]
+//! and [`fragment_coherent`] are one-shot wrappers over the same tables.
+//!
 //! Beyond Algorithm 1, three generation rules shape the space (reverse
 //! engineered from the paper's Table 6 counts; see DESIGN.md §5):
 //!
@@ -24,14 +34,15 @@
 //!    padded to extent 1 (GMV still maps with `i2` empty).
 //!
 //! Mappings that are mirror images under operand-slot permutation (swapping
-//! `Src1`/`Src2` of a commutative multiply-add) are deduplicated.
+//! `Src1`/`Src2` of a commutative multiply-add) are deduplicated, keyed by
+//! iteration identity.
 
 use crate::mapping::Mapping;
-use crate::validate::validate_mapping;
-use amos_hw::Intrinsic;
+use crate::validate::AccessTable;
+use amos_hw::{ComputeAbstraction, Intrinsic};
 use amos_ir::{ComputeDef, IterId, IterKind};
 use amos_sim::FusedGroup;
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 /// Tunable generation rules.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,238 +95,364 @@ impl MappingGenerator {
 
     /// Enumerates all valid mappings of `def` onto `intrinsic`,
     /// deduplicated up to operand-slot mirror symmetry, in a deterministic
-    /// order.
+    /// order. Empty when the operation or operand count differs, or when the
+    /// definition is too wide for the 64-bit iteration masks.
     pub fn enumerate(&self, def: &ComputeDef, intrinsic: &Intrinsic) -> Vec<Mapping> {
-        let num_inputs = def.inputs().len();
-        if def.op() != intrinsic.compute.op() || num_inputs != intrinsic.compute.num_srcs() {
+        if def.op() != intrinsic.compute.op() {
             return Vec::new();
         }
-        let z = intrinsic.compute.access_matrix();
-        let num_t = intrinsic.compute.iters().len();
-
-        // Canonical key of each access for mirror deduplication: identical
-        // accesses (same tensor, same indices) share a key.
-        let access_keys: Vec<usize> = def
-            .inputs()
-            .iter()
-            .map(|a| {
-                def.inputs()
-                    .iter()
-                    .position(|b| b == a)
-                    .expect("access equals itself")
-            })
-            .collect();
-
-        let compound = def.compound_participants();
-        let non_addressable: BTreeSet<IterId> = def
-            .div_mod_participants()
-            .into_iter()
-            .chain(def.predicates().iter().flat_map(|e| e.vars().into_iter()))
-            .filter(|&s| !def.anchored_in_output(s))
-            .collect();
-
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-
-        for corr in permutations(num_inputs) {
-            // Candidate intrinsic axes per software iteration.
-            let candidates: Vec<Vec<usize>> = def
-                .iter_ids()
-                .map(|s| {
-                    if non_addressable.contains(&s) {
-                        return Vec::new();
-                    }
-                    let sig = def.iter_signature(s); // input-slot order + output
-                    (0..num_t)
-                        .filter(|&t| {
-                            (0..z.rows()).all(|row| {
-                                let soft = if row + 1 == z.rows() {
-                                    sig[num_inputs] // output
-                                } else {
-                                    sig[corr[row]]
-                                };
-                                z[(row, t)] == soft
-                            })
-                        })
-                        .collect()
-                })
-                .collect();
-
-            // Axis pools: which iterations could feed each intrinsic axis.
-            let mut pool_nonempty = vec![false; num_t];
-            for cands in &candidates {
-                for &t in cands {
-                    pool_nonempty[t] = true;
-                }
-            }
-
-            // Enumerate assignments: each iteration picks one candidate axis
-            // or stays outer.
-            let iters: Vec<IterId> = def.iter_ids().collect();
-            let mut assignment: Vec<Option<usize>> = vec![None; iters.len()];
-            self.assign(
-                def,
-                intrinsic,
-                &corr,
-                &candidates,
-                &pool_nonempty,
-                &compound,
-                &access_keys,
-                &iters,
-                0,
-                &mut assignment,
-                &mut seen,
-                &mut out,
-            );
-            if out.len() >= self.policy.max_mappings {
+        let Some(table) = EnumTable::new(def, intrinsic) else {
+            return Vec::new();
+        };
+        let mut run = Enumeration::new(&self.policy, table);
+        for correspondence in permutations(def.inputs().len()) {
+            run.start_correspondence(correspondence);
+            run.assign(0);
+            if run.out.len() >= self.policy.max_mappings {
                 break;
             }
         }
-        out
+        run.out
     }
 
     /// Number of valid mappings (the quantity reported in paper Table 6).
     pub fn count(&self, def: &ComputeDef, intrinsic: &Intrinsic) -> usize {
         self.enumerate(def, intrinsic).len()
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn assign(
-        &self,
-        def: &ComputeDef,
-        intrinsic: &Intrinsic,
-        corr: &[usize],
-        candidates: &[Vec<usize>],
-        pool_nonempty: &[bool],
-        compound: &BTreeSet<IterId>,
-        access_keys: &[usize],
-        iters: &[IterId],
-        idx: usize,
-        assignment: &mut Vec<Option<usize>>,
-        seen: &mut BTreeSet<String>,
-        out: &mut Vec<Mapping>,
-    ) {
-        if out.len() >= self.policy.max_mappings {
-            return;
-        }
-        if idx == iters.len() {
-            self.finish_assignment(
-                def,
-                intrinsic,
-                corr,
-                pool_nonempty,
-                compound,
-                access_keys,
-                assignment,
-                seen,
-                out,
-            );
-            return;
-        }
-        // Option: stay outer.
-        assignment[idx] = None;
-        self.assign(
-            def,
-            intrinsic,
-            corr,
-            candidates,
-            pool_nonempty,
-            compound,
-            access_keys,
-            iters,
-            idx + 1,
-            assignment,
-            seen,
-            out,
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// Bitmask of a set of iterations.
+fn iter_mask(ids: impl IntoIterator<Item = IterId>) -> u64 {
+    ids.into_iter().fold(0, |mask, s| mask | 1 << s.index())
+}
+
+/// The intrinsic axes operand `row` (sources, then the destination) indexes
+/// through a compound dimension — one over two or more iterations.
+fn compound_dim_axes(compute: &ComputeAbstraction, row: usize) -> u64 {
+    let spec = match compute.srcs().get(row) {
+        Some(src) => src,
+        None => compute.dst(),
+    };
+    let compound = spec.dims.iter().map(|e| e.vars()).filter(|v| v.len() >= 2);
+    iter_mask(compound.flatten())
+}
+
+/// Everything the leaf checks of one enumeration need that depends only on
+/// `(def, intrinsic)`, built once per [`MappingGenerator::enumerate`] call.
+/// Iteration sets are `u64` masks (bit `s` = software iteration `s`, bit `t`
+/// = intrinsic axis `t`); [`AccessTable::new`] bounds both widths.
+struct EnumTable {
+    access: AccessTable,
+    coherence: CoherenceTable,
+    /// Per operand row (sources, then destination): the axes it indexes
+    /// through a compound dimension.
+    row_compound_axes: Vec<u64>,
+    /// The axes rule 2 guards: reductions outside every compound dimension.
+    /// The window axes of the intrinsic itself are exempt (mapping a software
+    /// window iteration alone onto a hardware window axis is the intended
+    /// use of a convolution engine).
+    plain_reduction_axes: u64,
+    /// Software iterations participating in a compound index (rule 2).
+    window_iters: u64,
+    /// Software iterations a memory intrinsic can address (rule 1).
+    addressable: u64,
+    /// Mirror-deduplication identity of each input access: identical
+    /// accesses (same tensor, same indices) share a key.
+    access_keys: Vec<usize>,
+}
+
+impl EnumTable {
+    fn new(def: &ComputeDef, intrinsic: &Intrinsic) -> Option<Self> {
+        let access = AccessTable::new(def, intrinsic)?;
+        let compute = &intrinsic.compute;
+        let row_compound_axes: Vec<u64> = (0..=compute.num_srcs())
+            .map(|row| compound_dim_axes(compute, row))
+            .collect();
+        let non_addressable = iter_mask(
+            def.div_mod_participants()
+                .into_iter()
+                .chain(def.predicates().iter().flat_map(|e| e.vars()))
+                .filter(|&s| !def.anchored_in_output(s)),
         );
-        for &t in &candidates[idx] {
-            assignment[idx] = Some(t);
-            self.assign(
-                def,
-                intrinsic,
-                corr,
-                candidates,
-                pool_nonempty,
-                compound,
-                access_keys,
-                iters,
-                idx + 1,
-                assignment,
-                seen,
-                out,
-            );
+        Some(EnumTable {
+            access,
+            coherence: CoherenceTable::new(def, intrinsic),
+            plain_reduction_axes: (0..compute.iters().len())
+                .filter(|&t| compute.iters()[t].kind == IterKind::Reduction)
+                .fold(0, |mask, t| mask | 1 << t)
+                & !row_compound_axes.iter().fold(0, |all, m| all | m),
+            row_compound_axes,
+            window_iters: iter_mask(def.compound_participants()),
+            addressable: !non_addressable,
+            access_keys: def
+                .inputs()
+                .iter()
+                .map(|a| {
+                    def.inputs()
+                        .iter()
+                        .position(|b| b == a)
+                        .expect("access equals itself")
+                })
+                .collect(),
+        })
+    }
+}
+
+/// The affine coefficients fragment-layout coherence compares (see
+/// [`fragment_coherent`]).
+struct CoherenceTable {
+    /// Per intrinsic source slot, its compound dimensions as
+    /// `(intrinsic axis, coefficient)` lists of two or more entries.
+    compound_dims: Vec<Vec<Vec<(usize, i64)>>>,
+    /// Per software input access, the coefficient vector of every affine
+    /// index expression plus the mask of its non-zero entries.
+    alphas: Vec<Vec<(Vec<i64>, u64)>>,
+}
+
+impl CoherenceTable {
+    fn new(def: &ComputeDef, intrinsic: &Intrinsic) -> Self {
+        let num_t = intrinsic.compute.iters().len();
+        let nonzero = |coeffs: &[i64]| -> Vec<(usize, i64)> {
+            let entries = coeffs.iter().copied().enumerate();
+            entries.filter(|&(_, c)| c != 0).collect()
+        };
+        CoherenceTable {
+            compound_dims: intrinsic
+                .compute
+                .srcs()
+                .iter()
+                .map(|spec| {
+                    spec.dims
+                        .iter()
+                        .map(|dim| {
+                            let (gamma, _) = dim
+                                .affine_coefficients(num_t)
+                                .expect("intrinsic dims are affine");
+                            nonzero(&gamma)
+                        })
+                        // A single-iteration dimension is always coherent.
+                        .filter(|gamma| gamma.len() >= 2)
+                        .collect()
+                })
+                .collect(),
+            alphas: def
+                .inputs()
+                .iter()
+                .map(|access| {
+                    access
+                        .indices
+                        .iter()
+                        .filter_map(|e| e.affine_coefficients(def.iters().len()))
+                        .map(|(alpha, _)| {
+                            let mask = nonzero(&alpha).iter().fold(0, |m, &(s, _)| m | 1 << s);
+                            (alpha, mask)
+                        })
+                        .collect()
+                })
+                .collect(),
         }
-        assignment[idx] = None;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_assignment(
-        &self,
-        def: &ComputeDef,
-        intrinsic: &Intrinsic,
-        corr: &[usize],
-        pool_nonempty: &[bool],
-        compound: &BTreeSet<IterId>,
-        access_keys: &[usize],
-        assignment: &[Option<usize>],
-        seen: &mut BTreeSet<String>,
-        out: &mut Vec<Mapping>,
-    ) {
-        let num_t = intrinsic.compute.iters().len();
-        // Axes participating in a compound operand dimension are window axes
-        // of the intrinsic itself; rule 2 does not apply to them (mapping a
-        // software window iteration alone onto a hardware window axis is the
-        // intended use of a convolution engine).
-        let compound_axis: Vec<bool> = (0..num_t)
-            .map(|t| {
-                intrinsic.compute.operand_refs().into_iter().any(|r| {
-                    intrinsic
-                        .compute
-                        .operand(r)
-                        .dims
-                        .iter()
-                        .any(|e| e.uses(IterId(t as u32)) && e.vars().len() >= 2)
-                })
-            })
-            .collect();
-        let mut groups: Vec<FusedGroup> = vec![FusedGroup::empty(); num_t];
-        let mut any = false;
-        for (s, a) in assignment.iter().enumerate() {
-            if let Some(t) = a {
-                groups[*t].iters.push(IterId(s as u32));
-                any = true;
+    /// The check of [`fragment_coherent`] on per-axis iteration masks.
+    fn coherent(&self, correspondence: &[usize], groups: &[u64]) -> bool {
+        let mapped = groups.iter().fold(0, |all, g| all | g);
+        for (dims, &access) in self.compound_dims.iter().zip(correspondence) {
+            for dim in dims {
+                // Each participating axis must carry at most one iteration.
+                if dim.iter().any(|&(t, _)| groups[t].count_ones() > 1) {
+                    return false;
+                }
+                let own = dim.iter().fold(0, |all, &(t, _)| all | groups[t]);
+                if own.count_ones() < 2 {
+                    continue; // at most one live axis: degenerates to single-var
+                }
+                // The software access must contain an index expression
+                // matching the intrinsic coefficients on exactly these
+                // iterations, shared with no other *mapped* iteration.
+                let found = self.alphas[access].iter().any(|(alpha, nonzero)| {
+                    nonzero & mapped & !own == 0
+                        && dim.iter().all(|&(t, gamma)| {
+                            groups[t] == 0 || alpha[groups[t].trailing_zeros() as usize] == gamma
+                        })
+                });
+                if !found {
+                    return false;
+                }
             }
         }
-        if !any {
+        true
+    }
+}
+
+/// The state of one [`MappingGenerator::enumerate`] call: the shared table,
+/// the tables of the operand correspondence being walked, the assignment
+/// under construction and the mappings found so far.
+struct Enumeration<'a> {
+    policy: &'a MappingPolicy,
+    table: EnumTable,
+    /// `correspondence[m]` is the input access feeding source slot `m`.
+    correspondence: Vec<usize>,
+    /// Candidate intrinsic axes per software iteration.
+    candidates: Vec<Vec<usize>>,
+    /// Axes some iteration could feed (rule 3).
+    pool_nonempty: u64,
+    /// Per axis, the index into `classes` of the software-side identity of
+    /// the operands that use it under this correspondence.
+    axis_class: Vec<usize>,
+    /// Software iterations assigned to each intrinsic axis so far.
+    groups: Vec<u64>,
+    /// Distinct operand identities seen across all correspondences: sorted
+    /// `(access key, compound)` lists, `usize::MAX` keying the destination.
+    classes: Vec<Vec<(usize, bool)>>,
+    /// Mirror-invariant keys of the mappings in `out`: per axis its
+    /// operand-identity class and fused group, sorted.
+    seen: HashSet<Vec<(usize, u64)>>,
+    out: Vec<Mapping>,
+}
+
+impl<'a> Enumeration<'a> {
+    fn new(policy: &'a MappingPolicy, table: EnumTable) -> Self {
+        Enumeration {
+            policy,
+            groups: vec![0; table.access.z().cols()],
+            table,
+            correspondence: Vec::new(),
+            candidates: Vec::new(),
+            pool_nonempty: 0,
+            axis_class: Vec::new(),
+            classes: Vec::new(),
+            seen: HashSet::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Signature matching for one operand correspondence: an iteration may
+    /// fuse into the axes whose `Z` column equals its access signature.
+    fn start_correspondence(&mut self, correspondence: Vec<usize>) {
+        let table = &self.table;
+        let z = table.access.z();
+        let dst_row = z.rows() - 1;
+        let access_of = |row: usize| correspondence.get(row).copied().unwrap_or(dst_row);
+        self.candidates = (0..table.access.iters())
+            .map(|s| {
+                if table.addressable >> s & 1 == 0 {
+                    return Vec::new();
+                }
+                (0..z.cols())
+                    .filter(|&t| {
+                        (0..=dst_row)
+                            .all(|row| z.get(row, t) == table.access.uses(access_of(row), s))
+                    })
+                    .collect()
+            })
+            .collect();
+        self.pool_nonempty = self
+            .candidates
+            .iter()
+            .flatten()
+            .fold(0, |pool, &t| pool | 1 << t);
+        self.axis_class = (0..z.cols())
+            .map(|t| {
+                let mut class: Vec<(usize, bool)> = (0..=dst_row)
+                    .filter(|&row| z.get(row, t))
+                    .map(|row| {
+                        let key = match correspondence.get(row) {
+                            Some(&access) => table.access_keys[access],
+                            None => usize::MAX,
+                        };
+                        (key, table.row_compound_axes[row] >> t & 1 == 1)
+                    })
+                    .collect();
+                class.sort_unstable();
+                match self.classes.iter().position(|c| *c == class) {
+                    Some(known) => known,
+                    None => {
+                        self.classes.push(class);
+                        self.classes.len() - 1
+                    }
+                }
+            })
+            .collect();
+        self.correspondence = correspondence;
+    }
+
+    /// Enumerates assignments: each iteration from `s` on picks one
+    /// candidate axis or stays outer.
+    fn assign(&mut self, s: usize) {
+        if self.out.len() >= self.policy.max_mappings {
             return;
         }
-        for (t, g) in groups.iter().enumerate() {
-            let kind = intrinsic.compute.iters()[t].kind;
-            if self.policy.require_nonempty_axes && pool_nonempty[t] && g.iters.is_empty() {
+        if s == self.candidates.len() {
+            self.finish_assignment();
+            return;
+        }
+        self.assign(s + 1);
+        for c in 0..self.candidates[s].len() {
+            let t = self.candidates[s][c];
+            self.groups[t] |= 1 << s;
+            self.assign(s + 1);
+            self.groups[t] &= !(1 << s);
+        }
+    }
+
+    /// Mirror-invariant key of the current assignment: for every intrinsic
+    /// axis, the software-side identity of the operands that use it (via the
+    /// correspondence) plus the fused group, as a sorted list.
+    fn mirror_key(&self) -> Vec<(usize, u64)> {
+        let classes = self.axis_class.iter().copied();
+        let mut key: Vec<(usize, u64)> = classes.zip(self.groups.iter().copied()).collect();
+        key.sort_unstable();
+        key
+    }
+
+    /// The leaf: generation rules 2 and 3, Algorithm 1, fragment coherence
+    /// and mirror deduplication, all over the shared table.
+    fn finish_assignment(&mut self) {
+        let table = &mut self.table;
+        if self.groups.iter().all(|&g| g == 0) {
+            return;
+        }
+        for (t, &g) in self.groups.iter().enumerate() {
+            if self.policy.require_nonempty_axes && self.pool_nonempty >> t & 1 == 1 && g == 0 {
                 return;
             }
             if self.policy.forbid_singleton_window_reduction
-                && kind == IterKind::Reduction
-                && !compound_axis[t]
-                && g.iters.len() == 1
-                && compound.contains(&g.iters[0])
+                && table.plain_reduction_axes >> t & 1 == 1
+                && g.count_ones() == 1
+                && g & table.window_iters != 0
             {
                 return;
             }
         }
-        let mapping = Mapping {
-            groups,
-            correspondence: corr.to_vec(),
-        };
-        if !validate_mapping(def, intrinsic, &mapping) {
+        if !table.access.check(&self.correspondence, &self.groups) {
             return;
         }
-        if self.policy.enforce_fragment_coherence && !fragment_coherent(def, intrinsic, &mapping) {
+        if self.policy.enforce_fragment_coherence
+            && !table.coherence.coherent(&self.correspondence, &self.groups)
+        {
             return;
         }
-        let key = canonical_key(def, intrinsic, &mapping, access_keys);
-        if seen.insert(key) {
-            out.push(mapping);
+        let key = self.mirror_key();
+        if self.seen.insert(key) {
+            self.out.push(Mapping {
+                groups: self
+                    .groups
+                    .iter()
+                    .map(|&g| FusedGroup::of(bits(g).map(|s| IterId(s as u32)).collect()))
+                    .collect(),
+                correspondence: self.correspondence.clone(),
+            });
         }
     }
 }
@@ -325,105 +462,19 @@ impl MappingGenerator {
 /// software window expression: each such axis carries at most one software
 /// iteration, and the corresponding software access contains an index whose
 /// coefficients over those iterations match the intrinsic dimension's
-/// coefficients.
+/// coefficients. A malformed mapping (unknown or doubly-mapped iteration,
+/// wrong group or slot count) is not coherent.
 pub fn fragment_coherent(def: &ComputeDef, intrinsic: &Intrinsic, mapping: &Mapping) -> bool {
-    let num_t = intrinsic.compute.iters().len();
-    for (m, spec) in intrinsic.compute.srcs().iter().enumerate() {
-        let access = &def.inputs()[mapping.correspondence[m]];
-        for dim in &spec.dims {
-            let (gamma, _) = dim
-                .affine_coefficients(num_t)
-                .expect("intrinsic dims are affine");
-            let vars: Vec<usize> = (0..num_t).filter(|&t| gamma[t] != 0).collect();
-            if vars.len() < 2 {
-                continue; // single-iteration dimension: always coherent
-            }
-            // Each participating axis must carry at most one iteration.
-            for &t in &vars {
-                if mapping.groups[t].iters.len() > 1 {
-                    return false;
-                }
-            }
-            let mapped: Vec<(usize, IterId)> = vars
-                .iter()
-                .filter_map(|&t| mapping.groups[t].iters.first().map(|&s| (t, s)))
-                .collect();
-            if mapped.len() < 2 {
-                continue; // at most one live axis: degenerates to single-var
-            }
-            // The software access must contain an index expression matching
-            // the intrinsic coefficients on exactly these iterations.
-            let found = access.indices.iter().any(|e| {
-                let Some((alpha, _)) = e.affine_coefficients(def.iters().len()) else {
-                    return false;
-                };
-                mapped
-                    .iter()
-                    .all(|&(t, s)| alpha[s.index()] == gamma[t])
-                    // No other *mapped* iteration may share the expression.
-                    && mapping
-                        .mapped_iters()
-                        .iter()
-                        .all(|&other| {
-                            mapped.iter().any(|&(_, s)| s == other)
-                                || alpha[other.index()] == 0
-                        })
-            });
-            if !found {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Mirror-invariant canonical key of a mapping: for every intrinsic axis, the
-/// software-side identity of the operands that use it (via the
-/// correspondence) plus the fused group.
-fn canonical_key(
-    def: &ComputeDef,
-    intrinsic: &Intrinsic,
-    mapping: &Mapping,
-    access_keys: &[usize],
-) -> String {
-    let z = intrinsic.compute.access_matrix();
-    let num_t = intrinsic.compute.iters().len();
-    let num_srcs = intrinsic.compute.num_srcs();
-    let mut elems: Vec<String> = (0..num_t)
-        .map(|t| {
-            let mut ops: Vec<String> = Vec::new();
-            for row in 0..z.rows() {
-                if !z[(row, t)] {
-                    continue;
-                }
-                let (id, compound) = if row < num_srcs {
-                    let spec = &intrinsic.compute.srcs()[row];
-                    let compound = spec
-                        .dims
-                        .iter()
-                        .any(|e| e.uses(IterId(t as u32)) && e.vars().len() >= 2);
-                    (access_keys[mapping.correspondence[row]], compound)
-                } else {
-                    let spec = intrinsic.compute.dst();
-                    let compound = spec
-                        .dims
-                        .iter()
-                        .any(|e| e.uses(IterId(t as u32)) && e.vars().len() >= 2);
-                    (usize::MAX, compound)
-                };
-                ops.push(format!("{id}:{compound}"));
-            }
-            ops.sort();
-            let group: Vec<String> = mapping.groups[t]
-                .iters
-                .iter()
-                .map(|s| def.iter_var(*s).name.clone())
-                .collect();
-            format!("[{}]<-({})", ops.join(","), group.join(","))
-        })
-        .collect();
-    elems.sort();
-    elems.join(";")
+    let Some(groups) = mapping.group_masks(def.iters().len()) else {
+        return false;
+    };
+    groups.len() == intrinsic.compute.iters().len()
+        && mapping.correspondence.len() == intrinsic.compute.num_srcs()
+        && mapping
+            .correspondence
+            .iter()
+            .all(|&a| a < def.inputs().len())
+        && CoherenceTable::new(def, intrinsic).coherent(&mapping.correspondence, &groups)
 }
 
 /// All permutations of `0..n` in lexicographic order (identity first).
@@ -450,8 +501,10 @@ fn permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{algorithm1_naive, validate_mapping};
     use amos_hw::catalog;
-    use amos_ir::{ComputeBuilder, DType};
+    use amos_ir::{BinMatrix, ComputeBuilder, DType};
+    use proptest::prelude::*;
 
     fn conv2d() -> ComputeDef {
         let mut b = ComputeBuilder::new("c2d");
@@ -566,18 +619,9 @@ mod tests {
 
     #[test]
     fn same_tensor_in_both_slots_deduplicates() {
-        // A symmetric product out[i,j] += a[i,k] * a[k,j]: the operand-slot
-        // swap produces a mirror mapping that must collapse to one.
-        let mut b = ComputeBuilder::new("sym");
-        let i = b.spatial("i", 16);
-        let j = b.spatial("j", 16);
-        let k = b.reduce("k", 16);
-        let a = b.input("a", &[16, 16], DType::F16);
-        let o = b.output("o", &[16, 16], DType::F32);
-        let acc1 = a.at([i, k]);
-        let acc2 = a.at([k, j]);
-        b.mul_acc(o.at([i, j]), acc1, acc2);
-        let def = b.finish().unwrap();
+        // The operand-slot swap of a symmetric product yields a mirror
+        // mapping that must collapse to one.
+        let def = symmetric_product();
         let g = MappingGenerator::new();
         assert_eq!(g.count(&def, &catalog::wmma_16x16x16()), 1);
     }
@@ -594,7 +638,18 @@ mod tests {
 
     #[test]
     fn conv_unit_requires_window_alignment() {
-        // 1D conv on the window engine: out[a,x] += img[c, x+w] * wt[a,c,w].
+        let def = conv1d();
+        let g = MappingGenerator::new();
+        let maps = g.enumerate(&def, &catalog::conv_unit());
+        assert!(!maps.is_empty(), "direct window mapping must exist");
+        // Every surviving mapping respects fragment coherence.
+        for m in &maps {
+            assert!(fragment_coherent(&def, &catalog::conv_unit(), m));
+        }
+    }
+
+    /// 1D conv for the window engine: `out[a,x] += img[c, x+w] * wt[a,c,w]`.
+    fn conv1d() -> ComputeDef {
         let mut b = ComputeBuilder::new("c1d");
         let a = b.spatial("a", 8);
         let x = b.spatial("x", 8);
@@ -608,13 +663,229 @@ mod tests {
             img.at([c.ex(), x.ex() + w.ex()]),
             wt.at([a.ex(), c.ex(), w.ex()]),
         );
-        let def = b.finish().unwrap();
-        let g = MappingGenerator::new();
-        let maps = g.enumerate(&def, &catalog::conv_unit());
-        assert!(!maps.is_empty(), "direct window mapping must exist");
-        // Every surviving mapping respects fragment coherence.
-        for m in &maps {
-            assert!(fragment_coherent(&def, &catalog::conv_unit(), m));
+        b.finish().unwrap()
+    }
+
+    /// `out[i,j] += a[i,k] * a[k,j]`: both input accesses read one tensor.
+    fn symmetric_product() -> ComputeDef {
+        let mut b = ComputeBuilder::new("sym");
+        let i = b.spatial("i", 16);
+        let j = b.spatial("j", 16);
+        let k = b.reduce("k", 16);
+        let a = b.input("a", &[16, 16], DType::F16);
+        let o = b.output("o", &[16, 16], DType::F32);
+        let acc1 = a.at([i, k]);
+        let acc2 = a.at([k, j]);
+        b.mul_acc(o.at([i, j]), acc1, acc2);
+        b.finish().unwrap()
+    }
+
+    /// Operator × intrinsic pairs of the equivalence proptests; the first
+    /// `SMALL` have assignment spaces small enough to walk exhaustively.
+    fn equivalence_cases() -> Vec<(ComputeDef, Intrinsic)> {
+        vec![
+            (gemm(), catalog::wmma_16x16x16()),
+            (gemv(), catalog::avx512_vnni()),
+            (symmetric_product(), catalog::wmma_16x16x16()),
+            (conv1d(), catalog::conv_unit()),
+            (conv2d(), catalog::wmma_16x16x16()),
+            (conv2d(), catalog::avx512_vnni()),
+        ]
+    }
+    const SMALL: usize = 4;
+
+    /// The `format!`-built mirror key the enumerator used before the structural
+    /// one, kept as the oracle of the key-equivalence proptest.
+    fn canonical_key(
+        def: &ComputeDef,
+        intrinsic: &Intrinsic,
+        mapping: &Mapping,
+        access_keys: &[usize],
+    ) -> String {
+        let z = intrinsic.compute.access_matrix();
+        let num_t = intrinsic.compute.iters().len();
+        let num_srcs = intrinsic.compute.num_srcs();
+        let mut elems: Vec<String> = (0..num_t)
+            .map(|t| {
+                let mut ops: Vec<String> = Vec::new();
+                for row in 0..z.rows() {
+                    if !z[(row, t)] {
+                        continue;
+                    }
+                    let (id, compound) = if row < num_srcs {
+                        let spec = &intrinsic.compute.srcs()[row];
+                        let compound = spec
+                            .dims
+                            .iter()
+                            .any(|e| e.uses(IterId(t as u32)) && e.vars().len() >= 2);
+                        (access_keys[mapping.correspondence[row]], compound)
+                    } else {
+                        let spec = intrinsic.compute.dst();
+                        let compound = spec
+                            .dims
+                            .iter()
+                            .any(|e| e.uses(IterId(t as u32)) && e.vars().len() >= 2);
+                        (usize::MAX, compound)
+                    };
+                    ops.push(format!("{id}:{compound}"));
+                }
+                ops.sort();
+                let group: Vec<String> = mapping.groups[t]
+                    .iters
+                    .iter()
+                    .map(|s| def.iter_var(*s).name.clone())
+                    .collect();
+                format!("[{}]<-({})", ops.join(","), group.join(","))
+            })
+            .collect();
+        elems.sort();
+        elems.join(";")
+    }
+
+    /// Decodes `code` digit by digit in base `axes + 1` into one group mask
+    /// per intrinsic axis: digit 0 leaves the iteration outer, digit `d`
+    /// fuses it into axis `d - 1`.
+    fn groups_from_code(mut code: u64, iters: usize, axes: usize) -> Vec<u64> {
+        let mut groups = vec![0u64; axes];
+        for s in 0..iters {
+            let digit = (code % (axes as u64 + 1)) as usize;
+            code /= axes as u64 + 1;
+            if digit > 0 {
+                groups[digit - 1] |= 1 << s;
+            }
+        }
+        groups
+    }
+
+    fn mapping_of(groups: &[u64], correspondence: &[usize]) -> Mapping {
+        Mapping {
+            groups: groups
+                .iter()
+                .map(|&g| FusedGroup::of(bits(g).map(|s| IterId(s as u32)).collect()))
+                .collect(),
+            correspondence: correspondence.to_vec(),
+        }
+    }
+
+    /// The Algorithm-1 inputs as the pre-table `validate_mapping` built them,
+    /// entry by entry over compacted columns: the mapped iterations in
+    /// declaration order, then one synthetic column per empty axis.
+    fn explicit_matrices(
+        def: &ComputeDef,
+        intrinsic: &Intrinsic,
+        mapping: &Mapping,
+    ) -> (BinMatrix, BinMatrix, BinMatrix) {
+        let z = intrinsic.compute.access_matrix();
+        let mapped = mapping.mapped_iters();
+        let empty_axes: Vec<usize> = (0..z.cols())
+            .filter(|&t| mapping.groups[t].iters.is_empty())
+            .collect();
+        let cols = mapped.len() + empty_axes.len();
+        let mut x = BinMatrix::zeros(z.rows(), cols);
+        let mut y = BinMatrix::zeros(z.cols(), cols);
+        for (col, &s) in mapped.iter().enumerate() {
+            for (m, &input) in mapping.correspondence.iter().enumerate() {
+                let access = &def.inputs()[input];
+                x.set(m, col, access.indices.iter().any(|e| e.uses(s)));
+            }
+            let in_output = def.output().indices.iter().any(|e| e.uses(s));
+            x.set(z.rows() - 1, col, in_output);
+            let t = mapping.groups.iter().position(|g| g.iters.contains(&s));
+            y.set(t.expect("mapped iteration has a group"), col, true);
+        }
+        for (k, &t) in empty_axes.iter().enumerate() {
+            for row in 0..z.rows() {
+                x.set(row, mapped.len() + k, z.get(row, t));
+            }
+            y.set(t, mapped.len() + k, true);
+        }
+        (x, y, z)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn table_check_agrees_with_validate_mapping_and_naive_algorithm1(
+            case in 0usize..6,
+            swapped in 0usize..2,
+            code in 0u64..u64::MAX,
+            // 0: a uniformly random assignment (mostly invalid, often with
+            // empty axes); 1: an enumerated, valid mapping; 2: a valid
+            // mapping with one iteration dropped to the outer loops.
+            shape in 0usize..3,
+        ) {
+            let (def, intrinsic) = equivalence_cases().swap_remove(case);
+            let axes = intrinsic.compute.iters().len();
+            let iters = def.iters().len();
+            let mut correspondence: Vec<usize> = (0..def.inputs().len()).collect();
+            let mut groups = groups_from_code(code, iters, axes);
+            if shape == 0 {
+                if swapped == 1 {
+                    correspondence.reverse();
+                }
+            } else {
+                let valid = MappingGenerator::new().enumerate(&def, &intrinsic);
+                let pick = &valid[code as usize % valid.len()];
+                correspondence = pick.correspondence.clone();
+                groups = pick.group_masks(iters).expect("enumerated mappings fit the masks");
+                if shape == 2 {
+                    let victim = (code >> 32) as usize % iters;
+                    for g in &mut groups {
+                        *g &= !(1 << victim);
+                    }
+                }
+            }
+            let mapping = mapping_of(&groups, &correspondence);
+            let mut table = AccessTable::new(&def, &intrinsic).expect("narrow definition");
+            let by_table = table.check(&correspondence, &groups);
+            prop_assert_eq!(by_table, validate_mapping(&def, &intrinsic, &mapping));
+            let expected = groups.iter().any(|&g| g != 0) && {
+                let (x, y, z) = explicit_matrices(&def, &intrinsic, &mapping);
+                algorithm1_naive(&x, &y, &z)
+            };
+            prop_assert_eq!(by_table, expected, "{}", mapping.describe(&def, &intrinsic));
+            if shape == 1 {
+                prop_assert!(by_table, "enumerated mappings are Algorithm-1 valid");
+            }
+        }
+
+        #[test]
+        fn structural_keys_collide_exactly_when_string_keys_did(
+            case in 0usize..SMALL,
+            swapped in 0usize..2,
+            code in 0u64..u64::MAX,
+        ) {
+            // One random assignment against every assignment of the operator
+            // under both correspondences: a whole row of the pair matrix.
+            let (def, intrinsic) = equivalence_cases().swap_remove(case);
+            let axes = intrinsic.compute.iters().len();
+            let iters = def.iters().len();
+            let policy = MappingPolicy::default();
+            let table = EnumTable::new(&def, &intrinsic).expect("narrow definition");
+            let access_keys = table.access_keys.clone();
+            let mut run = Enumeration::new(&policy, table);
+            let string_key = |groups: &[u64], correspondence: &[usize]| {
+                let mapping = mapping_of(groups, correspondence);
+                canonical_key(&def, &intrinsic, &mapping, &access_keys)
+            };
+            let correspondences = permutations(def.inputs().len());
+            let mine = &correspondences[swapped % correspondences.len()];
+            run.start_correspondence(mine.clone());
+            run.groups = groups_from_code(code, iters, axes);
+            let my_key = run.mirror_key();
+            let my_string = string_key(&run.groups, mine);
+            let mut collisions = 0;
+            for other in &correspondences {
+                run.start_correspondence(other.clone());
+                for other_code in 0..(axes as u64 + 1).pow(iters as u32) {
+                    run.groups = groups_from_code(other_code, iters, axes);
+                    let same = run.mirror_key() == my_key;
+                    prop_assert_eq!(same, string_key(&run.groups, other) == my_string);
+                    collisions += same as usize;
+                }
+            }
+            prop_assert!(collisions >= 1, "an assignment collides with itself");
         }
     }
 }

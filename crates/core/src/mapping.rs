@@ -8,6 +8,7 @@
 use amos_hw::Intrinsic;
 use amos_ir::{BinMatrix, ComputeDef, IterId};
 use amos_sim::{FusedGroup, MappedProgram, SimError};
+use std::sync::Arc;
 
 /// A compute mapping: per intrinsic iteration, the ordered group of software
 /// iterations fused into it, plus the operand correspondence.
@@ -43,25 +44,61 @@ impl Mapping {
         ids
     }
 
+    /// The fused groups as one iteration bitmask per intrinsic axis (bit `s`
+    /// = software iteration `s` of `num_iters`), the form the enumeration
+    /// tables check. `None` when the masks cannot represent the mapping:
+    /// more than 64 iterations, an unknown iteration, or one mapped twice.
+    pub(crate) fn group_masks(&self, num_iters: usize) -> Option<Vec<u64>> {
+        if num_iters > 64 {
+            return None;
+        }
+        let mut seen = 0u64;
+        let mut masks = Vec::with_capacity(self.groups.len());
+        for g in &self.groups {
+            let mut mask = 0u64;
+            for s in &g.iters {
+                if s.index() >= num_iters || (seen | mask) >> s.index() & 1 == 1 {
+                    return None;
+                }
+                mask |= 1 << s.index();
+            }
+            seen |= mask;
+            masks.push(mask);
+        }
+        Some(masks)
+    }
+
     /// Number of software iterations fused into intrinsic axes.
     pub fn num_mapped(&self) -> usize {
         self.groups.iter().map(|g| g.iters.len()).sum()
     }
 
-    /// Lowers the mapping into an executable [`MappedProgram`].
+    /// Lowers the mapping into an executable [`MappedProgram`] holding its
+    /// own copy of `def` and `intrinsic`.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError::MalformedMapping`] for inconsistent groups or
-    /// correspondences.
+    /// correspondences, and for a loop nest of more than 64 axes.
     pub fn lower(
         &self,
         def: &ComputeDef,
         intrinsic: &Intrinsic,
     ) -> Result<MappedProgram, SimError> {
+        self.lower_shared(&Arc::new(def.clone()), &Arc::new(intrinsic.clone()))
+    }
+
+    /// [`Mapping::lower`] for a whole mapping set: every program points at
+    /// the caller's one definition and one intrinsic instead of cloning
+    /// them per mapping.
+    pub(crate) fn lower_shared(
+        &self,
+        def: &Arc<ComputeDef>,
+        intrinsic: &Arc<Intrinsic>,
+    ) -> Result<MappedProgram, SimError> {
         MappedProgram::new(
-            def.clone(),
-            intrinsic.clone(),
+            Arc::clone(def),
+            Arc::clone(intrinsic),
             self.groups.clone(),
             self.correspondence.clone(),
         )

@@ -116,68 +116,120 @@ pub fn algorithm1_naive(x: &BinMatrix, y: &BinMatrix, z: &BinMatrix) -> bool {
     x_prime == *x && z_prime == *z
 }
 
-/// Builds the Algorithm-1 inputs for a mapping and runs the check.
+/// Everything the Algorithm-1 check of a mapping needs that depends only on
+/// the `(computation, intrinsic)` pair: the intrinsic access matrix `Z` and,
+/// per software access, the bitmask of the iterations it uses. Built once per
+/// enumeration (or per [`validate_mapping`] call); a candidate's `X` and `Y`
+/// are then assembled from masks into two reused matrices.
 ///
-/// The software access matrix is constructed in *intrinsic operand order*
-/// using the mapping's correspondence (row `m` is the input access feeding
-/// source slot `m`; the last row is the output), so a single algorithm covers
-/// every operand permutation.
+/// Columns are laid out by identity rather than compacted: software
+/// iteration `s` owns column `s` (all-zero in both `X` and `Y` while `s`
+/// stays outer, which neither ★ product can see), and the synthetic unit
+/// iteration of an empty intrinsic axis `t` owns column `iters + t`.
+#[derive(Debug)]
+pub(crate) struct AccessTable {
+    z: BinMatrix,
+    /// Number of software iterations.
+    iters: usize,
+    /// `uses[a]` has bit `s` set when access `a` (inputs in declaration
+    /// order, then the output) indexes with software iteration `s`.
+    uses: Vec<u64>,
+    /// Scratch `X` and `Y`, overwritten by every [`AccessTable::check`].
+    x: BinMatrix,
+    y: BinMatrix,
+}
+
+impl AccessTable {
+    /// `None` when the operand counts disagree, or when the software
+    /// iterations plus the intrinsic axes do not fit the 64-bit masks (the
+    /// same width bounds a mapped program's loop axes).
+    pub(crate) fn new(def: &ComputeDef, intrinsic: &Intrinsic) -> Option<Self> {
+        let z = intrinsic.compute.access_matrix();
+        let iters = def.iters().len();
+        let cols = iters + z.cols();
+        if def.inputs().len() != intrinsic.compute.num_srcs() || cols > 64 {
+            return None;
+        }
+        let uses = def
+            .inputs()
+            .iter()
+            .chain([def.output()])
+            .map(|access| {
+                def.iter_ids()
+                    .filter(|&s| access.indices.iter().any(|e| e.uses(s)))
+                    .fold(0u64, |mask, s| mask | 1 << s.index())
+            })
+            .collect();
+        Some(AccessTable {
+            x: BinMatrix::zeros(z.rows(), cols),
+            y: BinMatrix::zeros(z.cols(), cols),
+            z,
+            iters,
+            uses,
+        })
+    }
+
+    /// The intrinsic access matrix.
+    pub(crate) fn z(&self) -> &BinMatrix {
+        &self.z
+    }
+
+    /// Number of software iterations.
+    pub(crate) fn iters(&self) -> usize {
+        self.iters
+    }
+
+    /// Whether access `a` (inputs, then the output) uses iteration `s`.
+    pub(crate) fn uses(&self, a: usize, s: usize) -> bool {
+        self.uses[a] >> s & 1 == 1
+    }
+
+    /// Runs Algorithm 1 on the mapping given as one iteration mask per
+    /// intrinsic axis plus the operand correspondence.
+    ///
+    /// Row `m` of `X` is the input access feeding source slot `m` (the last
+    /// row is the output), so a single algorithm covers every operand
+    /// permutation; every empty intrinsic axis gets a synthetic unit
+    /// iteration whose access column equals the axis's `Z` column.
+    pub(crate) fn check(&mut self, correspondence: &[usize], groups: &[u64]) -> bool {
+        let dst_row = self.z.rows() - 1;
+        if correspondence.len() != dst_row
+            || groups.len() != self.z.cols()
+            || correspondence.iter().any(|&a| a >= dst_row)
+        {
+            return false;
+        }
+        let mapped = groups.iter().fold(0, |all, g| all | g);
+        if mapped == 0 {
+            return false;
+        }
+        let mut empty_axes = 0u64;
+        for (t, &g) in groups.iter().enumerate() {
+            let synthetic = if g == 0 { 1 << t } else { 0 };
+            empty_axes |= synthetic;
+            self.y.set_row_words(t, &[g | synthetic << self.iters]);
+        }
+        for row in 0..=dst_row {
+            // `uses` lists the output after the inputs.
+            let access = correspondence.get(row).copied().unwrap_or(dst_row);
+            let synthetic = self.z.row_words(row)[0] & empty_axes;
+            let used = self.uses[access] & mapped;
+            self.x.set_row_words(row, &[used | synthetic << self.iters]);
+        }
+        algorithm1(&self.x, &self.y, &self.z)
+    }
+}
+
+/// Builds the Algorithm-1 inputs for a mapping and runs the check: a
+/// one-shot `AccessTable`, the same one an enumeration shares across all
+/// of its candidates.
 pub fn validate_mapping(def: &ComputeDef, intrinsic: &Intrinsic, mapping: &Mapping) -> bool {
-    if mapping.correspondence.len() != def.inputs().len()
-        || mapping.correspondence.len() != intrinsic.compute.num_srcs()
-        || mapping.groups.len() != intrinsic.compute.iters().len()
-    {
+    let Some(mut table) = AccessTable::new(def, intrinsic) else {
         return false;
-    }
-    let z = intrinsic.compute.access_matrix();
-    let num_iters = intrinsic.compute.iters().len();
-
-    // Mapped software iterations, in declaration order.
-    let mapped = mapping.mapped_iters();
-    if mapped.is_empty() {
-        return false;
-    }
-    let empty_axes: Vec<usize> = (0..num_iters)
-        .filter(|&t| mapping.groups[t].iters.is_empty())
-        .collect();
-    let cols = mapped.len() + empty_axes.len();
-
-    // Software access matrix X, rows in operand-slot order.
-    let mut x = BinMatrix::zeros(z.rows(), cols);
-    for (m, &input_idx) in mapping.correspondence.iter().enumerate() {
-        let access = &def.inputs()[input_idx];
-        for (col, &s) in mapped.iter().enumerate() {
-            x.set(m, col, access.indices.iter().any(|e| e.uses(s)));
-        }
-    }
-    let dst_row = z.rows() - 1;
-    for (col, &s) in mapped.iter().enumerate() {
-        x.set(dst_row, col, def.output().indices.iter().any(|e| e.uses(s)));
-    }
-    // Synthetic unit iterations for empty axes: their column equals the
-    // axis's Z column.
-    for (k, &t) in empty_axes.iter().enumerate() {
-        let col = mapped.len() + k;
-        for row in 0..z.rows() {
-            x.set(row, col, z.get(row, t));
-        }
-    }
-
-    // Matching matrix Y over the same columns.
-    let mut y = BinMatrix::zeros(num_iters, cols);
-    for (t, g) in mapping.groups.iter().enumerate() {
-        for &s in &g.iters {
-            let col = mapped
-                .binary_search(&s)
-                .expect("mapped iteration is in the mapped list");
-            y.set(t, col, true);
-        }
-    }
-    for (k, &t) in empty_axes.iter().enumerate() {
-        y.set(t, mapped.len() + k, true);
-    }
-
-    algorithm1(&x, &y, &z)
+    };
+    mapping
+        .group_masks(def.iters().len())
+        .is_some_and(|groups| table.check(&mapping.correspondence, &groups))
 }
 
 #[cfg(test)]

@@ -126,6 +126,24 @@ impl BinMatrix {
         }
     }
 
+    /// Overwrites row `i` with already-packed words (bit `j % 64` of word
+    /// `j / 64` is entry `(i, j)`). Bits past `cols` are dropped, preserving
+    /// the zero-trailing-bits invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds or `words` is not
+    /// [`BinMatrix::words_per_row`] long.
+    pub fn set_row_words(&mut self, i: usize, words: &[u64]) {
+        assert!(i < self.rows, "index out of bounds");
+        assert_eq!(words.len(), self.words_per_row, "row width mismatch");
+        let row = &mut self.data[i * self.words_per_row..(i + 1) * self.words_per_row];
+        row.copy_from_slice(words);
+        if let (Some(last), tail @ 1..) = (row.last_mut(), self.cols % 64) {
+            *last &= (1u64 << tail) - 1;
+        }
+    }
+
     /// Boolean matrix product: `(A ★ B)[i][j] = OR_k (A[i][k] AND B[k][j])`.
     ///
     /// Word-parallel: each set entry `A[i][k]` ORs `B`'s packed row `k` into
@@ -274,6 +292,18 @@ impl fmt::Display for BinMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn set_row_words_matches_per_entry_sets_and_drops_trailing_bits() {
+        let mut packed = BinMatrix::zeros(2, 70);
+        packed.set_row_words(1, &[0b1011, u64::MAX]);
+        let mut by_entry = BinMatrix::zeros(2, 70);
+        for j in [0, 1, 3].into_iter().chain(64..70) {
+            by_entry.set(1, j, true);
+        }
+        assert_eq!(packed, by_entry);
+        assert_eq!(packed.count_ones(), 9);
+    }
 
     #[test]
     fn bool_mul_matches_figure4_example() {

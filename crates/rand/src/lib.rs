@@ -81,6 +81,17 @@ pub trait SampleRange {
     fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> Self::Output;
 }
 
+/// `word % span` for a span of at most 2^64, without the 128-bit division:
+/// a span that fits `u64` takes the 64-bit remainder, and the one that does
+/// not (2^64, the full range of a 64-bit type) leaves every word unchanged.
+#[inline]
+fn reduce(word: u64, span: u128) -> u64 {
+    match u64::try_from(span) {
+        Ok(span) => word % span,
+        Err(_) => word,
+    }
+}
+
 macro_rules! impl_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange for core::ops::Range<$t> {
@@ -88,7 +99,7 @@ macro_rules! impl_sample_range {
             fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> $t {
                 assert!(self.start < self.end, "gen_range on empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let draw = rng.next_u64() as u128 % span;
+                let draw = reduce(rng.next_u64(), span);
                 (self.start as i128 + draw as i128) as $t
             }
         }
@@ -98,7 +109,7 @@ macro_rules! impl_sample_range {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "gen_range on empty range");
                 let span = (end as i128 - start as i128) as u128 + 1;
-                let draw = rng.next_u64() as u128 % span;
+                let draw = reduce(rng.next_u64(), span);
                 (start as i128 + draw as i128) as $t
             }
         }
@@ -233,6 +244,36 @@ mod tests {
             assert!(w <= 5);
             let n = rng.gen_range(-8i64..8);
             assert!((-8..8).contains(&n));
+        }
+    }
+
+    #[test]
+    fn gen_range_equals_the_128_bit_remainder_formula() {
+        use super::RngCore;
+        // The reference: `next_u64() as u128 % span`, offset from the start.
+        fn reference(rng: &mut StdRng, start: i128, span: u128) -> i128 {
+            start + (rng.next_u64() as u128 % span) as i128
+        }
+        let mut drawn = StdRng::seed_from_u64(2022);
+        let mut words = StdRng::seed_from_u64(2022);
+        for _ in 0..1000 {
+            assert_eq!(
+                drawn.gen_range(0..7usize) as i128,
+                reference(&mut words, 0, 7)
+            );
+            assert_eq!(
+                drawn.gen_range(0..=i64::MAX) as i128,
+                reference(&mut words, 0, 1 << 63)
+            );
+            assert_eq!(
+                drawn.gen_range(-5..5i64) as i128,
+                reference(&mut words, -5, 10)
+            );
+            // The one span that does not fit `u64`.
+            assert_eq!(
+                drawn.gen_range(0..=u64::MAX) as i128,
+                reference(&mut words, 0, 1 << 64)
+            );
         }
     }
 

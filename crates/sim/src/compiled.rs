@@ -1,12 +1,20 @@
-//! The compiled form of a [`MappedProgram`]: a one-time lowering of every
-//! index expression, group decode and operand dependence into flat tables so
-//! the functional executor and timing engine walk strides instead of
-//! re-interpreting `Expr` trees per scalar lane.
+//! The two lowered forms of a [`MappedProgram`], each a pure function of the
+//! program's logical fields, each built lazily and exactly once behind its
+//! own `OnceLock` (shared by clones through an `Arc`):
 //!
-//! Built lazily (and exactly once) per program via
-//! [`MappedProgram::compiled`]; the cache is shared by clones through an
-//! `Arc`, so the explorer's heuristic-seed and measure-top stages pay the
-//! lowering cost once per candidate, not once per evaluation.
+//! * [`ProgramShape`] — the loop axes and the operand-dependence tables.
+//!   This is everything [`MappedProgram::axes`],
+//!   [`MappedProgram::operand_uses_axis`], the schedule helpers, the
+//!   screening tables and the timing engine read, and it costs a few small
+//!   vectors. A search touches the shape of a program the first time it
+//!   samples or measures that program.
+//! * [`CompiledProgram`] — the functional executor's tables: group decode,
+//!   one compiled lane program per index expression, fragment strides and
+//!   guard predicates, so `execute_mapped` walks strides instead of
+//!   re-interpreting `Expr` trees per scalar lane. Only
+//!   [`crate::functional`] reads it (via [`MappedProgram::compiled`]), so an
+//!   exploration — which never executes a candidate functionally — never
+//!   builds it.
 
 use crate::error::SimError;
 use crate::program::{Axis, AxisKind, MappedProgram};
@@ -89,11 +97,23 @@ impl FragAffine {
     }
 }
 
-/// Everything `execute_mapped`/`simulate` need per candidate, lowered once.
+/// The loop-nest shape of a mapped program: what the schedule helpers,
+/// screening and `simulate` need per candidate.
 #[derive(Debug)]
-pub(crate) struct CompiledProgram {
+pub(crate) struct ProgramShape {
     /// The loop axes of the mapped program (see [`MappedProgram::axes`]).
     pub axes: Vec<Axis>,
+    /// Per operand slot (sources then destination): does it depend on
+    /// intrinsic iteration `t`? Mirror of the intrinsic access matrix `Z`.
+    pub tile_deps: Vec<Vec<bool>>,
+    /// Per operand slot: does its software access use software iteration
+    /// `s`?
+    pub outer_deps: Vec<Vec<bool>>,
+}
+
+/// Everything `execute_mapped` needs per candidate, lowered once.
+#[derive(Debug)]
+pub(crate) struct CompiledProgram {
     /// Decode tables, one per intrinsic iteration.
     pub groups: Vec<GroupDecode>,
     /// Intrinsic problem sizes per iteration.
@@ -104,12 +124,6 @@ pub(crate) struct CompiledProgram {
     /// Unmapped software iterations as `(env slot, extent)`, split by kind.
     pub outer_sp: Vec<(usize, i64)>,
     pub outer_red: Vec<(usize, i64)>,
-    /// Per operand slot (sources then destination): does it depend on
-    /// intrinsic iteration `t`? Mirror of the intrinsic access matrix `Z`.
-    pub tile_deps: Vec<Vec<bool>>,
-    /// Per operand slot: does its software access use software iteration
-    /// `s`?
-    pub outer_deps: Vec<Vec<bool>>,
     /// Compiled software accesses feeding each source slot, in slot order.
     pub src_accesses: Vec<CompiledAccess>,
     /// Compiled output access.
@@ -124,17 +138,14 @@ pub(crate) struct CompiledProgram {
     pub predicates: Vec<LaneExpr>,
 }
 
-impl CompiledProgram {
-    /// Lowers a mapped program. Pure function of the program's logical
-    /// fields, so the cache never goes stale.
-    pub fn build(prog: &MappedProgram) -> CompiledProgram {
+impl ProgramShape {
+    /// Derives the shape of a mapped program.
+    pub fn build(prog: &MappedProgram) -> ProgramShape {
         let def = prog.def();
         let intr = prog.intrinsic();
         let num_iters = intr.compute.iters().len();
         let num_srcs = intr.compute.num_srcs();
-        let extents = def.extents();
 
-        // Axes, identical to the historical eager computation.
         let mut axes = Vec::new();
         for &id in prog.outer() {
             let v = def.iter_var(id);
@@ -171,6 +182,47 @@ impl CompiledProgram {
             }
         }
 
+        let z = intr.compute.access_matrix();
+        let slot_access = |row: usize| -> &amos_ir::Access {
+            if row < num_srcs {
+                &def.inputs()[prog.correspondence()[row]]
+            } else {
+                def.output()
+            }
+        };
+        let tile_deps = (0..num_srcs + 1)
+            .map(|row| (0..num_iters).map(|t| z.get(row, t)).collect())
+            .collect();
+        let outer_deps = (0..num_srcs + 1)
+            .map(|row| {
+                let access = slot_access(row);
+                (0..def.iters().len())
+                    .map(|s| {
+                        let id = IterId(s as u32);
+                        access.indices.iter().any(|e| e.uses(id))
+                    })
+                    .collect()
+            })
+            .collect();
+
+        ProgramShape {
+            axes,
+            tile_deps,
+            outer_deps,
+        }
+    }
+}
+
+impl CompiledProgram {
+    /// Lowers a mapped program for the functional executor. Pure function
+    /// of the program's logical fields, so the cache never goes stale.
+    pub fn build(prog: &MappedProgram) -> CompiledProgram {
+        let def = prog.def();
+        let intr = prog.intrinsic();
+        let num_iters = intr.compute.iters().len();
+        let num_srcs = intr.compute.num_srcs();
+        let extents = def.extents();
+
         let problem = intr.compute.problem_size();
         let groups = (0..num_iters)
             .map(|t| GroupDecode {
@@ -195,31 +247,6 @@ impl CompiledProgram {
                 .map(|&id| (id.index(), def.iter_var(id).extent))
                 .collect()
         };
-
-        // Operand dependence tables (replaces the per-call access_matrix()
-        // allocation the old operand_uses_axis performed).
-        let z = intr.compute.access_matrix();
-        let slot_access = |row: usize| -> &amos_ir::Access {
-            if row < num_srcs {
-                &def.inputs()[prog.correspondence()[row]]
-            } else {
-                def.output()
-            }
-        };
-        let tile_deps = (0..num_srcs + 1)
-            .map(|row| (0..num_iters).map(|t| z.get(row, t)).collect())
-            .collect();
-        let outer_deps = (0..num_srcs + 1)
-            .map(|row| {
-                let access = slot_access(row);
-                (0..def.iters().len())
-                    .map(|s| {
-                        let id = IterId(s as u32);
-                        access.indices.iter().any(|e| e.uses(id))
-                    })
-                    .collect()
-            })
-            .collect();
 
         let compile_access = |access: &amos_ir::Access| -> CompiledAccess {
             let decl = def.tensor(access.tensor);
@@ -284,15 +311,12 @@ impl CompiledProgram {
             .collect();
 
         CompiledProgram {
-            axes,
             groups,
             problem,
             spatial_t,
             reduction_t,
             outer_sp: split_outer(IterKind::Spatial),
             outer_red: split_outer(IterKind::Reduction),
-            tile_deps,
-            outer_deps,
             src_accesses,
             dst_access,
             src_frags,

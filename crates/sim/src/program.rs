@@ -8,7 +8,7 @@
 //! captures that structure; the functional executor and timing engine both
 //! interpret it.
 
-use crate::compiled::CompiledProgram;
+use crate::compiled::{CompiledProgram, ProgramShape};
 use crate::error::SimError;
 use crate::screening::ScreeningContext;
 use amos_hw::{AcceleratorSpec, Intrinsic};
@@ -60,6 +60,10 @@ impl AxisKind {
     }
 }
 
+/// Most loop axes a mapped program may have: the width of the `u64` axis
+/// masks in [`ScreeningContext`].
+pub(crate) const MAX_AXES: usize = 64;
+
 /// One loop axis of the mapped program, outer-to-inner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Axis {
@@ -72,8 +76,10 @@ pub struct Axis {
 /// A tensor computation physically mapped onto an intrinsic.
 #[derive(Debug, Clone)]
 pub struct MappedProgram {
-    def: ComputeDef,
-    intrinsic: Intrinsic,
+    /// Shared, not owned: the programs lowered for one exploration unit all
+    /// point at one definition and one intrinsic.
+    def: Arc<ComputeDef>,
+    intrinsic: Arc<Intrinsic>,
     /// One fused group per intrinsic iteration.
     groups: Vec<FusedGroup>,
     /// Unmapped software iterations, declaration order.
@@ -81,8 +87,12 @@ pub struct MappedProgram {
     /// `correspondence[m]` = index into `def.inputs()` feeding intrinsic
     /// source slot `m`.
     correspondence: Vec<usize>,
-    /// Lazily-built compiled form (axes, decode tables, lane programs);
-    /// a pure function of the fields above, shared by clones via `Arc`.
+    /// Lazily-built loop-nest shape (axes, operand dependences): all the
+    /// schedule helpers, the screening tables and the timing engine read.
+    /// A pure function of the fields above, shared by clones via `Arc`.
+    shape: OnceLock<Arc<ProgramShape>>,
+    /// Lazily-built executor tables (decode tables, lane programs, fragment
+    /// strides), read only by the functional executor; same sharing.
     compiled: OnceLock<Arc<CompiledProgram>>,
     /// Lazily-built screening tables for the analytic model, keyed by the
     /// first accelerator they were built against (see
@@ -90,7 +100,7 @@ pub struct MappedProgram {
     screening: OnceLock<Arc<ScreeningContext>>,
 }
 
-/// Equality over the logical mapping only — the compiled cache is derived
+/// Equality over the logical mapping only — the lowered caches are derived
 /// state and deliberately ignored (a lowered and a not-yet-lowered copy of
 /// the same program are the same program).
 impl PartialEq for MappedProgram {
@@ -105,14 +115,20 @@ impl PartialEq for MappedProgram {
 
 impl MappedProgram {
     /// Builds a mapped program, checking that the groups plus outer loops
-    /// partition the software iterations exactly and that the operand
-    /// correspondence is a bijection onto the input accesses.
+    /// partition the software iterations exactly, that the operand
+    /// correspondence is a bijection onto the input accesses, and that the
+    /// loop nest (outer loops plus one tile loop per intrinsic iteration)
+    /// fits the 64-bit axis masks of the screening tables.
+    ///
+    /// `def` and `intrinsic` are taken by value or as an `Arc`; callers
+    /// lowering many mappings of one pair pass clones of one `Arc`.
     pub fn new(
-        def: ComputeDef,
-        intrinsic: Intrinsic,
+        def: impl Into<Arc<ComputeDef>>,
+        intrinsic: impl Into<Arc<Intrinsic>>,
         groups: Vec<FusedGroup>,
         correspondence: Vec<usize>,
     ) -> Result<Self, SimError> {
+        let (def, intrinsic) = (def.into(), intrinsic.into());
         let num_intrinsic_iters = intrinsic.compute.iters().len();
         if groups.len() != num_intrinsic_iters {
             return Err(SimError::MalformedMapping {
@@ -156,27 +172,45 @@ impl MappedProgram {
             }
         }
         let outer: Vec<IterId> = def.iter_ids().filter(|id| !used[id.index()]).collect();
+        if outer.len() + num_intrinsic_iters > MAX_AXES {
+            return Err(SimError::MalformedMapping {
+                detail: format!(
+                    "{} outer loops plus {num_intrinsic_iters} tile loops exceed {MAX_AXES} axes",
+                    outer.len()
+                ),
+            });
+        }
         Ok(MappedProgram {
             def,
             intrinsic,
             groups,
             outer,
             correspondence,
+            shape: OnceLock::new(),
             compiled: OnceLock::new(),
             screening: OnceLock::new(),
         })
     }
 
-    /// The compiled form, lowered on first use and cached. Cheap to call in
-    /// hot loops (one atomic load after initialisation).
+    /// The loop-nest shape, derived on first use and cached (one atomic load
+    /// afterwards). Never touches the executor tables.
+    pub(crate) fn shape(&self) -> &ProgramShape {
+        self.shape
+            .get_or_init(|| Arc::new(ProgramShape::build(self)))
+    }
+
+    /// The executor tables — decode tables, compiled lane programs, fragment
+    /// strides — lowered on the first `execute_mapped` and cached. Nothing
+    /// on the search path (schedules, screening, timing) calls this.
     pub(crate) fn compiled(&self) -> &CompiledProgram {
         self.compiled
             .get_or_init(|| Arc::new(CompiledProgram::build(self)))
     }
 
-    /// The screening tables for this program on `accel`, built on first use
-    /// and cached. The cache holds the context of the *first* accelerator
-    /// seen; a call with model-relevant parameters that differ from the
+    /// The screening tables for this program on `accel`, built from the
+    /// loop-nest shape on first use and cached. The cache holds the context
+    /// of the *first* accelerator seen; a call with model-relevant
+    /// parameters that differ from the
     /// cached ones (checked by value, never by hash) builds a fresh,
     /// uncached context — explorations hammer one accelerator, so the first
     /// entry is the only one worth keeping.
@@ -276,11 +310,12 @@ impl MappedProgram {
     /// spatial tile loops, outer reduction, reduction tile loops. The
     /// intrinsic call itself sits below these axes.
     ///
-    /// Served from the compiled cache — repeated calls (the schedule
-    /// helpers, the timing model, codegen) borrow one precomputed slice
-    /// instead of rebuilding a `Vec` each time.
+    /// Served from the cached loop-nest shape — repeated calls (the
+    /// schedule helpers, the timing model, codegen) borrow one precomputed
+    /// slice, and the first call derives only that shape, not the
+    /// functional executor's tables.
     pub fn axes(&self) -> &[Axis] {
-        &self.compiled().axes
+        &self.shape().axes
     }
 
     /// Total intrinsic calls executed (product of all axis extents).
@@ -293,11 +328,10 @@ impl MappedProgram {
     ///
     /// Tile axes matter when the operand is indexed by that intrinsic
     /// iteration; outer axes matter when the corresponding software access
-    /// uses that software iteration. Answered from the compiled dependence
-    /// tables (the old implementation rebuilt the intrinsic access matrix on
-    /// every call).
+    /// uses that software iteration. Answered from the cached shape's
+    /// dependence tables.
     pub fn operand_uses_axis(&self, operand_row: usize, axis: &Axis) -> bool {
-        let c = self.compiled();
+        let c = self.shape();
         match axis.kind {
             AxisKind::TileSpatial(t) | AxisKind::TileReduction(t) => c.tile_deps[operand_row][t],
             AxisKind::OuterSpatial(id) | AxisKind::OuterReduction(id) => {
@@ -520,6 +554,52 @@ mod tests {
         assert_eq!(p2.decode_group(1, 1), None);
         // Unmapped iterations (k, p, q, r, s) become outer loops.
         assert_eq!(p2.outer().len(), 5);
+    }
+
+    #[test]
+    fn the_search_path_never_lowers_the_executor_tables() {
+        use crate::{simulate, Schedule};
+        let prog = fig3_program();
+        let accel = catalog::mini_accel();
+        assert!(prog.shape.get().is_none(), "a fresh program lowers nothing");
+        assert_eq!(prog.axes().len(), 3);
+        assert!(prog.shape.get().is_some());
+        assert_eq!(prog.total_calls(), 20);
+        let ctx = prog.screening_context(&accel);
+        let schedule = Schedule::balanced(&prog, &accel);
+        schedule.validate(&prog, &accel).expect("balanced is legal");
+        assert!(ctx.schedule_feasible(&schedule));
+        simulate(&prog, &schedule, &accel).expect("simulates");
+        assert!(
+            prog.compiled.get().is_none(),
+            "axes, screening, schedules and simulate read the shape only"
+        );
+    }
+
+    #[test]
+    fn execute_mapped_lowers_the_executor_once_and_clones_share_it() {
+        use crate::execute_mapped;
+        let prog = fig3_program();
+        let tensors = amos_ir::interp::make_inputs(prog.def(), 3);
+        let first = execute_mapped(&prog, &tensors).expect("executes");
+        let lowered = Arc::clone(prog.compiled.get().expect("lowered by the first execution"));
+        assert!(
+            prog.shape.get().is_none(),
+            "the executor does not need the loop-nest shape"
+        );
+        // A second execution and a clone's execution reuse the same tables.
+        let copy = prog.clone();
+        assert_eq!(execute_mapped(&prog, &tensors).expect("executes"), first);
+        assert_eq!(execute_mapped(&copy, &tensors).expect("executes"), first);
+        for p in [&prog, &copy] {
+            assert!(Arc::ptr_eq(
+                p.compiled.get().expect("still lowered"),
+                &lowered
+            ));
+        }
+        // A clone shares the definition and the intrinsic, too.
+        assert!(Arc::ptr_eq(&prog.def, &copy.def));
+        assert!(Arc::ptr_eq(&prog.intrinsic, &copy.intrinsic));
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! candidate evaluation is straight-line arithmetic over flat tables with no
 //! allocation, no hash lookups and no `String` error construction.
 //!
-//! The context is cached on [`MappedProgram`] next to the compiled program
+//! The context is cached on [`MappedProgram`] next to its loop-nest shape
 //! (see [`MappedProgram::screening_context`]); predictions computed through
 //! it are bit-identical to the reference model, which the core crate asserts
 //! in unit tests and a proptest.
 
-use crate::program::{Axis, AxisKind, MappedProgram};
+use crate::program::{Axis, AxisKind, MappedProgram, MAX_AXES};
 use crate::schedule::{subcores_per_core, Schedule};
 use amos_hw::{AcceleratorSpec, OperandRef};
 
@@ -124,20 +124,13 @@ pub struct ScreeningContext {
 }
 
 impl ScreeningContext {
-    /// Folds a `(program, accelerator)` pair into flat screening tables.
-    ///
-    /// # Panics
-    ///
-    /// When the program has more than 64 loop axes (the bitmask width);
-    /// mapped programs have one axis per intrinsic iteration plus the outer
-    /// software loops, far below that in practice.
+    /// Folds a `(program, accelerator)` pair into flat screening tables,
+    /// reading only the program's loop-nest shape. Infallible: every
+    /// [`MappedProgram`] is checked at construction to have at most
+    /// 64 loop axes, the width of the bitmasks here.
     pub fn build(prog: &MappedProgram, accel: &AcceleratorSpec) -> Self {
         let axes = prog.axes().to_vec();
-        assert!(
-            axes.len() <= 64,
-            "screening bitmasks hold at most 64 axes, program has {}",
-            axes.len()
-        );
+        debug_assert!(axes.len() <= MAX_AXES, "MappedProgram::new bounds the axes");
         let intr = prog.intrinsic();
         let num_srcs = intr.compute.num_srcs();
 

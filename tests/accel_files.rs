@@ -202,3 +202,80 @@ fn committed_files_declare_format_one() {
         assert_eq!(reparsed.name, desc.name);
     }
 }
+
+/// One golden enumeration row: `(machine, intrinsic, total mappings over the
+/// 113 operator configurations, FNV-1a digest)`. The digest folds, in
+/// `operator_configs()` order, every operator's family, label, mapping count
+/// and the `Debug` of its ordered mapping list — so content *and* order of
+/// every operator × intrinsic enumeration are pinned.
+type EnumerationRow = (&'static str, &'static str, usize, u64);
+
+/// Recorded from the string-keyed, per-leaf-matrix enumerator (PR 12); the
+/// table-driven enumerator must reproduce every row.
+const ENUMERATION_GOLDEN: &[EnumerationRow] = &[
+    ("v100", "mma_sync", 6430, 0x38980fdf63133dac),
+    ("a100", "mma_sync", 6430, 0x38980fdf63133dac),
+    ("t4", "mma_sync", 6430, 0x38980fdf63133dac),
+    (
+        "xeon-avx512",
+        "_mm512_dpbusds_epi32",
+        4280,
+        0x94ec9322fe6e6c98,
+    ),
+    ("mali-g76", "arm_dot", 398, 0xa2e24df0178d6a90),
+    ("mini", "mini_mma", 6430, 0x38980fdf63133dac),
+    ("ascend-npu", "cube_mma", 6430, 0x38980fdf63133dac),
+    ("ascend-npu", "vec_mac", 4280, 0x94ec9322fe6e6c98),
+    ("tpu-like", "mxu_128x128", 6430, 0x38980fdf63133dac),
+    ("gemmini-like", "gemmini_matmul", 6430, 0x38980fdf63133dac),
+    ("virtual-axpy", "axpy32", 656, 0x6dac427d4bac085c),
+    ("virtual-gemv", "gemv16", 4280, 0x94ec9322fe6e6c98),
+    ("virtual-conv", "conv8x8x3", 433, 0xb8e8e47a2e0a512d),
+];
+
+#[test]
+fn enumerated_mapping_lists_match_the_golden_digests() {
+    use amos::workloads::configs::operator_configs;
+    use std::fmt::Write;
+
+    let registry = Registry::load_dir(data_dir()).expect("committed catalog must load");
+    let generator = MappingGenerator::new();
+    let configs = operator_configs();
+    let mut actual = String::new();
+    let mut rows = Vec::new();
+    for name in registry.names() {
+        let accel = registry.build(name).expect("listed machine builds");
+        for intrinsic in accel.all_intrinsics() {
+            let mut total = 0;
+            let mut text = String::new();
+            for c in &configs {
+                let mappings = generator.enumerate(&c.def, intrinsic);
+                total += mappings.len();
+                write!(
+                    text,
+                    "{}|{}|{}|{mappings:?};",
+                    c.family,
+                    c.label,
+                    mappings.len()
+                )
+                .unwrap();
+            }
+            let digest = amos::core::fnv1a(&text);
+            writeln!(
+                actual,
+                "    (\"{name}\", \"{}\", {total}, {digest:#018x}),",
+                intrinsic.name
+            )
+            .unwrap();
+            rows.push((name.to_string(), intrinsic.name.clone(), total, digest));
+        }
+    }
+    let golden: Vec<_> = ENUMERATION_GOLDEN
+        .iter()
+        .map(|&(m, i, n, d)| (m.to_string(), i.to_string(), n, d))
+        .collect();
+    assert_eq!(
+        rows, golden,
+        "enumeration drifted from the golden digests; this run produced:\n{actual}"
+    );
+}
