@@ -75,7 +75,11 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5");
     group.sample_size(30);
     group.bench_function("perf_model_predict", |b| {
-        b.iter(|| amos_core::perf_model::predict_cycles(&prog, &schedule, &accel).unwrap())
+        b.iter(|| {
+            amos_core::perf_model::predict(&prog, &schedule, &accel)
+                .unwrap()
+                .cycles
+        })
     });
     group.bench_function("timing_simulate", |b| {
         b.iter(|| amos_sim::simulate(&prog, &schedule, &accel).unwrap().cycles)

@@ -5,8 +5,8 @@
 use amos_cli::{run, RunStatus};
 use std::path::PathBuf;
 
-/// A hand-written data file for a machine that exists nowhere in the Rust
-/// catalog: a 4x4x4 outer-product unit with two memory levels.
+/// A hand-written data file for a machine that exists nowhere in the
+/// built-in catalog: a 4x4x4 outer-product unit with two memory levels.
 const ZETA_MACHINE: &str = r#"
 # A file-only machine: never mentioned in any Rust source.
 format = 1

@@ -13,19 +13,24 @@
 //! barriers, issue/bandwidth derating) — it is a *screening* model, fast and
 //! rank-accurate, exactly the role it plays in the paper's exploration loop
 //! (Figure 5 quantifies the gap).
-
-//! Two implementations evaluate the model:
 //!
-//! * [`predict`] — the reference, reading the program and accelerator
-//!   descriptions directly;
-//! * [`predict_with`] — the screening hot path, straight-line arithmetic
-//!   over a precomputed [`ScreeningContext`] with no allocation and no
-//!   `String` error construction.
+//! Three functions evaluate the model, pinned **bit-identical** to one
+//! another (same guarded-reciprocal formulation `bytes * (1/bw)`, same
+//! floating-point operation order) by the unit tests below, two proptests
+//! over the Figure-6 operator set and the `screening_throughput` bench gate:
 //!
-//! Both use the same guarded-reciprocal formulation (`bytes * (1/bw)`, the
-//! reciprocals precomputed in the context) and the same floating-point
-//! operation order, so their results are **bit-identical** — asserted by the
-//! unit tests below and a proptest over the Figure-6 operator set.
+//! * [`predict`] — the oracle: reads the program and accelerator
+//!   descriptions directly, one loop per term of the formula above. Nothing
+//!   on the search path calls it; the others are checked against it.
+//! * [`predict_batch_with`] — the shipping kernel, what the explorer screens
+//!   every generation with: [`BATCH_LANES`] candidates at a time over the
+//!   SoA tables of a precomputed [`ScreeningContext`], dispatched to the
+//!   widest vector ISA the CPU offers, no allocation. [`predict_batch`] is
+//!   the same call with its own scratch tables.
+//! * [`predict_with`] — the one-candidate form of that kernel: the same
+//!   arithmetic over the same context for a single schedule, used where the
+//!   explorer scores one candidate on its own (each mapping's balanced
+//!   seed schedule).
 
 use amos_hw::{AcceleratorSpec, OperandRef};
 use amos_sim::{
@@ -484,15 +489,6 @@ fn predict_chunk_impl(
     }
 }
 
-/// Convenience wrapper returning only the predicted cycle count.
-pub fn predict_cycles(
-    prog: &MappedProgram,
-    schedule: &Schedule,
-    accel: &AcceleratorSpec,
-) -> Result<f64, SimError> {
-    predict(prog, schedule, accel).map(|b| b.cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,8 +526,8 @@ mod tests {
         let accel = catalog::v100();
         let naive = Schedule::naive(&prog);
         let good = Schedule::balanced(&prog, &accel);
-        let p_naive = predict_cycles(&prog, &naive, &accel).unwrap();
-        let p_good = predict_cycles(&prog, &good, &accel).unwrap();
+        let p_naive = predict(&prog, &naive, &accel).unwrap().cycles;
+        let p_good = predict(&prog, &good, &accel).unwrap().cycles;
         assert!(p_good < p_naive, "model must prefer the better schedule");
 
         let s_naive = amos_sim::simulate(&prog, &naive, &accel).unwrap().cycles;
@@ -546,7 +542,7 @@ mod tests {
         let prog = gemm_prog(1024, 1024, 256);
         let accel = catalog::v100();
         let s = Schedule::balanced(&prog, &accel);
-        let predicted = predict_cycles(&prog, &s, &accel).unwrap();
+        let predicted = predict(&prog, &s, &accel).unwrap().cycles;
         let simulated = amos_sim::simulate(&prog, &s, &accel).unwrap().cycles;
         assert!(predicted <= simulated);
     }
@@ -556,9 +552,9 @@ mod tests {
         let prog = gemm_prog(1024, 1024, 1024);
         let mut accel = catalog::v100();
         let s = Schedule::balanced(&prog, &accel);
-        let base = predict_cycles(&prog, &s, &accel).unwrap();
+        let base = predict(&prog, &s, &accel).unwrap().cycles;
         accel.levels.last_mut().unwrap().memory.load_bytes_per_cycle *= 2.0;
-        let faster = predict_cycles(&prog, &s, &accel).unwrap();
+        let faster = predict(&prog, &s, &accel).unwrap().cycles;
         assert!(faster <= base);
     }
 

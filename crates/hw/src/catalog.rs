@@ -1,571 +1,217 @@
-//! Catalog of intrinsics and accelerators used in the AMOS evaluation.
+//! The built-in machine catalog: the twelve `data/accels/*.toml` files,
+//! embedded at compile time.
 //!
-//! Every entry is authored as declarative *data* — an [`IntrinsicDesc`] /
-//! [`AcceleratorDesc`] table (see [`crate::desc`]) — and the public
-//! constructor functions simply build those tables. [`descriptors`] exposes
-//! the raw tables so the [`crate::Registry`] can enumerate, look up and
-//! extend the catalog by name.
-//!
-//! The commercial accelerators are parameterised from their public
-//! whitepapers (V100/A100 SM counts, shared-memory sizes, DRAM bandwidths);
-//! the intrinsic latencies follow published microbenchmarking (Jia et al.,
-//! "Dissecting the NVIDIA Volta GPU Architecture"). The three *virtual*
-//! accelerators (AXPY/GEMV/CONV units) reproduce paper §7.5.
+//! The files are the source. This module `include_str!`s them in catalog
+//! order, parses them once per process into one immutable table, and answers
+//! every query from it: [`descriptors`] (what [`crate::Registry::builtin`] is
+//! populated from), [`all_accelerators`], and the named accessors, one-line
+//! lookups for callers that want a specific machine or intrinsic without a
+//! registry. To see or change what `v100` is, open `data/accels/v100.toml`;
+//! the provenance of each number is in the comments there (public
+//! whitepapers for the commercial parts, Jia et al., "Dissecting the NVIDIA
+//! Volta GPU Architecture" for the WMMA latencies, paper §7.5 for the three
+//! virtual AXPY/GEMV/CONV accelerators).
 //!
 //! All figures drive a simulator, not silicon; see DESIGN.md §2 for the
 //! substitution rationale.
 
+use std::sync::OnceLock;
+
 use crate::accelerator::AcceleratorSpec;
-use crate::desc::{AcceleratorDesc, IntrinsicDesc, IterDesc, LevelDesc, MemoryDesc, OperandDesc};
+use crate::desc::AcceleratorDesc;
 use crate::intrinsic::Intrinsic;
-use amos_ir::{DType, OpKind};
+use crate::text::{AccelError, FileError};
 
-// ---------------------------------------------------------------------------
-// Intrinsic tables
-// ---------------------------------------------------------------------------
-
-/// Declarative table of the `mma_sync` WMMA intrinsic with explicit pipeline
-/// timing (used to differentiate GPU generations).
-pub fn wmma_desc(latency: u64, initiation_interval: u64) -> IntrinsicDesc {
-    IntrinsicDesc {
-        name: "mma_sync".into(),
-        iters: vec![
-            IterDesc::spatial("i1", 16),
-            IterDesc::spatial("i2", 16),
-            IterDesc::reduce("r1", 16),
-        ],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0, 2]),
-            OperandDesc::simple("Src2", &[2, 1]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0, 1]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::fragment("load_matrix_sync", "store_matrix_sync"),
-        latency,
-        initiation_interval,
-        src_dtype: DType::F16,
-        acc_dtype: DType::F32,
-    }
-}
-
-/// The `mma_sync` WMMA intrinsic: a 16x16x16 f16 matrix multiply-accumulate
-/// with explicit `load_matrix_sync`/`store_matrix_sync` memory intrinsics.
-pub fn wmma_16x16x16() -> Intrinsic {
-    wmma_with_timing(64, 32)
-}
-
-/// WMMA with explicit pipeline timing, used to differentiate GPU generations.
-pub fn wmma_with_timing(latency: u64, initiation_interval: u64) -> Intrinsic {
-    wmma_desc(latency, initiation_interval).build()
-}
-
-/// Declarative table of the Figure-3 2x2x2 mini Tensor Core.
-pub fn mini_mma_desc() -> IntrinsicDesc {
-    IntrinsicDesc {
-        name: "mini_mma".into(),
-        iters: vec![
-            IterDesc::spatial("i1", 2),
-            IterDesc::spatial("i2", 2),
-            IterDesc::reduce("r1", 2),
-        ],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0, 2]),
-            OperandDesc::simple("Src2", &[2, 1]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0, 1]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::fragment("load_matrix", "store_matrix"),
-        latency: 4,
-        initiation_interval: 2,
-        src_dtype: DType::F16,
-        acc_dtype: DType::F32,
-    }
-}
-
-/// The simplified 2x2x2 Tensor Core of the paper's Figure 3 running example.
-pub fn mini_mma_2x2x2() -> Intrinsic {
-    mini_mma_desc().build()
-}
-
-/// Declarative table of the AVX-512 VNNI intrinsic.
-pub fn avx512_vnni_desc() -> IntrinsicDesc {
-    IntrinsicDesc {
-        name: "_mm512_dpbusds_epi32".into(),
-        iters: vec![IterDesc::spatial("i1", 16), IterDesc::reduce("r1", 4)],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0, 1]),
-            OperandDesc::simple("Src2", &[1]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::Implicit,
-        latency: 5,
-        initiation_interval: 1,
-        src_dtype: DType::I8,
-        acc_dtype: DType::I32,
-    }
-}
-
-/// The AVX-512 VNNI `_mm512_dpbusds_epi32` intrinsic used as the paper does
-/// (§7.5): a 16x4 *matrix-vector* multiply-accumulate. Lane `i1` holds row
-/// `Src1[i1, r1]`; the second operand is the 4-element vector `Src2[r1]`
-/// replicated across lanes (the replication is a register-layout detail that
-/// the memory mapping performs).
-pub fn avx512_vnni() -> Intrinsic {
-    avx512_vnni_desc().build()
-}
-
-/// Declarative table of the Mali Bifrost `arm_dot` intrinsic.
-pub fn arm_dot4_desc() -> IntrinsicDesc {
-    IntrinsicDesc {
-        name: "arm_dot".into(),
-        iters: vec![IterDesc::reduce("r1", 4)],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0]),
-            OperandDesc::simple("Src2", &[0]),
-        ],
-        dst: OperandDesc::scalar("Dst"),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::Implicit,
-        latency: 4,
-        initiation_interval: 1,
-        src_dtype: DType::I8,
-        acc_dtype: DType::I32,
-    }
-}
-
-/// The Mali Bifrost `arm_dot` intrinsic: one 4-element i8 dot product
-/// accumulated into a scalar i32, with no explicit memory intrinsics.
-pub fn arm_dot4() -> Intrinsic {
-    arm_dot4_desc().build()
-}
-
-/// Declarative table of the §7.5 AXPY unit.
-pub fn axpy_unit_desc() -> IntrinsicDesc {
-    IntrinsicDesc {
-        name: "axpy32".into(),
-        iters: vec![IterDesc::spatial("i1", 32)],
-        srcs: vec![
-            OperandDesc::scalar("Src1"),
-            OperandDesc::simple("Src2", &[0]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::fragment("load_vec", "store_vec"),
-        latency: 8,
-        initiation_interval: 2,
-        src_dtype: DType::F16,
-        acc_dtype: DType::F32,
-    }
-}
-
-/// §7.5 virtual accelerator intrinsic: a BLAS-1 AXPY unit
-/// `Dst[i1] += Src1[] * Src2[i1]` over 32 lanes (Src1 is a broadcast scalar).
-pub fn axpy_unit() -> Intrinsic {
-    axpy_unit_desc().build()
-}
-
-/// Declarative table of the §7.5 GEMV unit.
-pub fn gemv_unit_desc() -> IntrinsicDesc {
-    IntrinsicDesc {
-        name: "gemv16".into(),
-        iters: vec![IterDesc::spatial("i1", 16), IterDesc::reduce("r1", 16)],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0, 1]),
-            OperandDesc::simple("Src2", &[1]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::fragment("load_tile", "store_tile"),
-        latency: 16,
-        initiation_interval: 8,
-        src_dtype: DType::F16,
-        acc_dtype: DType::F32,
-    }
-}
-
-/// §7.5 virtual accelerator intrinsic: a BLAS-2 GEMV unit
-/// `Dst[i1] += Src1[i1, r1] * Src2[r1]` (16x16 matrix times 16-vector).
-pub fn gemv_unit() -> Intrinsic {
-    gemv_unit_desc().build()
-}
-
-/// Declarative table of the §7.5 CONV unit. The window dimension
-/// `Src1[r1, i2 + r2]` is the one compound index in the catalog.
-pub fn conv_unit_desc() -> IntrinsicDesc {
-    IntrinsicDesc {
-        name: "conv8x8x3".into(),
-        iters: vec![
-            IterDesc::spatial("i1", 8),
-            IterDesc::spatial("i2", 8),
-            IterDesc::reduce("r1", 8),
-            IterDesc::reduce("r2", 3),
-        ],
-        srcs: vec![
-            OperandDesc::new("Src1", &[&[2], &[1, 3]]),
-            OperandDesc::simple("Src2", &[0, 2, 3]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0, 1]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::fragment("load_line", "store_line"),
-        latency: 24,
-        initiation_interval: 12,
-        src_dtype: DType::F16,
-        acc_dtype: DType::F32,
-    }
-}
-
-/// §7.5 virtual accelerator intrinsic: a BLAS-3-style 1D convolution engine
-/// `Dst[i1, i2] += Src1[r1, i2 + r2] * Src2[i1, r1, r2]` — output channels
-/// `i1`, output positions `i2`, input channels `r1` and a 3-tap window `r2`.
-pub fn conv_unit() -> Intrinsic {
-    conv_unit_desc().build()
-}
-
-// ---------------------------------------------------------------------------
-// Accelerator tables
-// ---------------------------------------------------------------------------
-
-/// Declarative table of the NVIDIA V100.
-pub fn v100_desc() -> AcceleratorDesc {
-    AcceleratorDesc {
-        name: "v100".into(),
-        levels: vec![
-            // 64 KiB register file per sub-core; shared->reg ~128 B/cyc.
-            LevelDesc::new("pe-array", 1, 64 * 1024, 128.0),
-            LevelDesc::new("sub-core", 1, 0, 0.0),
-            // 96 KiB shared memory per SM, ~128 B/cyc from L2/DRAM side.
-            LevelDesc::new("core", 4, 96 * 1024, 128.0),
-            // 900 GB/s / 1.53 GHz ≈ 588 B/cycle aggregate.
-            LevelDesc::new("device", 80, 16 << 30, 588.0),
-        ],
-        intrinsics: vec![wmma_desc(64, 32)],
-        clock_ghz: 1.53,
-        scalar_ops_per_core_cycle: 64.0, // fp32 FMAs per SM per cycle
-    }
-}
-
-/// NVIDIA V100 (Volta): 80 SMs x 4 sub-cores, 96 KiB shared memory per SM,
-/// ~900 GB/s HBM2 at 1.53 GHz.
-pub fn v100() -> AcceleratorSpec {
-    v100_desc().build()
-}
-
-/// Declarative table of the NVIDIA A100.
-pub fn a100_desc() -> AcceleratorDesc {
-    AcceleratorDesc {
-        name: "a100".into(),
-        levels: vec![
-            LevelDesc::new("pe-array", 1, 64 * 1024, 256.0),
-            LevelDesc::new("sub-core", 1, 0, 0.0),
-            LevelDesc::new("core", 4, 164 * 1024, 256.0),
-            // 1555 GB/s / 1.41 GHz ≈ 1103 B/cycle aggregate.
-            LevelDesc::new("device", 108, 40u64 << 30, 1103.0),
-        ],
-        intrinsics: vec![wmma_desc(32, 16)],
-        clock_ghz: 1.41,
-        scalar_ops_per_core_cycle: 64.0,
-    }
-}
-
-/// NVIDIA A100 (Ampere): 108 SMs x 4 sub-cores, 164 KiB shared memory per
-/// SM, ~1555 GB/s HBM2e at 1.41 GHz, third-generation Tensor Cores with
-/// twice the per-subcore WMMA throughput.
-pub fn a100() -> AcceleratorSpec {
-    a100_desc().build()
-}
-
-/// Declarative table of the NVIDIA T4.
-pub fn t4_desc() -> AcceleratorDesc {
-    AcceleratorDesc {
-        name: "t4".into(),
-        levels: vec![
-            LevelDesc::new("pe-array", 1, 64 * 1024, 128.0),
-            LevelDesc::new("sub-core", 1, 0, 0.0),
-            LevelDesc::new("core", 4, 64 * 1024, 128.0),
-            // 320 GB/s / 1.35 GHz = 237 B/cycle aggregate.
-            LevelDesc::new("device", 40, 16u64 << 30, 237.0),
-        ],
-        intrinsics: vec![wmma_desc(64, 32)],
-        clock_ghz: 1.35,
-        scalar_ops_per_core_cycle: 64.0,
-    }
-}
-
-/// NVIDIA T4 (Turing): 40 SMs x 4 sub-cores, 64 KiB shared memory per SM,
-/// ~320 GB/s GDDR6 at 1.35 GHz — a smaller Tensor Core part that stresses
-/// the schedule space differently from V100/A100.
-pub fn t4() -> AcceleratorSpec {
-    t4_desc().build()
-}
-
-/// Declarative table of the Xeon AVX-512 machine.
-pub fn xeon_avx512_desc() -> AcceleratorDesc {
-    AcceleratorDesc {
-        name: "xeon-avx512".into(),
-        levels: vec![
-            LevelDesc::new("vector-unit", 1, 2 * 1024, 128.0), // zmm register file
-            LevelDesc::new("port", 1, 0, 0.0),
-            LevelDesc::new("core", 1, 32 * 1024, 64.0), // L1D
-            // ~100 GB/s / 2.1 GHz ≈ 48 B/cycle.
-            LevelDesc::new("socket", 8, 64u64 << 30, 48.0),
-        ],
-        intrinsics: vec![avx512_vnni_desc()],
-        clock_ghz: 2.1,
-        scalar_ops_per_core_cycle: 16.0, // AVX2 fp32 FMA fallback
-    }
-}
-
-/// Intel Xeon Silver 4110-class CPU with AVX-512 VNNI: 8 cores, 32 KiB L1D,
-/// ~2.1 GHz, ~100 GB/s socket bandwidth.
-pub fn xeon_avx512() -> AcceleratorSpec {
-    xeon_avx512_desc().build()
-}
-
-/// Declarative table of the ARM Mali G76.
-pub fn mali_g76_desc() -> AcceleratorDesc {
-    AcceleratorDesc {
-        name: "mali-g76".into(),
-        levels: vec![
-            LevelDesc::new("dot-unit", 1, 1024, 32.0),
-            LevelDesc::new("engine", 3, 0, 0.0),
-            LevelDesc::new("core", 1, 16 * 1024, 16.0), // load/store cache
-            // ~15 GB/s / 0.8 GHz ≈ 19 B/cycle.
-            LevelDesc::new("device", 12, 4u64 << 30, 19.0),
-        ],
-        intrinsics: vec![arm_dot4_desc()],
-        clock_ghz: 0.8,
-        scalar_ops_per_core_cycle: 8.0,
-    }
-}
-
-/// ARM Mali G76 (Bifrost): 12 cores x 3 execution engines with `arm_dot`,
-/// ~0.8 GHz, ~15 GB/s LPDDR bandwidth.
-pub fn mali_g76() -> AcceleratorSpec {
-    mali_g76_desc().build()
-}
-
-/// Declarative table of the Figure-3 mini accelerator.
-pub fn mini_accel_desc() -> AcceleratorDesc {
-    AcceleratorDesc {
-        name: "mini".into(),
-        levels: vec![
-            LevelDesc::new("pe-array", 1, 256, 8.0),
-            LevelDesc::new("core", 2, 1024, 8.0),
-            LevelDesc::new("device", 2, 1 << 20, 16.0),
-        ],
-        intrinsics: vec![mini_mma_desc()],
-        clock_ghz: 1.0,
-        scalar_ops_per_core_cycle: 1.0,
-    }
-}
-
-/// The tiny accelerator of the Figure 3 running example: a 2x2x2 matrix
-/// unit with just enough staging memory to exercise every constraint.
-pub fn mini_accel() -> AcceleratorSpec {
-    mini_accel_desc().build()
-}
-
-/// Declarative table of the Ascend-910-style NPU: a cube matrix engine plus
-/// a 32-lane vector MAC unit as a heterogeneous extra.
-pub fn ascend_npu_desc() -> AcceleratorDesc {
-    let cube = IntrinsicDesc {
-        name: "cube_mma".into(),
-        ..wmma_desc(48, 24)
+/// `(repository path, contents)` of each named file under `data/accels/`.
+macro_rules! embed {
+    ($($file:literal),* $(,)?) => {
+        [$((
+            concat!("data/accels/", $file),
+            include_str!(concat!("../../../data/accels/", $file)),
+        )),*]
     };
-    let vector = IntrinsicDesc {
-        name: "vec_mac".into(),
-        iters: vec![IterDesc::spatial("i1", 32), IterDesc::reduce("r1", 4)],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0, 1]),
-            OperandDesc::simple("Src2", &[1]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::Implicit,
-        latency: 6,
-        initiation_interval: 1,
-        src_dtype: DType::F16,
-        acc_dtype: DType::F32,
-    };
-    AcceleratorDesc {
-        name: "ascend-npu".into(),
-        levels: vec![
-            LevelDesc::new("pe-array", 1, 64 * 1024, 256.0),
-            LevelDesc::new("ai-core", 2, 192 * 1024, 256.0),
-            LevelDesc::new("device", 32, 32u64 << 30, 800.0),
-        ],
-        intrinsics: vec![cube, vector],
-        clock_ghz: 1.0,
-        scalar_ops_per_core_cycle: 16.0,
-    }
 }
 
-/// An Ascend-910-style NPU with *heterogeneous* units (paper Fig 1 cites
-/// Ascend's cube and vector units): a 16x16x16 cube matrix engine as the
-/// primary intrinsic plus a 32-lane vector MAC unit. The explorer picks the
-/// better unit per operator via `Explorer::explore_multi`.
-pub fn ascend_npu() -> AcceleratorSpec {
-    ascend_npu_desc().build()
+/// The committed machine files, in catalog order — the order
+/// `--list-accels` prints and the registry tests pin.
+const FILES: [(&str, &str); 12] = embed![
+    "v100.toml",
+    "a100.toml",
+    "t4.toml",
+    "xeon-avx512.toml",
+    "mali-g76.toml",
+    "mini.toml",
+    "ascend-npu.toml",
+    "tpu-like.toml",
+    "gemmini-like.toml",
+    "virtual-axpy.toml",
+    "virtual-gemv.toml",
+    "virtual-conv.toml",
+];
+
+/// Parses one embedded file; the error names the file and line.
+fn parse_embedded(file: &str, text: &str) -> Result<AcceleratorDesc, FileError> {
+    AcceleratorDesc::from_text(text).map_err(|e| FileError {
+        file: file.into(),
+        error: AccelError::Text(e),
+    })
 }
 
-/// Declarative table of the TPU-v1-style device.
-pub fn tpu_like_desc() -> AcceleratorDesc {
-    let mxu = IntrinsicDesc {
-        name: "mxu_128x128".into(),
-        iters: vec![
-            IterDesc::spatial("i1", 128),
-            IterDesc::spatial("i2", 128),
-            IterDesc::reduce("r1", 128),
-        ],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0, 2]),
-            OperandDesc::simple("Src2", &[2, 1]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0, 1]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::fragment("load_tile", "store_tile"),
-        latency: 256,
-        initiation_interval: 128,
-        src_dtype: DType::I8,
-        acc_dtype: DType::I32,
-    };
-    AcceleratorDesc {
-        name: "tpu-like".into(),
-        levels: vec![
-            // Accumulators + weight FIFO.
-            LevelDesc::new("mxu", 1, 256 * 1024, 512.0),
-            // 24 MiB unified buffer.
-            LevelDesc::new("core", 1, 24 * 1024 * 1024, 256.0),
-            LevelDesc::new("device", 2, 8u64 << 30, 128.0),
-        ],
-        intrinsics: vec![mxu],
-        clock_ghz: 0.7,
-        scalar_ops_per_core_cycle: 4.0,
-    }
+/// The parsed catalog. The text is a compile-time constant, so this is a
+/// lazily built constant: written once, never invalidated. Panics only if
+/// the binary was built from an invalid committed catalog, which the
+/// `every_embedded_file_parses_and_builds` test reports by file and line.
+fn table() -> &'static [AcceleratorDesc] {
+    static TABLE: OnceLock<Vec<AcceleratorDesc>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        FILES
+            .iter()
+            .map(|(file, text)| {
+                parse_embedded(file, text)
+                    .unwrap_or_else(|e| panic!("invalid committed catalog: {e}"))
+            })
+            .collect()
+    })
 }
 
-/// A TPU-v1-style device (the paper's canonical systolic example): one huge
-/// 128x128x128 matrix unit per core, few cores, large unified buffer. The
-/// giant problem size makes padding the dominant effect for small operators.
-pub fn tpu_like() -> AcceleratorSpec {
-    tpu_like_desc().build()
+fn machine(name: &str) -> &'static AcceleratorDesc {
+    table()
+        .iter()
+        .find(|desc| desc.name == name)
+        .unwrap_or_else(|| panic!("`{name}` is not in the embedded catalog"))
 }
 
-/// Declarative table of the Gemmini-style systolic array.
-pub fn gemmini_like_desc() -> AcceleratorDesc {
-    let systolic = IntrinsicDesc {
-        name: "gemmini_matmul".into(),
-        iters: vec![
-            IterDesc::spatial("i1", 16),
-            IterDesc::spatial("i2", 16),
-            IterDesc::reduce("r1", 16),
-        ],
-        srcs: vec![
-            OperandDesc::simple("Src1", &[0, 2]),
-            OperandDesc::simple("Src2", &[2, 1]),
-        ],
-        dst: OperandDesc::simple("Dst", &[0, 1]),
-        op: OpKind::MulAcc,
-        memory: MemoryDesc::fragment("mvin", "mvout"),
-        latency: 48,
-        initiation_interval: 16,
-        src_dtype: DType::I8,
-        acc_dtype: DType::I32,
-    };
-    AcceleratorDesc {
-        name: "gemmini-like".into(),
-        levels: vec![
-            LevelDesc::new("systolic-array", 1, 64 * 1024, 64.0), // accumulator SRAM
-            LevelDesc::new("core", 1, 256 * 1024, 64.0),          // scratchpad
-            LevelDesc::new("device", 1, 4u64 << 30, 32.0),
-        ],
-        intrinsics: vec![systolic],
-        clock_ghz: 1.0,
-        scalar_ops_per_core_cycle: 2.0,
-    }
-}
-
-/// A Gemmini-style INT8 systolic array (16x16x16), the paper's example of an
-/// academic generator-produced accelerator.
-pub fn gemmini_like() -> AcceleratorSpec {
-    gemmini_like_desc().build()
-}
-
-/// The shared hierarchy of the §7.5 virtual accelerators, around one unit.
-fn virtual_desc(name: &str, intrinsic: IntrinsicDesc) -> AcceleratorDesc {
-    AcceleratorDesc {
-        name: name.into(),
-        levels: vec![
-            LevelDesc::new("pe-array", 1, 16 * 1024, 64.0),
-            LevelDesc::new("core", 4, 64 * 1024, 64.0),
-            LevelDesc::new("device", 16, 8u64 << 30, 256.0),
-        ],
-        intrinsics: vec![intrinsic],
-        clock_ghz: 1.0,
-        scalar_ops_per_core_cycle: 4.0,
-    }
-}
-
-/// Declarative table of the §7.5 virtual AXPY accelerator.
-pub fn virtual_axpy_desc() -> AcceleratorDesc {
-    virtual_desc("virtual-axpy", axpy_unit_desc())
-}
-
-/// §7.5 virtual spatial accelerator built around the AXPY unit.
-pub fn virtual_axpy() -> AcceleratorSpec {
-    virtual_axpy_desc().build()
-}
-
-/// Declarative table of the §7.5 virtual GEMV accelerator.
-pub fn virtual_gemv_desc() -> AcceleratorDesc {
-    virtual_desc("virtual-gemv", gemv_unit_desc())
-}
-
-/// §7.5 virtual spatial accelerator built around the GEMV unit.
-pub fn virtual_gemv() -> AcceleratorSpec {
-    virtual_gemv_desc().build()
-}
-
-/// Declarative table of the §7.5 virtual CONV accelerator.
-pub fn virtual_conv_desc() -> AcceleratorDesc {
-    virtual_desc("virtual-conv", conv_unit_desc())
-}
-
-/// §7.5 virtual spatial accelerator built around the CONV unit.
-pub fn virtual_conv() -> AcceleratorSpec {
-    virtual_conv_desc().build()
+/// The primary intrinsic of the named machine.
+fn unit(name: &str) -> Intrinsic {
+    machine(name).intrinsics[0].build()
 }
 
 /// Every accelerator description in the catalog, in catalog order — the
 /// data the builtin [`crate::Registry`] is populated from.
 pub fn descriptors() -> Vec<AcceleratorDesc> {
-    vec![
-        v100_desc(),
-        a100_desc(),
-        t4_desc(),
-        xeon_avx512_desc(),
-        mali_g76_desc(),
-        mini_accel_desc(),
-        ascend_npu_desc(),
-        tpu_like_desc(),
-        gemmini_like_desc(),
-        virtual_axpy_desc(),
-        virtual_gemv_desc(),
-        virtual_conv_desc(),
-    ]
+    table().to_vec()
 }
 
 /// Every accelerator in the catalog, for sweep-style tests and benches.
 pub fn all_accelerators() -> Vec<AcceleratorSpec> {
-    descriptors().iter().map(AcceleratorDesc::build).collect()
+    table().iter().map(AcceleratorDesc::build).collect()
+}
+
+/// `v100`'s unit: the 16x16x16 f16 `mma_sync` WMMA intrinsic with explicit
+/// `load_matrix_sync`/`store_matrix_sync` memory intrinsics.
+pub fn wmma_16x16x16() -> Intrinsic {
+    unit("v100")
+}
+
+/// `mini`'s unit: the simplified 2x2x2 Tensor Core of the paper's Figure 3.
+pub fn mini_mma_2x2x2() -> Intrinsic {
+    unit("mini")
+}
+
+/// `xeon-avx512`'s unit: `_mm512_dpbusds_epi32` used as the paper does
+/// (§7.5), a 16x4 matrix-vector multiply-accumulate.
+pub fn avx512_vnni() -> Intrinsic {
+    unit("xeon-avx512")
+}
+
+/// `mali-g76`'s unit: `arm_dot`, a 4-element i8 dot product into a scalar.
+pub fn arm_dot4() -> Intrinsic {
+    unit("mali-g76")
+}
+
+/// `virtual-axpy`'s unit (§7.5): `Dst[i1] += Src1[] * Src2[i1]`, 32 lanes.
+pub fn axpy_unit() -> Intrinsic {
+    unit("virtual-axpy")
+}
+
+/// `virtual-gemv`'s unit (§7.5): `Dst[i1] += Src1[i1, r1] * Src2[r1]`.
+pub fn gemv_unit() -> Intrinsic {
+    unit("virtual-gemv")
+}
+
+/// `virtual-conv`'s unit (§7.5): a 1D convolution engine
+/// `Dst[i1, i2] += Src1[r1, i2 + r2] * Src2[i1, r1, r2]`.
+pub fn conv_unit() -> Intrinsic {
+    unit("virtual-conv")
+}
+
+/// NVIDIA V100 (Volta), `data/accels/v100.toml`.
+pub fn v100() -> AcceleratorSpec {
+    machine("v100").build()
+}
+
+/// NVIDIA A100 (Ampere), `data/accels/a100.toml`.
+pub fn a100() -> AcceleratorSpec {
+    machine("a100").build()
+}
+
+/// Intel Xeon with AVX-512 VNNI, `data/accels/xeon-avx512.toml`.
+pub fn xeon_avx512() -> AcceleratorSpec {
+    machine("xeon-avx512").build()
+}
+
+/// ARM Mali G76 (Bifrost), `data/accels/mali-g76.toml`.
+pub fn mali_g76() -> AcceleratorSpec {
+    machine("mali-g76").build()
+}
+
+/// The tiny accelerator of the Figure 3 running example,
+/// `data/accels/mini.toml`.
+pub fn mini_accel() -> AcceleratorSpec {
+    machine("mini").build()
+}
+
+/// An Ascend-910-style NPU with *heterogeneous* units (cube matrix engine
+/// plus vector MAC unit), `data/accels/ascend-npu.toml`.
+pub fn ascend_npu() -> AcceleratorSpec {
+    machine("ascend-npu").build()
+}
+
+/// §7.5 virtual accelerator around the AXPY unit,
+/// `data/accels/virtual-axpy.toml`.
+pub fn virtual_axpy() -> AcceleratorSpec {
+    machine("virtual-axpy").build()
+}
+
+/// §7.5 virtual accelerator around the GEMV unit,
+/// `data/accels/virtual-gemv.toml`.
+pub fn virtual_gemv() -> AcceleratorSpec {
+    machine("virtual-gemv").build()
+}
+
+/// §7.5 virtual accelerator around the CONV unit,
+/// `data/accels/virtual-conv.toml`.
+pub fn virtual_conv() -> AcceleratorSpec {
+    machine("virtual-conv").build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abstraction::OperandRef;
+    use crate::Registry;
     use amos_ir::BinMatrix;
+
+    fn builtin(name: &str) -> AcceleratorSpec {
+        Registry::builtin()
+            .build(name)
+            .unwrap_or_else(|| panic!("registry must know `{name}`"))
+    }
+
+    /// The one place a bad edit to a `.toml` shows up by name: every other
+    /// test reaches the catalog through [`table`], which can only panic.
+    #[test]
+    fn every_embedded_file_parses_and_builds() {
+        for (file, text) in FILES {
+            let desc = parse_embedded(file, text).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(
+                file,
+                format!("data/accels/{}.toml", desc.name),
+                "a machine file is named after its machine"
+            );
+            assert_eq!(desc.build().name, desc.name);
+        }
+    }
 
     #[test]
     fn vnni_access_matrix() {
@@ -624,13 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn descriptors_match_constructed_accelerators() {
-        // The public constructors are thin builds of the descriptor tables;
-        // the two views of the catalog must agree entry by entry.
-        let built: Vec<AcceleratorSpec> =
-            descriptors().iter().map(AcceleratorDesc::build).collect();
-        assert_eq!(built, all_accelerators());
-        let names: Vec<&str> = built.iter().map(|a| a.name.as_str()).collect();
+    fn catalog_order_is_pinned() {
+        let names: Vec<String> = all_accelerators().into_iter().map(|a| a.name).collect();
         assert_eq!(
             names,
             vec![
@@ -652,7 +293,7 @@ mod tests {
 
     #[test]
     fn tpu_mxu_dwarfs_the_tensor_core_tile() {
-        let tpu = tpu_like();
+        let tpu = builtin("tpu-like");
         assert_eq!(tpu.intrinsic.compute.problem_size(), vec![128, 128, 128]);
         assert_eq!(tpu.intrinsic.scalar_ops(), 128 * 128 * 128);
         // i8 fragments fit the MXU-side memory.
@@ -661,14 +302,14 @@ mod tests {
 
     #[test]
     fn t4_sits_between_nothing_and_v100() {
-        let (t4, v) = (t4(), v100());
+        let (t4, v) = (builtin("t4"), v100());
         assert!(t4.total_pe_arrays() < v.total_pe_arrays());
         assert!(t4.peak_tensor_ops_per_cycle() < v.peak_tensor_ops_per_cycle());
     }
 
     #[test]
     fn gemmini_is_a_single_core_device() {
-        let g = gemmini_like();
+        let g = builtin("gemmini-like");
         assert_eq!(g.total_pe_arrays(), 1);
         assert_eq!(g.intrinsic.name, "gemmini_matmul");
     }

@@ -14,15 +14,16 @@
 //!   catalog, extensible with new accelerators (§7.5) and layerable with
 //!   on-disk machines via [`Registry::load_dir`],
 //! * [`text`] — the versioned on-disk text format (`to_text`/`from_text`
-//!   with line-numbered diagnostics) behind the `data/accels/` catalog,
+//!   with line-numbered diagnostics) the machine files are written in,
 //! * [`isa`] — primitive intrinsic-ISA descriptions and
 //!   [`derive_abstraction`], which computes iteration kinds (Algorithm-1
 //!   constraint-matrix inputs) and memory stride/fragment parameters
 //!   automatically,
-//! * [`catalog`] — Tensor Core (V100/A100/T4), AVX-512 VNNI, Mali
-//!   `arm_dot`, the Figure-3 mini accelerator, TPU/Gemmini/Ascend-style
-//!   devices, and the §7.5 virtual AXPY/GEMV/CONV accelerators — all
-//!   authored as descriptor tables.
+//! * [`catalog`] — the built-in machines: Tensor Core (V100/A100/T4),
+//!   AVX-512 VNNI, Mali `arm_dot`, the Figure-3 mini accelerator,
+//!   TPU/Gemmini/Ascend-style devices, and the §7.5 virtual AXPY/GEMV/CONV
+//!   accelerators. Each is defined by one `data/accels/<name>.toml`,
+//!   embedded at compile time; the module's functions are lookups.
 //!
 //! ## Example
 //!

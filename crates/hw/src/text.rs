@@ -20,7 +20,7 @@
 //! validates exactly the invariants that
 //! [`AcceleratorDesc::build`] asserts, so a parsed description can always be
 //! built. Serialization is deterministic, so the committed `data/accels/`
-//! catalog can be pinned byte-for-byte against `to_text` of the built-ins.
+//! catalog can be held to the writer's layout (comment lines aside).
 //!
 //! Names that appear in *unquoted positions* of the grammar — the machine
 //! name, iteration names and operand names inside `"Src1[i1, r1]"` strings —
@@ -1467,6 +1467,11 @@ pub fn parse_any(text: &str) -> Result<AnyDesc, TextError> {
     }
 }
 
+/// Files larger than this are rejected unread: the committed machines are
+/// about 1 KiB, and a `--accel-dir` must not make the loader read gigabytes
+/// before the parser sees a byte.
+const MAX_FILE_BYTES: u64 = 1024 * 1024;
+
 fn file_err(path: &Path, error: AccelError) -> FileError {
     FileError {
         file: path.to_path_buf(),
@@ -1478,8 +1483,13 @@ fn file_err(path: &Path, error: AccelError) -> FileError {
 /// is a primitive ISA description. Returns the (possibly derived) description
 /// and which kind the file declared.
 pub fn load_path(path: &Path) -> Result<(AcceleratorDesc, SourceKind), FileError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| file_err(path, AccelError::Io(e.to_string())))?;
+    let io = |e: std::io::Error| file_err(path, AccelError::Io(e.to_string()));
+    let len = std::fs::metadata(path).map_err(io)?.len();
+    if len > MAX_FILE_BYTES {
+        let msg = format!("{len} bytes exceeds the {MAX_FILE_BYTES}-byte limit for machine files");
+        return Err(file_err(path, AccelError::Io(msg)));
+    }
+    let text = std::fs::read_to_string(path).map_err(io)?;
     match parse_any(&text).map_err(|e| file_err(path, AccelError::Text(e)))? {
         AnyDesc::Accelerator(desc) => Ok((desc, SourceKind::Accelerator)),
         AnyDesc::Isa(isa) => {

@@ -1,14 +1,20 @@
-//! The committed on-disk catalog (`data/accels/*.toml`) is the single source
-//! of truth for what the text format ships:
+//! The committed on-disk catalog (`data/accels/*.toml`) is the source of the
+//! built-in machines: `amos-hw` embeds the files at compile time and
+//! `Registry::builtin()` is their parse. These tests check that the one
+//! catalog is well formed:
 //!
-//! * **Byte identity** — every committed file is exactly
-//!   `desc.to_text()` of its Rust catalog twin, so regenerating the catalog
-//!   (`amos accel export --all --out data/accels`) is a no-op until the Rust
-//!   side changes, and a drifted file fails here first.
+//! * **Canonical form** — every committed file, comment lines aside, is
+//!   exactly what `to_text` writes for the description it parses to, so
+//!   files stay in the writer's layout and a hand edit that reorders keys or
+//!   reformats a value fails here.
+//! * **Embedded equals on disk** — `Registry::builtin()` equals a plain
+//!   `load_path` of each file, which fails on an edit without a rebuild or a
+//!   stale `include_str!` path.
 //! * **Reload identity** — `Registry::load_dir("data/accels")` parses every
 //!   file back to a `PartialEq`-identical description, in unchanged registry
 //!   order.
-//! * **Golden exploration** — machines built *from the files* reproduce the
+//! * **Golden exploration** — machines loaded through the file-read path
+//!   (from a temporary copy of the directory) reproduce the
 //!   [`common::GOLDEN`] exploration rows bit-identically (cycles via
 //!   `f64::to_bits`, plus every search counter).
 //! * **Derivation equivalence** — for the machines expressible as a
@@ -18,31 +24,47 @@
 
 mod common;
 
-use amos::core::{Engine, MappingGenerator};
+use amos::core::MappingGenerator;
 use amos::hw::{derive_abstraction, AcceleratorDesc, IsaDesc, Registry};
 use amos::workloads::ops;
-use common::{candidate, golden_config, GOLDEN};
+use common::{assert_golden_rows, GOLDEN};
 use std::path::{Path, PathBuf};
 
 fn data_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("data/accels")
 }
 
+/// The lines of `text` that are not whole-line `#` comments.
+fn without_comment_lines(text: &str) -> Vec<&str> {
+    text.lines().filter(|l| !l.starts_with('#')).collect()
+}
+
 #[test]
-fn committed_files_are_byte_identical_to_the_catalog_export() {
+fn committed_files_are_in_canonical_form() {
+    for name in Registry::builtin().names() {
+        let path = data_dir().join(format!("{name}.toml"));
+        let on_disk =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let parsed = AcceleratorDesc::from_text(&on_disk)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            without_comment_lines(&on_disk),
+            without_comment_lines(&parsed.to_text()),
+            "{} is not in the layout `to_text` writes (comment lines aside)",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn embedded_catalog_equals_the_files_on_disk() {
     for desc in Registry::builtin().descs() {
         let path = data_dir().join(format!("{}.toml", desc.name));
-        let on_disk = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{}: {e} (regenerate with `amos accel export --all --out data/accels`)",
-                path.display()
-            )
-        });
+        let (on_disk, _kind) = amos::hw::text::load_path(&path).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
-            on_disk,
-            desc.to_text(),
-            "{} drifted from the Rust catalog; regenerate with \
-             `amos accel export --all --out data/accels`",
+            &on_disk,
+            desc,
+            "{} differs from the copy embedded in this build",
             path.display()
         );
     }
@@ -80,44 +102,25 @@ fn load_dir_reloads_the_catalog_identically() {
     }
 }
 
+/// Loads from a temporary copy of the directory, so every machine explored
+/// here came through the file-read path; `registry_roundtrip.rs` runs the
+/// same rows through the embedded catalog.
 #[test]
 fn file_loaded_machines_reproduce_the_golden_rows_bit_identically() {
-    let registry = Registry::load_dir(data_dir()).expect("committed catalog must load");
-    for &(name, label, cycles_bits, num_mappings, sim_failures, screened, survivor, measured) in
-        GOLDEN
-    {
-        let accel = registry
-            .build(name)
-            .unwrap_or_else(|| panic!("file-loaded registry must know `{name}`"));
-        let engine = Engine::with_config(golden_config());
-        let r = engine
-            .explore_op(&candidate(label), &accel)
-            .unwrap_or_else(|e| panic!("`{label}` must map onto file-loaded `{name}`: {e}"));
-        assert_eq!(
-            r.cycles().to_bits(),
-            cycles_bits,
-            "`{name}` from file: cycles drifted ({} vs golden {})",
-            r.cycles(),
-            f64::from_bits(cycles_bits),
-        );
-        assert_eq!(r.num_mappings, num_mappings, "`{name}` from file: mappings");
-        assert_eq!(
-            r.sim_failures, sim_failures,
-            "`{name}` from file: sim failures"
-        );
-        assert_eq!(
-            r.screening.screened, screened,
-            "`{name}` from file: screened"
-        );
-        assert_eq!(
-            r.screening.survivor_memo_hits, survivor,
-            "`{name}` from file: survivor memo hits"
-        );
-        assert_eq!(
-            r.screening.measured_memo_hits, measured,
-            "`{name}` from file: measured memo hits"
-        );
+    let copy = std::env::temp_dir().join(format!("amos-accel-files-copy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&copy);
+    std::fs::create_dir_all(&copy).unwrap();
+    for entry in std::fs::read_dir(data_dir()).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
     }
+    let mut registry = Registry::new();
+    let loaded = registry
+        .extend_from_dir(&copy)
+        .expect("committed catalog must load");
+    std::fs::remove_dir_all(&copy).unwrap();
+    assert_eq!(loaded.len(), GOLDEN.len(), "one file per golden row");
+    assert_golden_rows(&registry, "files on disk");
 }
 
 /// Satellite 4, catalog half: every built-in expressible in the primitive
@@ -182,12 +185,15 @@ fn isa_files_load_equivalently_to_accelerator_files() {
     // And the canonical text of the loaded machine matches the committed
     // accelerator-kind file.
     let committed = std::fs::read_to_string(data_dir().join("tpu-like.toml")).unwrap();
-    assert_eq!(reg.get("tpu-like").unwrap().to_text(), committed);
+    assert_eq!(
+        without_comment_lines(&reg.get("tpu-like").unwrap().to_text()),
+        without_comment_lines(&committed)
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The text-format version string appears in every committed file, so a
-/// future format bump forces a regeneration commit.
+/// future format bump forces a commit that rewrites them.
 #[test]
 fn committed_files_declare_format_one() {
     for desc in Registry::builtin().descs() {

@@ -1,13 +1,15 @@
 //! Shared fixtures for the top-level golden suites: the exploration budget
 //! the golden values were captured under, the per-machine candidate
 //! operators, and the golden result table itself (one row per built-in
-//! accelerator). `registry_roundtrip.rs` checks the Rust catalog against it;
-//! `accel_files.rs` checks the committed `data/accels/` files reproduce the
-//! same rows bit-identically.
+//! accelerator). `registry_roundtrip.rs` checks the catalog embedded in the
+//! build (`Registry::builtin()`) against it; `accel_files.rs` checks that the
+//! same `data/accels/` files, read from disk, reproduce the same rows
+//! bit-identically.
 
 #![allow(dead_code)]
 
-use amos::core::ExplorerConfig;
+use amos::core::{Engine, ExplorerConfig};
+use amos::hw::Registry;
 use amos::ir::ComputeDef;
 use amos::workloads::ops::{self, ConvShape};
 
@@ -74,3 +76,41 @@ pub const GOLDEN: &[GoldenRow] = &[
     ("virtual-gemv", "gmm", 0x40b0100000000000, 2, 0, 58, 9, 6),
     ("virtual-conv", "c2d", 0x40a06c0000000000, 4, 0, 79, 12, 6),
 ];
+
+/// Explores every [`GOLDEN`] row on the machine `registry` builds under that
+/// name and requires bit-identical cycles (via `f64::to_bits`) and identical
+/// search counters. `origin` says where the registry's machines came from.
+pub fn assert_golden_rows(registry: &Registry, origin: &str) {
+    for &(name, label, cycles_bits, num_mappings, sim_failures, screened, survivor, measured) in
+        GOLDEN
+    {
+        let accel = registry
+            .build(name)
+            .unwrap_or_else(|| panic!("{origin}: registry must know `{name}`"));
+        assert_eq!(accel.name, name, "registry key must match the spec name");
+        let engine = Engine::with_config(golden_config());
+        let r = engine
+            .explore_op(&candidate(label), &accel)
+            .unwrap_or_else(|e| panic!("{origin}: `{label}` must map onto `{name}`: {e}"));
+        assert_eq!(
+            r.cycles().to_bits(),
+            cycles_bits,
+            "{origin}: `{name}` cycles drifted ({} vs golden {})",
+            r.cycles(),
+            f64::from_bits(cycles_bits),
+        );
+        let counters = (
+            r.num_mappings,
+            r.sim_failures,
+            r.screening.screened,
+            r.screening.survivor_memo_hits,
+            r.screening.measured_memo_hits,
+        );
+        assert_eq!(
+            counters,
+            (num_mappings, sim_failures, screened, survivor, measured),
+            "{origin}: `{name}` (mappings, sim failures, screened, survivor memo hits, \
+             measured memo hits)"
+        );
+    }
+}

@@ -1,16 +1,18 @@
-//! Registry round-trip: every built-in accelerator, built by name from the
-//! declarative registry and explored through the staged [`Engine`], must
-//! reproduce the exploration results captured on the pre-refactor pipeline
-//! (hand-written catalog specs + a bare `Explorer`) — bit-identical cycles
-//! (compared via `f64::to_bits`) and identical search counters.
+//! Registry round-trip: every built-in accelerator, built by name from
+//! `Registry::builtin()` (the `data/accels/*.toml` files embedded in the
+//! build) and explored through the staged [`Engine`], must reproduce the
+//! golden exploration results — bit-identical cycles (compared via
+//! `f64::to_bits`) and identical search counters. The rows were captured
+//! before the registry, the description layer and the Engine existed, from
+//! directly constructed specs and a bare `Explorer`.
 //!
-//! This pins down three refactors at once: the desc layer lowers to specs
-//! `PartialEq`-identical to the hand-written ones, the registry resolves the
-//! same machines the catalog functions built, and the Engine's cache-backed
-//! `explore_op` is observationally equivalent to an uncached `explore_multi`.
+//! This pins down three things at once: the parsed descriptions lower to
+//! the specs the rows were recorded on, the registry resolves every machine
+//! by name, and the Engine's cache-backed `explore_op` is observationally
+//! equivalent to an uncached `explore_multi`.
 //!
-//! (The same [`common::GOLDEN`] table also pins the on-disk catalog — see
-//! `accel_files.rs`.)
+//! (`accel_files.rs` runs the same [`common::GOLDEN`] table through the
+//! file-read path.)
 
 mod common;
 
@@ -20,43 +22,11 @@ use amos::hw::{
 };
 use amos::ir::{DType, OpKind};
 use amos::workloads::ops;
-use common::{candidate, golden_config, GOLDEN};
+use common::{assert_golden_rows, golden_config, GOLDEN};
 
 #[test]
 fn registry_reproduces_pre_refactor_results_bit_identically() {
-    let registry = Registry::builtin();
-    for &(name, label, cycles_bits, num_mappings, sim_failures, screened, survivor, measured) in
-        GOLDEN
-    {
-        let accel = registry
-            .build(name)
-            .unwrap_or_else(|| panic!("registry must know `{name}`"));
-        assert_eq!(accel.name, name, "registry key must match the spec name");
-        let def = candidate(label);
-        let engine = Engine::with_config(golden_config());
-        let r = engine
-            .explore_op(&def, &accel)
-            .unwrap_or_else(|e| panic!("`{label}` must map onto `{name}`: {e}"));
-        assert_eq!(
-            r.cycles().to_bits(),
-            cycles_bits,
-            "`{name}`: cycles drifted from the pre-refactor pipeline \
-             ({} vs golden {})",
-            r.cycles(),
-            f64::from_bits(cycles_bits),
-        );
-        assert_eq!(r.num_mappings, num_mappings, "`{name}`: mapping count");
-        assert_eq!(r.sim_failures, sim_failures, "`{name}`: sim failures");
-        assert_eq!(r.screening.screened, screened, "`{name}`: screened");
-        assert_eq!(
-            r.screening.survivor_memo_hits, survivor,
-            "`{name}`: survivor memo hits"
-        );
-        assert_eq!(
-            r.screening.measured_memo_hits, measured,
-            "`{name}`: measured memo hits"
-        );
-    }
+    assert_golden_rows(&Registry::builtin(), "embedded catalog");
 }
 
 #[test]
