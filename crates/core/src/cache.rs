@@ -21,6 +21,7 @@ use crate::mapping::Mapping;
 use amos_hw::AcceleratorSpec;
 use amos_ir::ComputeDef;
 use amos_sim::Schedule;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -158,8 +159,8 @@ impl ExplorationCache {
         accel: &AcceleratorSpec,
         shape: Option<&str>,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_warm(explorer, def, accel, shape, |warm| {
-            explorer.explore_multi_cached(def, accel, Some(self), warm)
+        self.explore_warm(explorer, def, accel, shape, |stem, warm| {
+            explorer.explore_multi_cached(def, accel, Some((self, stem)), warm)
         })
     }
 
@@ -174,12 +175,13 @@ impl ExplorationCache {
         accel: &AcceleratorSpec,
         units: &[LoweredUnit],
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_warm(explorer, def, accel, None, |warm| {
-            explorer.explore_units_cached(def, accel, units, Some(self), warm)
+        self.explore_warm(explorer, def, accel, None, |stem, warm| {
+            explorer.explore_units_cached(def, accel, units, Some((self, stem)), warm)
         })
     }
 
-    /// The shared top-level lookup: resolve the structural key, probe L1
+    /// The shared top-level lookup: render the call's [`KeyStem`] (every key
+    /// below, the refinement rounds' included, derives from it), probe L1
     /// then the persistent L2, consult the similarity index on a full miss
     /// (when enabled), run, then record the clean winner as a donor for
     /// future shapes of the same class. The donor is resolved *before* the
@@ -194,15 +196,16 @@ impl ExplorationCache {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
         shape: Option<&str>,
-        run: impl FnOnce(Option<&WarmStart>) -> Result<ExplorationResult, ExploreError>,
+        run: impl FnOnce(&KeyStem, Option<&WarmStart>) -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let key = fingerprint("multi", explorer.config(), def, accel, shape);
+        let stem = KeyStem::new(explorer.config(), def, accel, shape);
+        let key = stem.key("multi");
         if let Some(hit) = self.probe_tiers(&key, def, accel) {
-            self.record_warm_start(def, accel, &hit);
+            self.record_warm_start(&stem, def, &hit);
             return hit;
         }
         let warm = if explorer.config().warm_start {
-            self.find_warm_start(def, accel)
+            self.find_warm_start(&stem, def)
         } else {
             None
         };
@@ -214,9 +217,9 @@ impl ExplorationCache {
             &self.misses
         };
         miss_counter.fetch_add(1, Ordering::Relaxed);
-        let result = run(warm.as_ref());
+        let result = run(&stem, warm.as_ref());
         self.insert(key, &result);
-        self.record_warm_start(def, accel, &result);
+        self.record_warm_start(&stem, def, &result);
         result
     }
 
@@ -264,8 +267,8 @@ impl ExplorationCache {
     /// sorted by extents, so ties resolve to the lexicographically smallest
     /// donor shape — deterministic for a fixed cache *population*,
     /// independent of the order explorations completed in.
-    fn find_warm_start(&self, def: &ComputeDef, accel: &AcceleratorSpec) -> Option<WarmStart> {
-        let key = warm_key(def, accel);
+    fn find_warm_start(&self, stem: &KeyStem, def: &ComputeDef) -> Option<WarmStart> {
+        let key = stem.warm_key(def);
         let extents: Vec<i64> = def.iters().iter().map(|it| it.extent).collect();
         let index = self.warm_index.lock().expect("warm index lock");
         let donors = index.get(&key)?;
@@ -295,15 +298,15 @@ impl ExplorationCache {
     /// concurrent explorations complete in.
     fn record_warm_start(
         &self,
+        stem: &KeyStem,
         def: &ComputeDef,
-        accel: &AcceleratorSpec,
         result: &Result<ExplorationResult, ExploreError>,
     ) {
         let Ok(r) = result else { return };
         if r.completion != Completion::Finished {
             return;
         }
-        let key = warm_key(def, accel);
+        let key = stem.warm_key(def);
         let extents: Vec<i64> = def.iters().iter().map(|it| it.extent).collect();
         let mut index = self.warm_index.lock().expect("warm index lock");
         let donors = index.entry(key).or_default();
@@ -321,36 +324,23 @@ impl ExplorationCache {
         );
     }
 
-    /// Memoises one refinement sub-run. Counted under the refinement
-    /// counters, not [`ExplorationCache::stats`].
+    /// Memoises one refinement sub-run of the call `stem` was rendered for
+    /// (or of one of its units, see [`KeyStem::retarget`]). Counted under
+    /// the refinement counters, not [`ExplorationCache::stats`].
     pub(crate) fn refine_tagged(
         &self,
         tag: &str,
-        config: &ExplorerConfig,
-        def: &ComputeDef,
-        accel: &AcceleratorSpec,
+        stem: &KeyStem,
         run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let key = fingerprint(tag, config, def, accel, None);
-        self.run_counted(key, run, &self.refine_hits, &self.refine_misses)
+        self.run_counted(stem.key(tag), run, &self.refine_hits, &self.refine_misses)
     }
 
     /// Memoises an arbitrary exploration flavour under an extra `tag`
     /// (e.g. a fixed-mapping baseline's template name). The tag keeps
-    /// different flavours over the same shape from colliding.
-    pub fn explore_tagged(
-        &self,
-        tag: &str,
-        explorer: &Explorer,
-        def: &ComputeDef,
-        accel: &AcceleratorSpec,
-        run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
-    ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_tagged_shaped(tag, explorer, def, accel, None, run)
-    }
-
-    /// [`ExplorationCache::explore_tagged`] with a precomputed
-    /// [`shape_fingerprint`] of `def` (must equal `shape_fingerprint(def)`).
+    /// different flavours over the same shape from colliding. `shape`, when
+    /// given, must equal `shape_fingerprint(def)`; `run` receives the call's
+    /// stem for its refinement rounds.
     pub(crate) fn explore_tagged_shaped(
         &self,
         tag: &str,
@@ -358,9 +348,10 @@ impl ExplorationCache {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
         shape: Option<&str>,
-        run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
+        run: impl FnOnce(&KeyStem) -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let key = fingerprint(tag, explorer.config(), def, accel, shape);
+        let stem = KeyStem::new(explorer.config(), def, accel, shape);
+        let key = stem.key(tag);
         if let Some(hit) = self.probe_tiers(&key, def, accel) {
             return hit;
         }
@@ -369,7 +360,7 @@ impl ExplorationCache {
         // threads racing on the same key both run the (deterministic) search
         // and store identical results — wasteful but correct.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = run();
+        let result = run(&stem);
         self.insert(key, &result);
         result
     }
@@ -419,59 +410,93 @@ fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
     }
 }
 
-/// Structural identity of one exploration request.
+/// Structural identity of one exploration request, minus the tag that names
+/// the flavour of search: everything expensive to format — the shape
+/// fingerprint and the accelerator's `Debug`, ≈ 2 KiB together — rendered
+/// once per top-level call. Every key of the call is a concatenation with
+/// it: `"{tag};" + body` for the call itself and for its refinement rounds,
+/// the operator class plus the `accel:` suffix for the warm-start index.
 ///
 /// Deliberately *excludes* the computation's name (same-shape layers must
 /// share an entry) and `config.jobs` (results are thread-count-invariant).
 /// The [`crate::explore::Budget`] is excluded for the same reason the
 /// policy above is safe: only `Finished` results are stored, and those are
 /// identical under every budget.
-fn fingerprint(
-    tag: &str,
-    config: &ExplorerConfig,
-    def: &ComputeDef,
-    accel: &AcceleratorSpec,
-    shape: Option<&str>,
-) -> String {
-    // Callers may pass `def`'s shape fingerprint when they already computed
-    // one (network evaluation derives per-shape seeds from it), saving the
-    // rebuild; it is the caller's contract that the two match.
-    let owned;
-    let shape = match shape {
-        Some(fp) => {
+#[derive(Debug)]
+pub(crate) struct KeyStem {
+    /// `cfg:…;{shape};[faults:…;]accel:{accel:?}`.
+    body: String,
+    /// Where `accel:` starts in `body`.
+    accel_at: usize,
+}
+
+impl KeyStem {
+    /// Callers may pass `def`'s shape fingerprint when they already computed
+    /// one (network evaluation derives per-shape seeds from it), saving the
+    /// rebuild; it is the caller's contract that the two match.
+    pub(crate) fn new(
+        config: &ExplorerConfig,
+        def: &ComputeDef,
+        accel: &AcceleratorSpec,
+        shape: Option<&str>,
+    ) -> Self {
+        if let Some(fp) = shape {
             debug_assert_eq!(fp, shape_fingerprint(def), "stale shape fingerprint");
-            fp
         }
-        None => {
-            owned = shape_fingerprint(def);
-            &owned
+        let shape = shape.map_or_else(|| Cow::Owned(shape_fingerprint(def)), Cow::Borrowed);
+        let mut body = String::with_capacity(2560);
+        // `warm_start` splits entries: a warm-started result depends on the
+        // cache state at lookup time, so it must never answer a cold lookup.
+        let _ = write!(
+            body,
+            "cfg:{}/{}/{}/{}/{}/w{};{};",
+            config.population,
+            config.generations,
+            config.survivors,
+            config.measure_top,
+            config.seed,
+            config.warm_start as u8,
+            shape,
+        );
+        // An active fault plan changes which candidates survive, so it must
+        // split cache entries (test-harness builds only).
+        #[cfg(feature = "fault-injection")]
+        {
+            let _ = write!(body, "faults:{};", config.faults);
         }
-    };
-    let mut s = String::with_capacity(512);
-    // `warm_start` splits entries: a warm-started result depends on the
-    // cache state at lookup time, so it must never answer a cold lookup.
-    let _ = write!(
-        s,
-        "{tag};cfg:{}/{}/{}/{}/{}/w{};{};",
-        config.population,
-        config.generations,
-        config.survivors,
-        config.measure_top,
-        config.seed,
-        config.warm_start as u8,
-        shape,
-    );
-    // An active fault plan changes which candidates survive, so it must
-    // split cache entries (test-harness builds only).
-    #[cfg(feature = "fault-injection")]
-    {
-        let _ = write!(s, "faults:{};", config.faults);
+        let accel_at = body.len();
+        // The full accelerator description (hierarchy, memories, intrinsics) —
+        // derived Debug covers every field, so two distinct machines never
+        // collide.
+        let _ = write!(body, "accel:{accel:?}");
+        KeyStem { body, accel_at }
     }
-    // The full accelerator description (hierarchy, memories, intrinsics) —
-    // derived Debug covers every field, so two distinct machines never
-    // collide.
-    let _ = write!(s, "accel:{accel:?}");
-    s
+
+    /// The same request against another machine: a unit of a heterogeneous
+    /// accelerator, whose refinement keys name the unit.
+    pub(crate) fn retarget(&self, accel: &AcceleratorSpec) -> Self {
+        let mut body = self.body[..self.accel_at].to_string();
+        let _ = write!(body, "accel:{accel:?}");
+        KeyStem {
+            body,
+            accel_at: self.accel_at,
+        }
+    }
+
+    /// The cache key of this request under `tag`.
+    fn key(&self, tag: &str) -> String {
+        [tag, ";", &self.body].concat()
+    }
+
+    /// Key of the warm-start similarity index: operator class + the full
+    /// accelerator description (a donor tuned for one machine must not seed
+    /// another).
+    fn warm_key(&self, def: &ComputeDef) -> String {
+        let mut s = class_fingerprint(def);
+        s.push(';');
+        s.push_str(&self.body[self.accel_at..]);
+        s
+    }
 }
 
 /// FNV-1a over a string, 64-bit variant — the workspace's one seed/label
@@ -524,15 +549,6 @@ fn class_fingerprint(def: &ComputeDef) -> String {
         let _ = write!(s, "in:{:?};", a);
     }
     let _ = write!(s, "op:{:?}", def.op());
-    s
-}
-
-/// Key of the warm-start similarity index: operator class + the full
-/// accelerator description (a donor tuned for one machine must not seed
-/// another).
-fn warm_key(def: &ComputeDef, accel: &AcceleratorSpec) -> String {
-    let mut s = class_fingerprint(def);
-    let _ = write!(s, ";accel:{accel:?}");
     s
 }
 
@@ -883,6 +899,101 @@ mod tests {
         assert_eq!(second.stats().hits, 1);
         assert_eq!(second.stats().l2_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The entry the parent of the `KeyStem` change (commit 8e11c70, one
+    /// `fingerprint` call per key) wrote for `small_explorer(11)` on the
+    /// 64-cubed GEMM on v100. It goes stale, and is to be rewritten by the
+    /// commit that does it, when the version salt, the entry layout, the key
+    /// layout or `data/accels/v100.toml` changes on purpose.
+    #[cfg(not(feature = "fault-injection"))]
+    const PARENT_ENTRY: (&str, &str) = (
+        "79b7a158852dee99.amosc",
+        include_str!("../tests/fixtures/79b7a158852dee99.amosc"),
+    );
+
+    #[test]
+    #[cfg(not(feature = "fault-injection"))]
+    fn an_entry_written_by_the_parent_commit_still_answers_bit_identically() {
+        let dir = tmp_dir("parent-entry");
+        std::fs::create_dir_all(&dir).expect("cache dir");
+        std::fs::write(dir.join(PARENT_ENTRY.0), PARENT_ENTRY.1).expect("fixture copy");
+        let accel = catalog::v100();
+        let def = gemm("g", 64, 64, 64);
+        let cache = disk_cache(&dir);
+        let warm = cache
+            .explore_multi(&small_explorer(11), &def, &accel)
+            .unwrap();
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                l2_hits: 1,
+                warm_starts: 0,
+                misses: 0
+            },
+            "the parent's key content and entry format must still be accepted"
+        );
+        let cold = ExplorationCache::new()
+            .explore_multi(&small_explorer(11), &def, &accel)
+            .unwrap();
+        assert_eq!(cold.cycles().to_bits(), warm.cycles().to_bits());
+        assert_eq!(cold.best_report, warm.best_report);
+        assert_eq!(cold.best_schedule, warm.best_schedule);
+        assert_eq!(cold.best_mapping.groups, warm.best_mapping.groups);
+        assert_eq!(cold.evaluations, warm.evaluations);
+        assert_eq!(cold.num_mappings, warm.num_mappings);
+        assert_eq!(cold.sim_failures, warm.sim_failures);
+        assert_eq!(cold.screening.screened, warm.screening.screened);
+        assert_eq!(
+            cold.screening.measured_memo_hits,
+            warm.screening.measured_memo_hits
+        );
+        assert_eq!(
+            cold.screening.survivor_memo_hits,
+            warm.screening.survivor_memo_hits
+        );
+        assert_eq!(cold.generations_completed, warm.generations_completed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn derived_keys_keep_the_layout_of_one_fingerprint_per_key() {
+        let accel = catalog::v100();
+        let def = gemm("g", 64, 64, 64);
+        let config = small_explorer(11).config().clone();
+        let shape = shape_fingerprint(&def);
+        #[cfg(not(feature = "fault-injection"))]
+        let faults = String::new();
+        #[cfg(feature = "fault-injection")]
+        let faults = format!("faults:{};", config.faults);
+        // What `fingerprint(tag, …)` and `warm_key` assembled, spelled out.
+        let body = format!("cfg:8/2/3/2/11/w0;{shape};{faults}accel:{accel:?}");
+        let stem = KeyStem::new(&config, &def, &accel, None);
+        assert_eq!(stem.key("multi"), format!("multi;{body}"));
+        assert_eq!(
+            stem.key("refine:2:17:24301"),
+            format!("refine:2:17:24301;{body}")
+        );
+        assert_eq!(
+            stem.warm_key(&def),
+            format!("{};accel:{accel:?}", class_fingerprint(&def))
+        );
+        let reused = KeyStem::new(&config, &def, &accel, Some(&shape));
+        assert_eq!(reused.key("fixed:im2col"), stem.key("fixed:im2col"));
+        // A unit of a heterogeneous machine keys its rounds by the unit.
+        let npu = catalog::ascend_npu();
+        let mut unit = npu.clone();
+        unit.intrinsic = unit.extra_intrinsics.remove(0);
+        let retargeted = KeyStem::new(&config, &def, &npu, None).retarget(&unit);
+        let direct = KeyStem::new(&config, &def, &unit, None);
+        assert_eq!(retargeted.key("refine:0:0:1"), direct.key("refine:0:0:1"));
+        assert_eq!(retargeted.warm_key(&def), direct.warm_key(&def));
+        // Byte for byte the key the parent commit stored in its entry.
+        #[cfg(not(feature = "fault-injection"))]
+        assert!(PARENT_ENTRY
+            .1
+            .contains(&format!("\n{}\n", stem.key("multi"))));
     }
 
     #[test]

@@ -572,17 +572,7 @@ impl Engine {
         accel: &AcceleratorSpec,
         mappings: Vec<Mapping>,
     ) -> Result<ExplorationResult, AmosError> {
-        let explorer = Explorer::with_config(config);
-        self.cache
-            .explore_tagged(tag, &explorer, def, accel, || {
-                explorer.explore_mappings_cached(def, accel, Some(mappings), Some(&self.cache))
-            })
-            .map_err(|e| {
-                AmosError::from(e)
-                    .at_stage(Stage::Explore)
-                    .for_operator(def.name())
-                    .on_accelerator(&accel.name)
-            })
+        self.explore_fixed_shaped(tag, config, def, accel, mappings, None)
     }
 
     /// [`Engine::explore_fixed`] with a precomputed
@@ -603,8 +593,9 @@ impl Engine {
     ) -> Result<ExplorationResult, AmosError> {
         let explorer = Explorer::with_config(config);
         self.cache
-            .explore_tagged_shaped(tag, &explorer, def, accel, shape, || {
-                explorer.explore_mappings_cached(def, accel, Some(mappings), Some(&self.cache))
+            .explore_tagged_shaped(tag, &explorer, def, accel, shape, |stem| {
+                let cache = Some((&self.cache, stem));
+                explorer.explore_mappings_cached(def, accel, Some(mappings), cache)
             })
             .map_err(|e| {
                 AmosError::from(e)
@@ -749,6 +740,34 @@ mod tests {
         assert_eq!(err.accelerator.as_deref(), Some("v100"));
         assert!(matches!(err.kind, AmosErrorKind::Explore(_)));
         assert!(err.to_string().contains("[generate]"));
+    }
+
+    #[test]
+    fn an_accelerator_without_levels_is_a_typed_error_not_a_panic() {
+        let def = small_gemm();
+        let mut accel = catalog::v100();
+        accel.levels.clear();
+        let engine = Engine::with_config(tiny_config(1));
+        let no_levels = |err: &AmosError| {
+            assert_eq!(err.stage, Some(Stage::Explore));
+            assert_eq!(err.accelerator.as_deref(), Some("v100"));
+            assert!(
+                matches!(
+                    &err.kind,
+                    AmosErrorKind::Explore(ExploreError::Sim(
+                        amos_sim::SimError::InvalidSchedule { detail }
+                    )) if detail.contains("no memory hierarchy levels")
+                ),
+                "{err}"
+            );
+        };
+        no_levels(&engine.compile(&def, &accel).expect_err("no levels"));
+        // A second seed, so the staged run is not answered by the cached error.
+        let engine = Engine::with_config(tiny_config(2));
+        let lowered = engine
+            .lower(engine.generate(engine.analyze(&def, &accel)).expect("maps"))
+            .expect("lowers");
+        no_levels(&engine.explore(lowered).expect_err("no levels"));
     }
 
     #[test]

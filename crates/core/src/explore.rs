@@ -5,7 +5,7 @@
 //! analytic performance model, and the most promising ones are measured on
 //! the ground truth — real hardware in the paper, the timing simulator here.
 
-use crate::cache::{ExplorationCache, WarmStart};
+use crate::cache::{ExplorationCache, KeyStem, WarmStart};
 use crate::generate::MappingGenerator;
 use crate::mapping::Mapping;
 use crate::parallel::parallel_map;
@@ -13,14 +13,14 @@ use crate::perf_model::{predict_batch_with, predict_with, PerfBreakdown};
 use amos_hw::AcceleratorSpec;
 use amos_ir::ComputeDef;
 use amos_sim::{
-    simulate, AxisKind, BatchTables, MappedProgram, Schedule, ScreeningContext, SimError,
-    TimingReport, BATCH_LANES,
+    AxisKind, BatchTables, MappedProgram, Schedule, ScreeningContext, SimError, TimingReport,
+    BATCH_LANES,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -428,8 +428,9 @@ struct PopulationArena {
     predicted: Vec<f64>,
     schedules: Vec<Schedule>,
     live: usize,
-    /// Ranking scratch: sorted source order, then its inverse permutation.
-    order: Vec<usize>,
+    /// Ranking scratch: `(prediction's order key, source slot)` sorted, then
+    /// the inverse permutation.
+    order: Vec<(u64, usize)>,
     dest: Vec<usize>,
 }
 
@@ -463,15 +464,16 @@ impl PopulationArena {
     /// exactly, as in the reference `Vec<Candidate>` implementation.
     fn sort_live_by_predicted(&mut self) {
         let n = self.live;
+        // Ties broken by slot: the stable order, from a sort over plain
+        // integers that needs no scratch allocation.
         self.order.clear();
-        self.order.extend(0..n);
-        let predicted = &self.predicted;
-        self.order
-            .sort_by(|&a, &b| predicted[a].total_cmp(&predicted[b]));
+        let keyed = self.predicted[..n].iter().map(|&p| total_order_key(p));
+        self.order.extend(keyed.zip(0..n));
+        self.order.sort_unstable();
         // Invert (dest[src] = rank), then apply by cycle-chasing swaps.
         self.dest.clear();
         self.dest.resize(n, 0);
-        for (rank, &src) in self.order.iter().enumerate() {
+        for (rank, &(_, src)) in self.order.iter().enumerate() {
             self.dest[src] = rank;
         }
         for i in 0..n {
@@ -504,6 +506,71 @@ impl PopulationArena {
             w += 1;
         }
         self.live = w;
+    }
+}
+
+/// The integer whose unsigned order is [`f64::total_cmp`]'s order of `x`.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
+}
+
+/// The measured-candidate memo: the `(mapping, schedule)` pairs already sent
+/// to the timing engine. Every measurement rank probes it by reference; a
+/// schedule is cloned only when its candidate is new, which is exactly when
+/// it is simulated. Open addressing over a power-of-two table of indices
+/// into `keys`, with an in-tree multiply-rotate hash (the keys come from the
+/// search itself, never from outside the program) and exact equality on
+/// every probe, so a hash collision can cost a step but never an answer.
+#[derive(Default)]
+struct MeasuredSet {
+    keys: Vec<(usize, Schedule)>,
+    /// `index + 1` into `keys`; `0` marks an empty slot.
+    table: Vec<u32>,
+}
+
+impl MeasuredSet {
+    fn hash(mapping_idx: usize, s: &Schedule) -> u64 {
+        let toggles = s.double_buffer as u64 | (s.unroll as u64) << 1 | (s.vectorize as u64) << 2;
+        let mut h = (mapping_idx as u64) << 3 | toggles;
+        for genes in [&s.grid, &s.split_k, &s.subcore, &s.stage, &s.warp] {
+            for &g in genes {
+                h = (h.rotate_left(5) ^ g as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            }
+        }
+        h >> 32
+    }
+
+    /// Adds the pair; `false` when it was already present.
+    fn insert(&mut self, mapping_idx: usize, s: &Schedule) -> bool {
+        if (self.keys.len() + 1) * 2 > self.table.len() {
+            self.table = vec![0; (self.table.len() * 2).max(64)];
+            for k in 0..self.keys.len() {
+                let (m, stored) = &self.keys[k];
+                let at = self.slot_of(*m, stored);
+                self.table[at] = k as u32 + 1;
+            }
+        }
+        let at = self.slot_of(mapping_idx, s);
+        if self.table[at] != 0 {
+            return false;
+        }
+        self.keys.push((mapping_idx, s.clone()));
+        self.table[at] = self.keys.len() as u32;
+        true
+    }
+
+    /// The table slot holding the pair, or the empty slot it belongs in.
+    fn slot_of(&self, mapping_idx: usize, s: &Schedule) -> usize {
+        let mask = self.table.len() - 1;
+        let mut at = Self::hash(mapping_idx, s) as usize & mask;
+        while let Some(k) = (self.table[at] as usize).checked_sub(1) {
+            if self.keys[k].0 == mapping_idx && self.keys[k].1 == *s {
+                break;
+            }
+            at = (at + 1) & mask;
+        }
+        at
     }
 }
 
@@ -691,19 +758,7 @@ impl Explorer {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_cached(def, accel, None)
-    }
-
-    /// [`Explorer::explore`] with an optional shared [`ExplorationCache`]
-    /// that the refinement phase routes its per-mapping sub-runs through, so
-    /// repeated shapes do not re-tune their shortlisted mappings.
-    pub(crate) fn explore_cached(
-        &self,
-        def: &ComputeDef,
-        accel: &AcceleratorSpec,
-        cache: Option<&ExplorationCache>,
-    ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_mappings_cached(def, accel, None, cache)
+        self.explore_mappings_cached(def, accel, None, None)
     }
 
     /// Explores across *every* intrinsic of a heterogeneous accelerator
@@ -729,7 +784,7 @@ impl Explorer {
         &self,
         def: &ComputeDef,
         accel: &AcceleratorSpec,
-        cache: Option<&ExplorationCache>,
+        cache: Option<(&ExplorationCache, &KeyStem)>,
         warm: Option<&WarmStart>,
     ) -> Result<ExplorationResult, ExploreError> {
         let units = self
@@ -796,7 +851,7 @@ impl Explorer {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
         units: &[LoweredUnit],
-        cache: Option<&ExplorationCache>,
+        cache: Option<(&ExplorationCache, &KeyStem)>,
         warm: Option<&WarmStart>,
     ) -> Result<ExplorationResult, ExploreError> {
         self.config.validate()?;
@@ -817,8 +872,17 @@ impl Explorer {
             if unit.mappings.is_empty() {
                 continue;
             }
+            // Refinement keys name the unit's machine: the caller's own on a
+            // homogeneous device, so its stem is reused as it is.
+            let retargeted;
+            let cache = match cache {
+                Some((c, stem)) if unit.accel != *accel => {
+                    retargeted = stem.retarget(&unit.accel);
+                    Some((c, &retargeted))
+                }
+                same => same,
+            };
             let mut result = self.explore_programs(
-                def,
                 &unit.accel,
                 &unit.mappings,
                 &unit.programs,
@@ -896,7 +960,7 @@ impl Explorer {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
         fixed: Option<Vec<Mapping>>,
-        cache: Option<&ExplorationCache>,
+        cache: Option<(&ExplorationCache, &KeyStem)>,
     ) -> Result<ExplorationResult, ExploreError> {
         self.config.validate()?;
         let sup = Supervisor::new(&self.config);
@@ -913,7 +977,6 @@ impl Explorer {
         }
         let programs = self.lower_mappings(def, accel, &mappings)?;
         let result = self.explore_programs(
-            def,
             accel,
             &mappings,
             &programs,
@@ -942,19 +1005,18 @@ impl Explorer {
     #[allow(clippy::too_many_arguments)] // internal: mirrors the phase inputs
     fn explore_programs(
         &self,
-        def: &ComputeDef,
         accel: &AcceleratorSpec,
         mappings: &[Mapping],
         programs: &[MappedProgram],
         seed: u64,
-        cache: Option<&ExplorationCache>,
+        cache: Option<(&ExplorationCache, &KeyStem)>,
         sup: &Supervisor,
         warm: Option<&WarmStart>,
     ) -> Result<ExplorationResult, ExploreError> {
         // `Some` once a budget limit fires: later phases are skipped and the
         // best-so-far is returned with the truncation status.
         let mut truncated: Option<Completion> = sup.check();
-        let ctxs = LazyContexts::new(programs, accel);
+        let ctxs = LazyContexts::new(programs, accel)?;
         let mut screened = 0usize;
         let mut survivor_memo_hits = 0usize;
         let mut measured_memo_hits = 0usize;
@@ -973,8 +1035,7 @@ impl Explorer {
 
         let mut evaluations: Vec<(f64, f64)> = Vec::new();
         let mut sim_failures = 0usize;
-        // Measured cache: (mapping, schedule) identity -> measured cycles.
-        let mut measured: HashMap<(usize, Schedule), f64> = HashMap::new();
+        let mut measured = MeasuredSet::default();
         let mut best: Option<(usize, Schedule, TimingReport)> = None;
         // Best measured cycles per mapping, for refinement shortlisting.
         let mut best_per_mapping: BTreeMap<usize, f64> = BTreeMap::new();
@@ -995,17 +1056,10 @@ impl Explorer {
             {
                 seeds += 1;
                 let slot = i as u64;
-                match self.measure_balanced(
-                    "seed",
-                    seed,
-                    slot,
-                    &programs[idx],
-                    ctxs.get(idx),
-                    accel,
-                ) {
+                match self.measure_balanced("seed", seed, slot, &ctxs, idx) {
                     Err(detail) => log_panic("seed", 0, slot, detail),
-                    Ok(Err(_)) => sim_failures += 1,
-                    Ok(Ok((schedule, predicted, report))) => {
+                    Ok(None) => sim_failures += 1,
+                    Ok(Some((schedule, predicted, report))) => {
                         screened += 1;
                         evaluations.push((predicted, report.cycles));
                         let e = best_per_mapping.entry(idx).or_insert(f64::INFINITY);
@@ -1129,40 +1183,34 @@ impl Explorer {
             // like one from an earlier generation.
             let mut measurements = 0usize;
             for rank in 0..arena.live.min(self.config.measure_top) {
-                let key = (arena.mapping_idx[rank], arena.schedules[rank].clone());
-                if measured.contains_key(&key) {
+                let (idx, schedule) = (arena.mapping_idx[rank], &arena.schedules[rank]);
+                // Whatever the outcome below, the candidate is never
+                // measured again.
+                if !measured.insert(idx, schedule) {
                     measured_memo_hits += 1;
                     continue;
                 }
                 measurements += 1;
                 let outcome = amos_sim::isolate::run_isolated(|| {
-                    self.injected_fault("measure", seed, generation as u64, rank as u64)?;
-                    simulate(&programs[key.0], &key.1, accel)
+                    self.injected_fault("measure", seed, generation as u64, rank as u64)
+                        .ok()?;
+                    ctxs.get(idx).simulate(schedule)
                 });
-                let cycles = match outcome {
-                    Err(detail) => {
-                        // Quarantined (not a sim failure): poison the
-                        // candidate so it is never re-measured, and log it.
-                        log_panic("measure", generation as u64, rank as u64, detail);
-                        f64::INFINITY
-                    }
-                    Ok(Err(_)) => {
-                        // Infeasible on hardware; poison its predicted score.
-                        sim_failures += 1;
-                        f64::INFINITY
-                    }
-                    Ok(Ok(report)) => {
+                match outcome {
+                    // Quarantined (not a sim failure): logged.
+                    Err(detail) => log_panic("measure", generation as u64, rank as u64, detail),
+                    // Infeasible on hardware.
+                    Ok(None) => sim_failures += 1,
+                    Ok(Some(report)) => {
                         let cycles = report.cycles;
                         evaluations.push((arena.predicted[rank], cycles));
-                        let e = best_per_mapping.entry(key.0).or_insert(f64::INFINITY);
+                        let e = best_per_mapping.entry(idx).or_insert(f64::INFINITY);
                         *e = e.min(cycles);
                         if best.as_ref().is_none_or(|(_, _, b)| cycles < b.cycles) {
-                            best = Some((key.0, key.1.clone(), report));
+                            best = Some((idx, schedule.clone(), report));
                         }
-                        cycles
                     }
-                };
-                measured.insert(key, cycles);
+                }
             }
             sup.note_measurements(measurements);
 
@@ -1236,13 +1284,13 @@ impl Explorer {
         // deterministic in mapping order).
         if best.is_none() {
             let mut attempts = 0usize;
-            for (idx, prog) in programs.iter().enumerate() {
+            for idx in 0..programs.len() {
                 attempts += 1;
                 let slot = idx as u64;
-                match self.measure_balanced("fallback", seed, slot, prog, ctxs.get(idx), accel) {
+                match self.measure_balanced("fallback", seed, slot, &ctxs, idx) {
                     Err(detail) => log_panic("fallback", 0, slot, detail),
-                    Ok(Err(_)) => sim_failures += 1,
-                    Ok(Ok((schedule, predicted, report))) => {
+                    Ok(None) => sim_failures += 1,
+                    Ok(Some((schedule, predicted, report))) => {
                         screened += 1;
                         evaluations.push((predicted, report.cycles));
                         if best
@@ -1307,7 +1355,6 @@ impl Explorer {
                 let refine_seed = seed.wrapping_add(round as u64) ^ 0x9e3779b97f4a7c15;
                 let run = || {
                     self.explore_programs(
-                        def,
                         accel,
                         &mappings[ridx..=ridx],
                         &programs[ridx..=ridx],
@@ -1318,13 +1365,9 @@ impl Explorer {
                     )
                 };
                 Ok(match cache {
-                    Some(c) => c.refine_tagged(
-                        &format!("refine:{round}:{ridx}:{refine_seed}"),
-                        &self.config,
-                        def,
-                        accel,
-                        run,
-                    ),
+                    Some((c, stem)) => {
+                        c.refine_tagged(&format!("refine:{round}:{ridx}:{refine_seed}"), stem, run)
+                    }
                     None => run(),
                 })
             });
@@ -1372,26 +1415,28 @@ impl Explorer {
         })
     }
 
-    /// Measures the balanced heuristic schedule of one program on the
+    /// Measures the balanced heuristic schedule of program `idx` on the
     /// ground truth (the heuristic seeds and the fallback sweep), isolated
-    /// like every other candidate evaluation: `Err` carries a panic payload.
+    /// like every other candidate evaluation, the context fetch included:
+    /// `Err` carries a panic payload, `None` an infeasible schedule or an
+    /// injected error.
     fn measure_balanced(
         &self,
         phase: &'static str,
         seed: u64,
         slot: u64,
-        prog: &MappedProgram,
-        ctx: &ScreeningContext,
-        accel: &AcceleratorSpec,
-    ) -> Result<Result<(Schedule, f64, TimingReport), SimError>, String> {
+        ctxs: &LazyContexts<'_>,
+        idx: usize,
+    ) -> Result<Option<(Schedule, f64, TimingReport)>, String> {
         amos_sim::isolate::run_isolated(|| {
-            self.injected_fault(phase, seed, 0, slot)?;
-            let schedule = Schedule::balanced(prog, accel);
-            let report = simulate(prog, &schedule, accel)?;
+            self.injected_fault(phase, seed, 0, slot).ok()?;
+            let ctx = ctxs.get(idx);
+            let schedule = Schedule::balanced(&ctxs.programs[idx], ctxs.accel);
+            let report = ctx.simulate(&schedule)?;
             let predicted = predict_with(ctx, &schedule)
                 .map(|b| b.cycles)
                 .unwrap_or(report.cycles);
-            Ok((schedule, predicted, report))
+            Some((schedule, predicted, report))
         })
     }
 
@@ -1451,12 +1496,15 @@ struct LazyContexts<'a> {
 }
 
 impl<'a> LazyContexts<'a> {
-    fn new(programs: &'a [MappedProgram], accel: &'a AcceleratorSpec) -> Self {
-        LazyContexts {
+    /// Refuses a machine without hierarchy levels, for which no context can
+    /// be built, before any candidate asks for one.
+    fn new(programs: &'a [MappedProgram], accel: &'a AcceleratorSpec) -> Result<Self, SimError> {
+        ScreeningContext::require_levels(accel)?;
+        Ok(LazyContexts {
             programs,
             accel,
             cells: vec![OnceCell::new(); programs.len()],
-        }
+        })
     }
 
     /// The context of program `idx`.
@@ -1821,6 +1869,7 @@ mod tests {
     use super::*;
     use amos_hw::catalog;
     use amos_ir::{ComputeBuilder, DType};
+    use amos_sim::simulate;
 
     fn conv2d_small() -> ComputeDef {
         let mut b = ComputeBuilder::new("c2d");
@@ -2047,6 +2096,62 @@ mod tests {
         let scrambled = vec![(4.0, 1.0), (3.0, 2.0), (2.0, 3.0), (1.0, 4.0)];
         assert_eq!(top_rate_recall(&scrambled, 0.5), 0.0);
         assert_eq!(top_rate_recall(&[], 0.4), 1.0);
+    }
+
+    #[test]
+    fn ranking_is_the_stable_sort_by_total_cmp() {
+        let values = [
+            3.5,
+            f64::INFINITY,
+            -0.0,
+            1.0,
+            f64::NAN,
+            0.0,
+            1.0,
+            f64::NEG_INFINITY,
+            -2.0,
+            3.5,
+            f64::INFINITY,
+            1.0,
+        ];
+        let mut arena = PopulationArena::new();
+        arena.ensure_slots(values.len());
+        arena.predicted.copy_from_slice(&values);
+        for (slot, m) in arena.mapping_idx.iter_mut().enumerate() {
+            *m = slot;
+        }
+        arena.live = values.len();
+        arena.sort_live_by_predicted();
+        let mut expected: Vec<usize> = (0..values.len()).collect();
+        expected.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+        assert_eq!(arena.mapping_idx, expected);
+        let ranked: Vec<u64> = arena.predicted.iter().map(|p| p.to_bits()).collect();
+        let sorted: Vec<u64> = expected.iter().map(|&i| values[i].to_bits()).collect();
+        assert_eq!(ranked, sorted);
+    }
+
+    #[test]
+    fn measured_set_answers_by_exact_equality_through_growth() {
+        let prog = {
+            let def = conv2d_small();
+            let accel = catalog::v100();
+            let mapping = MappingGenerator::new()
+                .enumerate(&def, &accel.intrinsic)
+                .swap_remove(0);
+            mapping.lower(&def, &accel.intrinsic).unwrap()
+        };
+        let accel = catalog::v100();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut set = MeasuredSet::default();
+        let mut reference = std::collections::HashSet::new();
+        for k in 0..600 {
+            let s = random_schedule(&prog, &accel, &mut rng);
+            let mapping_idx = k % 3;
+            let fresh = reference.insert((mapping_idx, s.clone()));
+            assert_eq!(set.insert(mapping_idx, &s), fresh);
+            assert!(!set.insert(mapping_idx, &s), "a second probe is a hit");
+        }
+        assert_eq!(set.keys.len(), reference.len());
     }
 
     #[test]

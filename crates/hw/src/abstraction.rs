@@ -191,7 +191,7 @@ impl ComputeAbstraction {
     /// Total scalar multiply-accumulate operations performed per intrinsic
     /// call (the product of the problem size).
     pub fn scalar_ops(&self) -> i64 {
-        self.problem_size().iter().product()
+        self.iters.iter().map(|it| it.extent).product()
     }
 
     /// The register-fragment shape of one operand: the value range of each

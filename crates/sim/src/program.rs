@@ -88,7 +88,7 @@ pub struct MappedProgram {
     /// source slot `m`.
     correspondence: Vec<usize>,
     /// Lazily-built loop-nest shape (axes, operand dependences): all the
-    /// schedule helpers, the screening tables and the timing engine read.
+    /// schedule helpers and the screening tables read.
     /// A pure function of the fields above, shared by clones via `Arc`.
     shape: OnceLock<Arc<ProgramShape>>,
     /// Lazily-built executor tables (decode tables, lane programs, fragment

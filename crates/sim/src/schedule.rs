@@ -9,13 +9,14 @@
 //! Every vector is aligned with [`MappedProgram::axes`].
 
 use crate::error::SimError;
-use crate::program::{div_ceil, Axis, AxisKind, MappedProgram};
+use crate::program::{Axis, AxisKind, MappedProgram};
+use crate::screening::{div_ceil_pow2, ScreeningContext};
 use amos_hw::{AcceleratorSpec, OperandRef};
 
 /// A complete schedule for one mapped program.
 ///
-/// `Hash` lets the explorer key its measured-candidate cache by
-/// `(mapping index, schedule)` directly instead of formatting a string key.
+/// `Eq` and `Hash` let callers keep schedules in sets and maps directly
+/// instead of formatting a string key.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Schedule {
     /// Per-axis split across cores (grid dimension); must be 1 on reduction
@@ -128,9 +129,9 @@ impl Schedule {
 
     /// A reasonable default: greedily bind the largest spatial axes across
     /// cores until the device is oversubscribed ~2x, split the largest
-    /// remaining spatial axis over sub-cores, and enable the toggles.
+    /// remaining spatial axis over sub-cores, and enable the toggles. Runs
+    /// over the program's cached [`ScreeningContext`].
     pub fn balanced(prog: &MappedProgram, accel: &AcceleratorSpec) -> Self {
-        let axes = prog.axes();
         let mut s = Schedule::naive(prog);
         // A degenerate accelerator with no memory hierarchy admits no
         // parallelism or staging decisions; the naive schedule is the only
@@ -138,23 +139,22 @@ impl Schedule {
         if accel.levels.is_empty() {
             return s;
         }
+        let ctx = prog.screening_context(accel);
+        let axes = &ctx.axes[..];
         s.double_buffer = true;
         s.unroll = true;
         s.vectorize = true;
 
-        let cores = accel.total_units(accel.shared_level()) as i64;
-        let target_blocks = 2 * cores;
+        let target_blocks = 2 * ctx.num_cores;
         let mut blocks = 1i64;
-        let spatial: Vec<usize> = (0..axes.len())
-            .filter(|&i| axes[i].kind.is_spatial())
-            .collect();
         // Grow the grid by doubling the axis with the largest remaining
         // per-block chunk — a roughly square grid minimises operand re-reads.
         while blocks < target_blocks {
-            let Some(&i) = spatial
+            let Some(&i) = ctx
+                .spatial_axes
                 .iter()
                 .filter(|&&i| s.grid[i] < axes[i].extent)
-                .max_by_key(|&&i| div_ceil(axes[i].extent, s.grid[i]))
+                .max_by_key(|&&i| div_ceil_pow2(axes[i].extent, s.grid[i]))
             else {
                 break;
             };
@@ -163,13 +163,13 @@ impl Schedule {
             s.grid[i] = grown;
         }
         // Sub-core split on the spatial axis with the largest leftover chunk.
-        let subcores = subcores_per_core(accel) as i64;
-        if let Some(&i) = spatial
+        if let Some(&i) = ctx
+            .spatial_axes
             .iter()
             .max_by_key(|&&i| s.block_chunk(axes, i))
-            .filter(|&&i| s.block_chunk(axes, i) >= subcores)
+            .filter(|&&i| s.block_chunk(axes, i) >= ctx.subcores)
         {
-            s.subcore[i] = subcores;
+            s.subcore[i] = ctx.subcores;
         }
         // Register-block the spatial tile axes and stage a couple of
         // reduction tiles; shrink if the footprints overflow.
@@ -184,12 +184,12 @@ impl Schedule {
                 _ => {}
             }
         }
-        while s.validate(prog, accel).is_err() && s.warp.iter().any(|&w| w > 1) {
+        while !ctx.schedule_feasible(&s) && s.warp.iter().any(|&w| w > 1) {
             for w in &mut s.warp {
                 *w = (*w / 2).max(1);
             }
         }
-        if s.validate(prog, accel).is_err() {
+        if !ctx.schedule_feasible(&s) {
             for st in &mut s.stage {
                 *st = 1;
             }
@@ -210,14 +210,7 @@ impl Schedule {
         // Guard the hierarchy lookups below: `shared_level()` (and the
         // register-capacity probe at level 0) would panic on an accelerator
         // description with no levels, which user code can construct.
-        if accel.levels.is_empty() {
-            return Err(SimError::InvalidSchedule {
-                detail: format!(
-                    "accelerator `{}` has no memory hierarchy levels",
-                    accel.name
-                ),
-            });
-        }
+        ScreeningContext::require_levels(accel)?;
         let axes = prog.axes();
         let n = axes.len();
         for (name, v) in [
@@ -301,7 +294,7 @@ impl Schedule {
     /// Per-block trip count of an axis (per core): the extent divided by the
     /// grid split (spatial axes) or the split-K factor (reduction axes).
     pub fn block_chunk(&self, axes: &[Axis], i: usize) -> i64 {
-        div_ceil(axes[i].extent, self.grid[i] * self.split_k[i])
+        div_ceil_pow2(axes[i].extent, self.grid[i] * self.split_k[i])
     }
 
     /// Total split-K parallelism across reduction axes.
@@ -311,7 +304,7 @@ impl Schedule {
 
     /// Per-sub-core trip count of an axis.
     pub fn subcore_chunk(&self, axes: &[Axis], i: usize) -> i64 {
-        div_ceil(self.block_chunk(axes, i), self.subcore[i])
+        div_ceil_pow2(self.block_chunk(axes, i), self.subcore[i])
     }
 
     /// Number of blocks launched (grid splits times split-K partials).
@@ -334,7 +327,7 @@ impl Schedule {
     /// Sequential staging steps a block takes along a spatial axis.
     pub fn spatial_steps(&self, axes: &[Axis], i: usize) -> i64 {
         debug_assert!(axes[i].kind.is_spatial());
-        div_ceil(self.block_chunk(axes, i), self.resident_tiles(axes, i))
+        div_ceil_pow2(self.block_chunk(axes, i), self.resident_tiles(axes, i))
     }
 
     /// Shared-memory bytes staged per core at any time: for every source

@@ -1,18 +1,26 @@
-//! Precomputed screening tables for the analytic performance model.
+//! The flat per-`(program, accelerator)` table under every per-candidate
+//! operation of the search.
 //!
-//! The genetic explorer screens thousands of (mapping × schedule) candidates
-//! per generation. Every quantity the analytic model needs that depends only
-//! on the `(MappedProgram, AcceleratorSpec)` pair — axis kinds, per-operand
-//! axis-usage bitmasks, fragment byte sizes, bandwidth reciprocals, memory
-//! capacities — is folded into a [`ScreeningContext`] once, so the per-
-//! candidate evaluation is straight-line arithmetic over flat tables with no
-//! allocation, no hash lookups and no `String` error construction.
+//! The genetic explorer samples, repairs, screens and measures thousands of
+//! (mapping × schedule) candidates per generation. Every quantity those
+//! steps need that depends only on the `(MappedProgram, AcceleratorSpec)`
+//! pair — axis kinds, per-operand axis-usage bitmasks, fragment byte sizes,
+//! bandwidths and their reciprocals, memory capacities, core counts, the
+//! intrinsic's latency, the operator's useful work — is folded into a
+//! [`ScreeningContext`] once. It has three readers, each straight-line
+//! arithmetic with no allocation, no hash lookups and no `String` error
+//! construction: the analytic model (`amos_core::perf_model`), the schedule
+//! sampler with its feasibility check ([`ScreeningContext::schedule_feasible`])
+//! and the timing engine ([`ScreeningContext::simulate`], in
+//! [`crate::timing`]).
 //!
 //! The context is cached on [`MappedProgram`] next to its loop-nest shape
-//! (see [`MappedProgram::screening_context`]); predictions computed through
-//! it are bit-identical to the reference model, which the core crate asserts
-//! in unit tests and a proptest.
+//! (see [`MappedProgram::screening_context`]). Predictions computed through
+//! it are bit-identical to the reference model (unit tests and a proptest in
+//! the core crate); feasibility verdicts equal [`Schedule::validate`]'s (a
+//! proptest here); timing reports are pinned by `tests/timing_digest.rs`.
 
+use crate::error::SimError;
 use crate::program::{Axis, AxisKind, MappedProgram, MAX_AXES};
 use crate::schedule::{subcores_per_core, Schedule};
 use amos_hw::{AcceleratorSpec, OperandRef};
@@ -53,7 +61,7 @@ pub struct BatchTables {
 /// to the plain division for every positive divisor, so the batched tables
 /// stay integer-identical to the scalar helpers.
 #[inline]
-fn div_ceil_pow2(a: i64, b: i64) -> i64 {
+pub(crate) fn div_ceil_pow2(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0);
     let t = a + b - 1;
     if b > 0 && b & (b - 1) == 0 {
@@ -63,8 +71,30 @@ fn div_ceil_pow2(a: i64, b: i64) -> i64 {
     }
 }
 
-/// Flat, allocation-free view of everything the analytic model and the
-/// schedule sampler need about one `(MappedProgram, AcceleratorSpec)` pair.
+/// What a feasible schedule makes of each axis, every integer derived once:
+/// the feasibility check folds `resident` and `wsub` into the two
+/// footprints, the timing engine folds all four into trip counts and
+/// traffic. `N` is [`NARROW_AXES`] or [`MAX_AXES`], whichever first holds
+/// the program's axes (filling four 64-entry arrays costs as much as the
+/// check itself); entries past the axis count are unused.
+pub(crate) struct AxisChunks<const N: usize> {
+    /// Per-block chunk (`Schedule::block_chunk`).
+    pub(crate) blk: [i64; N],
+    /// Per-sub-core chunk (`Schedule::subcore_chunk`).
+    pub(crate) sub: [i64; N],
+    /// Tiles resident in staging memory (`Schedule::resident_tiles`).
+    pub(crate) resident: [i64; N],
+    /// Register reuse factor `warp.min(sub)`.
+    pub(crate) wsub: [i64; N],
+}
+
+/// Axis count up to which the per-schedule scratch arrays take the narrow
+/// form; every operator of the evaluation has at most eleven loop axes.
+pub(crate) const NARROW_AXES: usize = 16;
+
+/// Flat, allocation-free view of everything the analytic model, the timing
+/// engine and the schedule sampler need about one
+/// `(MappedProgram, AcceleratorSpec)` pair.
 ///
 /// Axis sets are stored twice: as `u64` bitmasks (for the model's masked
 /// products) and as index lists (for the sampler's uniform `choose` draws,
@@ -93,6 +123,18 @@ pub struct ScreeningContext {
     pub dst_frag_bytes: u64,
     /// Intrinsic initiation interval, in cycles (as `f64`).
     pub initiation_interval: f64,
+    /// Intrinsic issue-to-retire latency, in cycles (as `f64`).
+    pub latency: f64,
+    /// Register-level load bandwidth as the machine states it: the timing
+    /// engine derates and divides by the raw figures, the model multiplies
+    /// by the reciprocals below.
+    pub register_bw: f64,
+    /// Staging-level load bandwidth.
+    pub shared_bw: f64,
+    /// Device load bandwidth.
+    pub device_load_bw: f64,
+    /// Device store bandwidth.
+    pub device_store_bw: f64,
     /// Reciprocal register-level load bandwidth; `0.0` when the level
     /// reports zero bandwidth (the reference model skips the term).
     pub inv_register_bw: f64,
@@ -105,6 +147,12 @@ pub struct ScreeningContext {
     pub inv_device_store_bw: f64,
     /// Cores below the staging level, as `f64`.
     pub cores: f64,
+    /// The same count as the integer the timing engine's wave count uses.
+    pub num_cores: i64,
+    /// Useful scalar operations of the operator (`def.scalar_ops()`).
+    pub useful_ops: f64,
+    /// Peak tensor throughput of the device, scalar operations per cycle.
+    pub peak_ops_per_cycle: f64,
     /// `1.0 / cores`.
     pub inv_cores: f64,
     /// Sub-cores per core.
@@ -137,10 +185,12 @@ impl ScreeningContext {
         let mut spatial_mask = 0u64;
         let mut tile_spatial_mask = 0u64;
         let mut tile_reduction_mask = 0u64;
-        let mut spatial_axes = Vec::new();
-        let mut nonspatial_axes = Vec::new();
-        let mut tile_spatial_axes = Vec::new();
-        let mut tile_reduction_axes = Vec::new();
+        // Sized up front: growing by pushes reallocated each list once or
+        // twice, a tenth of the whole build.
+        let mut spatial_axes = Vec::with_capacity(axes.len());
+        let mut nonspatial_axes = Vec::with_capacity(axes.len());
+        let mut tile_spatial_axes = Vec::with_capacity(axes.len());
+        let mut tile_reduction_axes = Vec::with_capacity(axes.len());
         for (i, a) in axes.iter().enumerate() {
             if a.kind.is_spatial() {
                 spatial_mask |= 1 << i;
@@ -172,11 +222,12 @@ impl ScreeningContext {
             })
             .collect();
 
+        let registers = &accel.levels[0].memory;
         let shared_level = accel.shared_level();
-        let device = accel.levels.last().expect("accelerator has levels");
-        let reg_bw = accel.levels[0].memory.load_bytes_per_cycle;
-        let shared_bw = accel.levels[shared_level].memory.load_bytes_per_cycle;
-        let cores = accel.total_units(shared_level) as f64;
+        let shared = &accel.levels[shared_level].memory;
+        let device = &accel.levels.last().expect("accelerator has levels").memory;
+        let cores = accel.total_units(shared_level);
+        let inv = |bw: f64| if bw > 0.0 { 1.0 / bw } else { 0.0 };
 
         ScreeningContext {
             num_srcs,
@@ -189,19 +240,23 @@ impl ScreeningContext {
                 .collect(),
             dst_frag_bytes: intr.fragment_bytes(OperandRef::Dst),
             initiation_interval: intr.initiation_interval as f64,
-            inv_register_bw: if reg_bw > 0.0 { 1.0 / reg_bw } else { 0.0 },
-            inv_shared_bw: if shared_bw > 0.0 {
-                1.0 / shared_bw
-            } else {
-                0.0
-            },
-            inv_device_load_bw: 1.0 / device.memory.load_bytes_per_cycle,
-            inv_device_store_bw: 1.0 / device.memory.store_bytes_per_cycle,
-            cores,
-            inv_cores: 1.0 / cores,
+            latency: intr.latency as f64,
+            register_bw: registers.load_bytes_per_cycle,
+            shared_bw: shared.load_bytes_per_cycle,
+            device_load_bw: device.load_bytes_per_cycle,
+            device_store_bw: device.store_bytes_per_cycle,
+            inv_register_bw: inv(registers.load_bytes_per_cycle),
+            inv_shared_bw: inv(shared.load_bytes_per_cycle),
+            inv_device_load_bw: 1.0 / device.load_bytes_per_cycle,
+            inv_device_store_bw: 1.0 / device.store_bytes_per_cycle,
+            cores: cores as f64,
+            inv_cores: 1.0 / cores as f64,
+            num_cores: cores as i64,
+            useful_ops: prog.def().scalar_ops() as f64,
+            peak_ops_per_cycle: accel.peak_tensor_ops_per_cycle(),
             subcores: subcores_per_core(accel) as i64,
-            shared_capacity_bytes: accel.levels[shared_level].memory.capacity_bytes,
-            register_capacity_bytes: accel.levels[0].memory.capacity_bytes,
+            shared_capacity_bytes: shared.capacity_bytes,
+            register_capacity_bytes: registers.capacity_bytes,
             spatial_axes,
             nonspatial_axes,
             tile_spatial_axes,
@@ -210,27 +265,42 @@ impl ScreeningContext {
         }
     }
 
+    /// The guard of every place contexts are born ([`crate::simulate`],
+    /// [`Schedule::validate`], the explorer): [`ScreeningContext::build`] is
+    /// infallible, and a machine without hierarchy levels, which user code
+    /// can construct, would panic it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidSchedule`] naming the accelerator.
+    pub fn require_levels(accel: &AcceleratorSpec) -> Result<(), SimError> {
+        if accel.levels.is_empty() {
+            return Err(SimError::InvalidSchedule {
+                detail: format!(
+                    "accelerator `{}` has no memory hierarchy levels",
+                    accel.name
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Whether this context was built against an accelerator with the same
     /// model-relevant parameters as `accel`. Exact value comparison, not a
     /// hash — a mutated accelerator can never be mistaken for the cached one.
     pub fn matches(&self, accel: &AcceleratorSpec) -> bool {
-        let shared_level = accel.shared_level();
-        let device = accel.levels.last().expect("accelerator has levels");
-        let reg_bw = accel.levels[0].memory.load_bytes_per_cycle;
-        let shared_bw = accel.levels[shared_level].memory.load_bytes_per_cycle;
-        self.inv_register_bw == if reg_bw > 0.0 { 1.0 / reg_bw } else { 0.0 }
-            && self.inv_shared_bw
-                == if shared_bw > 0.0 {
-                    1.0 / shared_bw
-                } else {
-                    0.0
-                }
-            && self.inv_device_load_bw == 1.0 / device.memory.load_bytes_per_cycle
-            && self.inv_device_store_bw == 1.0 / device.memory.store_bytes_per_cycle
-            && self.cores == accel.total_units(shared_level) as f64
+        let registers = &accel.levels[0].memory;
+        let shared = &accel.levels[accel.shared_level()].memory;
+        let device = &accel.levels.last().expect("accelerator has levels").memory;
+        self.register_bw == registers.load_bytes_per_cycle
+            && self.shared_bw == shared.load_bytes_per_cycle
+            && self.device_load_bw == device.load_bytes_per_cycle
+            && self.device_store_bw == device.store_bytes_per_cycle
+            && self.num_cores == accel.total_units(accel.shared_level()) as i64
+            && self.peak_ops_per_cycle == accel.peak_tensor_ops_per_cycle()
             && self.subcores == subcores_per_core(accel) as i64
-            && self.shared_capacity_bytes == accel.levels[shared_level].memory.capacity_bytes
-            && self.register_capacity_bytes == accel.levels[0].memory.capacity_bytes
+            && self.shared_capacity_bytes == shared.capacity_bytes
+            && self.register_capacity_bytes == registers.capacity_bytes
     }
 
     /// Bytes of one source operand loaded from global memory by one block.
@@ -250,54 +320,6 @@ impl ScreeningContext {
         bytes_per_pass as u64 * passes as u64 * self.src_frag_bytes[m]
     }
 
-    /// Staging bytes per core. Integer-identical to
-    /// [`Schedule::shared_footprint_bytes`].
-    pub fn shared_footprint_bytes(&self, s: &Schedule) -> u64 {
-        let axes = &self.axes[..];
-        let mut total = 0u64;
-        for m in 0..self.num_srcs {
-            let mask = self.operand_masks[m];
-            let mut tiles = 1i64;
-            for i in 0..axes.len() {
-                if mask >> i & 1 == 1 {
-                    tiles *= s.resident_tiles(axes, i);
-                }
-            }
-            total += tiles as u64 * self.src_frag_bytes[m];
-        }
-        if s.double_buffer {
-            total *= 2;
-        }
-        total
-    }
-
-    /// Register bytes per PE array. Integer-identical to
-    /// [`Schedule::register_footprint_bytes`].
-    pub fn register_footprint_bytes(&self, s: &Schedule) -> u64 {
-        let axes = &self.axes[..];
-        let dst_mask = self.operand_masks[self.num_srcs] & self.tile_spatial_mask;
-        let mut dst_tiles = 1i64;
-        let mut bits = dst_mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            dst_tiles *= s.warp[i].min(s.subcore_chunk(axes, i));
-        }
-        let mut total = dst_tiles as u64 * self.dst_frag_bytes;
-        for m in 0..self.num_srcs {
-            let mask = self.operand_masks[m] & self.tile_spatial_mask;
-            let mut tiles = 1i64;
-            let mut bits = mask;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                tiles *= s.warp[i].min(s.subcore_chunk(axes, i));
-            }
-            total += tiles as u64 * self.src_frag_bytes[m];
-        }
-        total
-    }
-
     /// Fills the per-axis SoA tables for one full chunk of [`BATCH_LANES`]
     /// schedules, computing every integer quantity the analytic model needs
     /// exactly once per (axis, lane) — the scalar path re-derives block
@@ -309,7 +331,12 @@ impl ScreeningContext {
     /// valid lane before gathering. The fixed width keeps every inner loop a
     /// constant [`BATCH_LANES`] trips, which is what lets the compiler
     /// unroll and vectorise them.
-    #[inline]
+    ///
+    /// Never inlined: one scalar-ISA copy measured 52 ns a candidate through
+    /// `predict_batch` against 58 ns for a copy inlined into the model's
+    /// AVX-512 body, and whether an `#[inline]` hint was taken turned on
+    /// unrelated code in the calling crate.
+    #[inline(never)]
     pub fn fill_batch_tables(&self, lanes: &[&Schedule; BATCH_LANES], t: &mut BatchTables) {
         let axes = &self.axes[..];
         let need = axes.len() * BATCH_LANES;
@@ -356,44 +383,97 @@ impl ScreeningContext {
     /// `bool` verdict instead of error construction. Used by schedule repair,
     /// which probes feasibility up to 16 times per candidate.
     pub fn schedule_feasible(&self, s: &Schedule) -> bool {
+        if self.axes.len() <= NARROW_AXES {
+            self.chunks_if_feasible::<NARROW_AXES>(s).is_some()
+        } else {
+            self.chunks_if_feasible::<MAX_AXES>(s).is_some()
+        }
+    }
+
+    /// The feasibility check proper: one pass per axis applies the
+    /// structural rules and derives the axis's chunks, then the staging and
+    /// register footprints are folded over the operand bitmasks. `Some` with
+    /// the derived chunks exactly when [`Schedule::validate`] accepts. `N`
+    /// must hold the context's axes.
+    pub(crate) fn chunks_if_feasible<const N: usize>(&self, s: &Schedule) -> Option<AxisChunks<N>> {
         let axes = &self.axes[..];
         let n = axes.len();
-        if s.grid.len() != n
-            || s.split_k.len() != n
-            || s.subcore.len() != n
-            || s.stage.len() != n
-            || s.warp.len() != n
-        {
-            return false;
+        let genes = [&s.grid, &s.split_k, &s.subcore, &s.stage, &s.warp];
+        if n > N || genes.iter().any(|g| g.len() != n) {
+            return None;
         }
-        for v in [&s.grid, &s.split_k, &s.subcore, &s.stage, &s.warp] {
-            if v.iter().any(|&x| x < 1) {
-                return false;
-            }
-        }
+        let mut c = AxisChunks {
+            blk: [1; N],
+            sub: [1; N],
+            resident: [1; N],
+            wsub: [1; N],
+        };
+        let mut sub_product = 1i64;
         for (i, a) in axes.iter().enumerate() {
-            let spatial = a.kind.is_spatial();
-            if !spatial && (s.grid[i] != 1 || s.subcore[i] != 1) {
-                return false;
+            let (grid, split_k, subcore) = (s.grid[i], s.split_k[i], s.subcore[i]);
+            let (stage, warp) = (s.stage[i], s.warp[i]);
+            if grid.min(split_k).min(subcore).min(stage).min(warp) < 1 {
+                return None;
             }
-            if spatial && (s.split_k[i] != 1 || s.stage[i] != 1) {
-                return false;
+            let tile_spatial = matches!(a.kind, AxisKind::TileSpatial(_));
+            let kind_ok = if a.kind.is_spatial() {
+                split_k == 1 && stage == 1
+            } else {
+                grid == 1 && subcore == 1
+            };
+            // The kind rules leave at most one of `grid`, `split_k` above 1,
+            // so the product below cannot overflow.
+            if !kind_ok
+                || (warp != 1 && !tile_spatial)
+                || grid * split_k > a.extent
+                || subcore > a.extent
+            {
+                return None;
             }
-            if s.warp[i] != 1 && !matches!(a.kind, AxisKind::TileSpatial(_)) {
-                return false;
-            }
-            if s.grid[i] * s.split_k[i] > a.extent || s.subcore[i] > a.extent {
-                return false;
-            }
+            let blk = div_ceil_pow2(a.extent, grid * split_k);
+            let sub = div_ceil_pow2(blk, subcore);
+            c.blk[i] = blk;
+            c.sub[i] = sub;
+            c.wsub[i] = warp.min(sub);
+            c.resident[i] = match a.kind {
+                AxisKind::TileSpatial(_) => (subcore * warp).min(blk),
+                AxisKind::TileReduction(_) => stage.min(blk),
+                AxisKind::OuterSpatial(_) | AxisKind::OuterReduction(_) => 1,
+            };
+            sub_product *= subcore;
         }
-        if s.subcore.iter().product::<i64>() > self.subcores {
-            return false;
+        if sub_product > self.subcores {
+            return None;
         }
-        if self.shared_footprint_bytes(s) > self.shared_capacity_bytes {
-            return false;
+        let mut shared = 0u64;
+        let mut registers = masked_product(
+            &c.wsub,
+            self.operand_masks[self.num_srcs] & self.tile_spatial_mask,
+        ) as u64
+            * self.dst_frag_bytes;
+        for m in 0..self.num_srcs {
+            let mask = self.operand_masks[m];
+            shared += masked_product(&c.resident, mask) as u64 * self.src_frag_bytes[m];
+            registers += masked_product(&c.wsub, mask & self.tile_spatial_mask) as u64
+                * self.src_frag_bytes[m];
         }
-        self.register_footprint_bytes(s) <= self.register_capacity_bytes
+        if s.double_buffer {
+            shared *= 2;
+        }
+        (shared <= self.shared_capacity_bytes && registers <= self.register_capacity_bytes)
+            .then_some(c)
     }
+}
+
+/// Product of `values[i]` over the set bits `i` of `mask`, ascending.
+#[inline]
+pub(crate) fn masked_product<const N: usize>(values: &[i64; N], mut mask: u64) -> i64 {
+    let mut product = 1i64;
+    while mask != 0 {
+        product *= values[mask.trailing_zeros() as usize];
+        mask &= mask - 1;
+    }
+    product
 }
 
 #[cfg(test)]
@@ -401,6 +481,7 @@ mod tests {
     use super::*;
     use amos_hw::catalog;
     use amos_ir::{ComputeBuilder, DType};
+    use proptest::prelude::*;
 
     fn gemm_prog(m: i64, n: i64, k: i64) -> MappedProgram {
         let mut b = ComputeBuilder::new("gemm");
@@ -444,55 +525,127 @@ mod tests {
     }
 
     #[test]
-    fn footprints_match_schedule_helpers() {
+    fn block_read_bytes_match_the_schedule_helper() {
         let prog = gemm_prog(512, 512, 512);
         let accel = catalog::v100();
         let ctx = ScreeningContext::build(&prog, &accel);
         let mut s = Schedule::balanced(&prog, &accel);
         s.warp[0] = 4;
         s.stage[2] = 2;
-        assert_eq!(
-            ctx.shared_footprint_bytes(&s),
-            s.shared_footprint_bytes(&prog)
-        );
-        assert_eq!(
-            ctx.register_footprint_bytes(&s),
-            s.register_footprint_bytes(&prog)
-        );
         for m in 0..ctx.num_srcs {
             assert_eq!(ctx.block_read_bytes(&s, m), s.block_read_bytes(&prog, m));
         }
     }
 
-    #[test]
-    fn feasibility_agrees_with_validate() {
-        let prog = gemm_prog(256, 256, 4096);
-        let accel = catalog::v100();
-        let ctx = ScreeningContext::build(&prog, &accel);
-        // A deterministic sweep over legal and illegal parameter combos.
-        let mut s = Schedule::naive(&prog);
-        for grid0 in [1, 2, 16, 512] {
-            for splitk in [1, 4] {
-                for warp in [1, 4, 64] {
-                    for stage in [1, 2, 4096] {
-                        s.grid[0] = grid0;
-                        s.split_k[2] = splitk;
-                        s.warp[1] = warp;
-                        s.stage[2] = stage;
-                        assert_eq!(
-                            ctx.schedule_feasible(&s),
-                            s.validate(&prog, &accel).is_ok(),
-                            "feasibility diverges at grid={grid0} splitk={splitk} warp={warp} stage={stage}"
-                        );
+    /// A batched product with an unmapped batch loop and an unmapped
+    /// reduction loop: outer spatial and outer reduction axes around the
+    /// three tile axes.
+    fn outer_axes_prog(b_ext: i64, m: i64, r_ext: i64) -> MappedProgram {
+        let mut b = ComputeBuilder::new("bgemm");
+        let bb = b.spatial("b", b_ext);
+        let i = b.spatial("i", m);
+        let j = b.spatial("j", m);
+        let kk = b.reduce("k", m);
+        let r = b.reduce("r", r_ext);
+        let a = b.input("a", &[b_ext, m, m, r_ext], DType::F16);
+        let w = b.input("w", &[m, r_ext, m], DType::F16);
+        let c = b.output("c", &[b_ext, m, m], DType::F32);
+        b.mul_acc(c.at([bb, i, j]), a.at([bb, i, kk, r]), w.at([kk, r, j]));
+        let def = b.finish().unwrap();
+        MappedProgram::new(
+            def,
+            catalog::wmma_16x16x16(),
+            vec![
+                crate::FusedGroup::of(vec![i.id()]),
+                crate::FusedGroup::of(vec![j.id()]),
+                crate::FusedGroup::of(vec![kk.id()]),
+            ],
+            vec![0, 1],
+        )
+        .unwrap()
+    }
+
+    // Single-pass feasibility (and with it the timing engine's
+    // accept/reject) equals `Schedule::validate` on arbitrary factor
+    // vectors. Mode 0 draws anything — zeros, negatives, non-powers of
+    // two, factors above the extent, wrong lengths; modes 1–3 draw
+    // factors that respect the axis kinds, so the sub-core and capacity
+    // rules decide, and modes 2 and 3 set the staging or register
+    // capacity to exactly the schedule's footprint or one byte under it.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn single_pass_feasibility_equals_validate(
+            case in 0usize..4,
+            mode in 0usize..4,
+            picks in prop::collection::vec(0usize..1024, 25),
+            lens in prop::collection::vec(0usize..12, 5),
+            toggles in 0usize..16,
+        ) {
+            let prog = match case {
+                0 => gemm_prog(256, 256, 4096),
+                1 => gemm_prog(200, 136, 1000),
+                2 => outer_axes_prog(3, 96, 5),
+                _ => outer_axes_prog(8, 512, 2),
+            };
+            let mut accel = if case % 2 == 0 { catalog::v100() } else { catalog::mali_g76() };
+            let axes = prog.axes().to_vec();
+            let n = axes.len();
+            let mut s = Schedule::naive(&prog);
+            s.double_buffer = toggles & 1 == 1;
+            s.unroll = toggles & 2 == 2;
+            s.vectorize = toggles & 4 == 4;
+            for (v, genes) in [&mut s.grid, &mut s.split_k, &mut s.subcore, &mut s.stage, &mut s.warp]
+                .into_iter()
+                .enumerate()
+            {
+                for (i, a) in axes.iter().enumerate() {
+                    let pick = picks[v * 5 + i];
+                    let e = a.extent;
+                    genes[i] = if mode == 0 {
+                        let pool = [-3, 0, 1, 1, 2, 3, 4, 5, 7, 8, 16, 64, e - 1, e, e + 1, 1_000_000];
+                        pool[pick % pool.len()]
+                    } else {
+                        let legal = match v {
+                            0 | 2 => a.kind.is_spatial(),
+                            1 | 3 => !a.kind.is_spatial(),
+                            _ => matches!(a.kind, AxisKind::TileSpatial(_)),
+                        };
+                        let pool = if v == 2 {
+                            [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 4, e + 1]
+                        } else {
+                            [1, 1, 1, 2, 2, 2, 3, 4, 4, 5, 8, 8, 16, e, e, e + 1]
+                        };
+                        if legal { pool[pick % pool.len()] } else { 1 }
+                    };
+                }
+                if mode == 0 {
+                    match lens[v] {
+                        0 => { genes.pop(); }
+                        1 => genes.push(1),
+                        _ => {}
                     }
                 }
             }
+            let structurally_sound = mode != 0
+                && (0..n).all(|i| s.grid[i] * s.split_k[i] <= axes[i].extent);
+            if structurally_sound && mode >= 2 {
+                let under = (toggles >> 3) as u64;
+                if mode == 2 {
+                    let level = accel.shared_level();
+                    accel.levels[level].memory.capacity_bytes =
+                        s.shared_footprint_bytes(&prog).saturating_sub(under);
+                } else {
+                    accel.levels[0].memory.capacity_bytes =
+                        s.register_footprint_bytes(&prog).saturating_sub(under);
+                }
+            }
+            let ctx = ScreeningContext::build(&prog, &accel);
+            let verdict = s.validate(&prog, &accel);
+            prop_assert_eq!(ctx.schedule_feasible(&s), verdict.is_ok(), "{:?} -> {:?}", s, verdict);
+            prop_assert_eq!(crate::simulate(&prog, &s, &accel).err(), verdict.err());
         }
-        // Structural breakage: wrong vector length.
-        s = Schedule::naive(&prog);
-        s.grid.pop();
-        assert!(!ctx.schedule_feasible(&s));
-        assert!(s.validate(&prog, &accel).is_err());
     }
 
     #[test]

@@ -7,11 +7,22 @@
 //! fill, kernel launch overhead, staging synchronisation, and issue/bandwidth
 //! derating when `unroll`/`vectorize` are off — so the relationship between
 //! AMOS's performance model and this "hardware" mirrors Figure 5.
+//!
+//! There is one engine, [`ScreeningContext::simulate`]. It reads nothing but
+//! the flat context — axis masks, fragment bytes, raw bandwidths, core count,
+//! intrinsic latency and initiation interval, useful operations and peak
+//! throughput — and the chunks the feasibility check derived from the
+//! schedule, so a simulation allocates nothing and divides once per axis.
+//! [`simulate`] is that engine behind the `(program, schedule, accelerator)`
+//! signature: it fetches the program's cached context and only walks the
+//! program itself ([`Schedule::validate`]) to name the rule an infeasible
+//! schedule broke.
 
 use crate::error::SimError;
-use crate::program::{div_ceil, AxisKind, MappedProgram};
+use crate::program::{div_ceil, MappedProgram, MAX_AXES};
 use crate::schedule::Schedule;
-use amos_hw::{AcceleratorSpec, OperandRef};
+use crate::screening::{div_ceil_pow2, masked_product, AxisChunks, ScreeningContext, NARROW_AXES};
+use amos_hw::AcceleratorSpec;
 
 /// Fixed cost of launching a kernel, in cycles.
 pub const LAUNCH_OVERHEAD_CYCLES: f64 = 2000.0;
@@ -91,17 +102,27 @@ impl TimingReport {
 /// # }
 /// ```
 ///
+/// The schedule is checked and simulated over `prog.screening_context(accel)`
+/// (built on the program's first use, one atomic load afterwards).
+///
 /// # Errors
 ///
-/// Returns the schedule-validation error when the schedule does not fit the
-/// program or the hardware.
+/// [`SimError::InvalidSchedule`] for an accelerator without hierarchy levels;
+/// otherwise the error [`Schedule::validate`] names when the schedule does
+/// not fit the program or the hardware — the one case that walks the program.
 pub fn simulate(
     prog: &MappedProgram,
     schedule: &Schedule,
     accel: &AcceleratorSpec,
 ) -> Result<TimingReport, SimError> {
-    schedule.validate(prog, accel)?;
-    simulate_unchecked(prog, schedule, accel)
+    ScreeningContext::require_levels(accel)?;
+    match prog.screening_context(accel).simulate(schedule) {
+        Some(report) => Ok(report),
+        None => Err(schedule
+            .validate(prog, accel)
+            .err()
+            .unwrap_or(SimError::ScheduleAxisMismatch)),
+    }
 }
 
 /// [`simulate`] behind a panic-isolation boundary: a panic anywhere in the
@@ -123,152 +144,150 @@ pub fn simulate_isolated(
         .unwrap_or_else(|detail| Err(SimError::Panicked { detail }))
 }
 
-fn simulate_unchecked(
-    prog: &MappedProgram,
-    schedule: &Schedule,
-    accel: &AcceleratorSpec,
-) -> Result<TimingReport, SimError> {
-    let axes = prog.axes();
-    let intr = prog.intrinsic();
-    let num_srcs = intr.compute.num_srcs();
-
-    let cores = accel.total_units(accel.shared_level()) as i64;
-    let blocks = schedule.blocks();
-    let waves = div_ceil(blocks, cores);
-    let active_cores = blocks.min(cores);
-    let occupancy = blocks as f64 / (waves * cores) as f64;
-
-    // ---- per-block trip counts -------------------------------------------
-    let mut calls_per_subcore = 1i64;
-    for (i, _a) in axes.iter().enumerate() {
-        calls_per_subcore *= schedule.subcore_chunk(axes, i);
-    }
-
-    // ---- traffic ---------------------------------------------------------
-    // Packed global->staging traffic per operand: one pass over the
-    // operand's block footprint, repeated for every staging step of a
-    // spatial axis the operand does not depend on (re-reads), and once more
-    // per block for the grid dimensions it does not depend on.
-    let mut dram_read_bytes = 0u64;
-    let per_block_read: Vec<u64> = (0..num_srcs)
-        .map(|m| schedule.block_read_bytes(prog, m))
-        .collect();
-    for &bytes in &per_block_read {
-        dram_read_bytes += bytes * blocks as u64;
-    }
-
-    // Destination store traffic: one packed dst tile set per block.
-    let dst_row = num_srcs;
-    let mut dst_tiles_per_block = 1i64;
-    for (i, a) in axes.iter().enumerate() {
-        if prog.operand_uses_axis(dst_row, a) && a.kind.is_spatial() {
-            dst_tiles_per_block *= schedule.block_chunk(axes, i);
-        }
-    }
-    let per_block_write = dst_tiles_per_block as u64 * intr.fragment_bytes(OperandRef::Dst);
-    let dram_write_bytes = per_block_write * blocks as u64;
-
-    // Staging->register traffic with warp-tile reuse: a source fragment is
-    // reloaded once per intrinsic call, divided by the register-blocking
-    // reuse along the spatial tile axes it does NOT depend on.
-    let mut register_traffic_bytes = 0u64;
-    for m in 0..num_srcs {
-        let mut reuse = 1i64;
-        for (i, a) in axes.iter().enumerate() {
-            if matches!(a.kind, AxisKind::TileSpatial(_)) && !prog.operand_uses_axis(m, a) {
-                reuse *= schedule.warp[i].min(schedule.subcore_chunk(axes, i));
-            }
-        }
-        register_traffic_bytes += (calls_per_subcore as u64 / reuse.max(1) as u64)
-            * intr.fragment_bytes(OperandRef::Src(m));
-    }
-
-    // ---- per-block pipeline stages ---------------------------------------
-    let issue_penalty = if schedule.unroll {
-        1.0
-    } else {
-        NO_UNROLL_PENALTY
-    };
-    let bw_penalty = if schedule.vectorize {
-        1.0
-    } else {
-        NO_VECTORIZE_PENALTY
-    };
-
-    // Staging synchronisation: one barrier per staged reduction chunk.
-    let mut stage_steps = 1i64;
-    for (i, a) in axes.iter().enumerate() {
-        if !a.kind.is_spatial() {
-            stage_steps *= div_ceil(schedule.block_chunk(axes, i), schedule.stage[i]);
+impl ScreeningContext {
+    /// The timing engine: checks `schedule` against this context's program
+    /// and machine ([`ScreeningContext::schedule_feasible`], the verdict of
+    /// [`Schedule::validate`]) and simulates it. `None` for an infeasible
+    /// schedule; [`simulate`] names the violated rule.
+    pub fn simulate(&self, schedule: &Schedule) -> Option<TimingReport> {
+        if self.axes.len() <= NARROW_AXES {
+            let chunks = self.chunks_if_feasible::<NARROW_AXES>(schedule)?;
+            Some(self.simulate_chunks(schedule, &chunks))
+        } else {
+            let chunks = self.chunks_if_feasible::<MAX_AXES>(schedule)?;
+            Some(self.simulate_chunks(schedule, &chunks))
         }
     }
 
-    let t_compute = calls_per_subcore as f64 * intr.initiation_interval as f64 * issue_penalty
-        + intr.latency as f64
-        + stage_steps as f64 * STAGE_SYNC_CYCLES;
+    /// The engine proper, over the chunks of a schedule found feasible.
+    fn simulate_chunks<const N: usize>(
+        &self,
+        schedule: &Schedule,
+        c: &AxisChunks<N>,
+    ) -> TimingReport {
+        let n = self.axes.len();
+        let cores = self.num_cores;
+        let split_k = schedule.split_k_factor();
+        let blocks = schedule.grid.iter().product::<i64>() * split_k;
+        let waves = div_ceil(blocks, cores);
+        let active_cores = blocks.min(cores);
+        let occupancy = blocks as f64 / (waves * cores) as f64;
 
-    let reg_bw = accel.levels[0].memory.load_bytes_per_cycle * bw_penalty;
-    let t_reg = if reg_bw > 0.0 {
-        register_traffic_bytes as f64 / reg_bw
-    } else {
-        0.0
-    };
+        // ---- per-block trip counts ---------------------------------------
+        let calls_per_subcore: i64 = c.sub[..n].iter().product();
+        // Sequential staging steps a block takes along each spatial axis.
+        let mut steps = [1i64; N];
+        for &i in &self.spatial_axes {
+            steps[i] = div_ceil_pow2(c.blk[i], c.resident[i]);
+        }
 
-    let shared_level = accel.shared_level();
-    let shared_bw = accel.levels[shared_level].memory.load_bytes_per_cycle * bw_penalty;
-    let block_read: u64 = per_block_read.iter().sum();
-    let t_shared = if shared_bw > 0.0 {
-        block_read as f64 / shared_bw
-    } else {
-        0.0
-    };
+        // ---- traffic -----------------------------------------------------
+        // Packed global->staging traffic per operand: one pass over the
+        // operand's block footprint, repeated for every staging step of a
+        // spatial axis the operand does not depend on (re-reads), and once
+        // more per block for the grid dimensions it does not depend on.
+        // Staging->register traffic with warp-tile reuse: a source fragment
+        // is reloaded once per intrinsic call, divided by the
+        // register-blocking reuse along the spatial tile axes it does NOT
+        // depend on.
+        let mut dram_read_bytes = 0u64;
+        let mut block_read = 0u64;
+        let mut register_traffic_bytes = 0u64;
+        for m in 0..self.num_srcs {
+            let mask = self.operand_masks[m];
+            let passes = masked_product(&steps, self.spatial_mask & !mask);
+            let bytes =
+                masked_product(&c.blk, mask) as u64 * passes as u64 * self.src_frag_bytes[m];
+            dram_read_bytes += bytes * blocks as u64;
+            block_read += bytes;
+            let reuse = masked_product(&c.wsub, self.tile_spatial_mask & !mask);
+            register_traffic_bytes +=
+                (calls_per_subcore as u64 / reuse.max(1) as u64) * self.src_frag_bytes[m];
+        }
 
-    // Device bandwidth is shared by all concurrently active cores.
-    let device = accel.levels.last().expect("accelerator has levels");
-    let dev_read_bw = device.memory.load_bytes_per_cycle / active_cores as f64;
-    let dev_write_bw = device.memory.store_bytes_per_cycle / active_cores as f64;
-    let t_dram = block_read as f64 / dev_read_bw;
-    let t_store = per_block_write as f64 / dev_write_bw;
+        // Destination store traffic: one packed dst tile set per block.
+        let dst_mask = self.operand_masks[self.num_srcs] & self.spatial_mask;
+        let per_block_write = masked_product(&c.blk, dst_mask) as u64 * self.dst_frag_bytes;
+        let dram_write_bytes = per_block_write * blocks as u64;
 
-    let transfer = t_reg.max(t_shared).max(t_dram).max(t_store);
-    let block_time = if schedule.double_buffer {
-        t_compute.max(transfer)
-    } else {
-        t_compute + t_dram.max(t_shared) + t_reg + t_store
-    };
+        // ---- per-block pipeline stages -----------------------------------
+        let issue_penalty = if schedule.unroll {
+            1.0
+        } else {
+            NO_UNROLL_PENALTY
+        };
+        let bw_penalty = if schedule.vectorize {
+            1.0
+        } else {
+            NO_VECTORIZE_PENALTY
+        };
 
-    let mut cycles = waves as f64 * block_time + LAUNCH_OVERHEAD_CYCLES;
+        // Staging synchronisation: one barrier per staged reduction chunk.
+        let mut stage_steps = 1i64;
+        for &i in &self.nonspatial_axes {
+            stage_steps *= div_ceil_pow2(c.blk[i], schedule.stage[i]);
+        }
 
-    // Split-K epilogue: the partial outputs of the K-split blocks are
-    // combined by a follow-up reduction pass (read all partials, write the
-    // final tensor once), plus its own launch.
-    let split_k = schedule.split_k_factor();
-    if split_k > 1 {
-        let full_dst = dram_write_bytes as f64 / split_k as f64;
-        let combine_bytes = dram_write_bytes as f64 + full_dst;
-        cycles += combine_bytes / device.memory.load_bytes_per_cycle + LAUNCH_OVERHEAD_CYCLES;
+        let t_compute = calls_per_subcore as f64 * self.initiation_interval * issue_penalty
+            + self.latency
+            + stage_steps as f64 * STAGE_SYNC_CYCLES;
+
+        let reg_bw = self.register_bw * bw_penalty;
+        let t_reg = if reg_bw > 0.0 {
+            register_traffic_bytes as f64 / reg_bw
+        } else {
+            0.0
+        };
+        let shared_bw = self.shared_bw * bw_penalty;
+        let t_shared = if shared_bw > 0.0 {
+            block_read as f64 / shared_bw
+        } else {
+            0.0
+        };
+
+        // Device bandwidth is shared by all concurrently active cores.
+        let dev_read_bw = self.device_load_bw / active_cores as f64;
+        let dev_write_bw = self.device_store_bw / active_cores as f64;
+        let t_dram = block_read as f64 / dev_read_bw;
+        let t_store = per_block_write as f64 / dev_write_bw;
+
+        let transfer = t_reg.max(t_shared).max(t_dram).max(t_store);
+        let block_time = if schedule.double_buffer {
+            t_compute.max(transfer)
+        } else {
+            t_compute + t_dram.max(t_shared) + t_reg + t_store
+        };
+
+        let mut cycles = waves as f64 * block_time + LAUNCH_OVERHEAD_CYCLES;
+
+        // Split-K epilogue: the partial outputs of the K-split blocks are
+        // combined by a follow-up reduction pass (read all partials, write
+        // the final tensor once), plus its own launch.
+        if split_k > 1 {
+            let full_dst = dram_write_bytes as f64 / split_k as f64;
+            let combine_bytes = dram_write_bytes as f64 + full_dst;
+            cycles += combine_bytes / self.device_load_bw + LAUNCH_OVERHEAD_CYCLES;
+        }
+
+        let utilization = if self.peak_ops_per_cycle > 0.0 && cycles > 0.0 {
+            (self.useful_ops / cycles) / self.peak_ops_per_cycle
+        } else {
+            0.0
+        };
+
+        TimingReport {
+            cycles,
+            blocks,
+            waves,
+            occupancy,
+            utilization,
+            dram_read_bytes,
+            dram_write_bytes,
+            register_traffic_bytes,
+            block_compute_cycles: t_compute,
+            block_transfer_cycles: transfer,
+        }
     }
-
-    let useful_ops = prog.def().scalar_ops() as f64;
-    let peak = accel.peak_tensor_ops_per_cycle();
-    let utilization = if peak > 0.0 && cycles > 0.0 {
-        (useful_ops / cycles) / peak
-    } else {
-        0.0
-    };
-
-    Ok(TimingReport {
-        cycles,
-        blocks,
-        waves,
-        occupancy,
-        utilization,
-        dram_read_bytes,
-        dram_write_bytes,
-        register_traffic_bytes,
-        block_compute_cycles: t_compute,
-        block_transfer_cycles: transfer,
-    })
 }
 
 /// Average DRAM bytes touched per scalar multiply-add on the general-purpose
@@ -426,6 +445,31 @@ mod tests {
         // Write traffic doubles (partial outputs) and the combine pass adds
         // a launch: the epilogue must be visible in the totals.
         assert_eq!(split.dram_write_bytes, 2 * base.dram_write_bytes);
+    }
+
+    #[test]
+    fn an_accelerator_without_levels_is_a_typed_error_not_a_panic() {
+        let prog = gemm_prog(64, 64, 64);
+        let mut accel = catalog::v100();
+        accel.levels.clear();
+        for s in [Schedule::naive(&prog), Schedule::balanced(&prog, &accel)] {
+            assert!(matches!(
+                simulate(&prog, &s, &accel),
+                Err(SimError::InvalidSchedule { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn an_infeasible_schedule_reports_the_rule_validate_names() {
+        let prog = gemm_prog(4096, 4096, 65536);
+        let accel = catalog::v100();
+        let mut s = Schedule::naive(&prog);
+        s.stage[2] = prog.axes()[2].extent;
+        let named = s.validate(&prog, &accel).unwrap_err();
+        assert!(matches!(named, SimError::CapacityExceeded { .. }));
+        assert_eq!(simulate(&prog, &s, &accel), Err(named));
+        assert!(prog.screening_context(&accel).simulate(&s).is_none());
     }
 
     #[test]
