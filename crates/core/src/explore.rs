@@ -9,12 +9,12 @@ use crate::cache::{ExplorationCache, KeyStem, WarmStart};
 use crate::generate::MappingGenerator;
 use crate::mapping::Mapping;
 use crate::parallel::parallel_map;
-use crate::perf_model::{predict_batch_with, predict_with, PerfBreakdown};
+use crate::perf_model::{self, predict_batch_with, predict_with, PerfBreakdown};
 use amos_hw::AcceleratorSpec;
 use amos_ir::ComputeDef;
 use amos_sim::{
-    AxisKind, BatchTables, MappedProgram, Schedule, ScreeningContext, SimError, TimingReport,
-    BATCH_LANES,
+    AxisKind, BatchTables, GeneChange, MappedProgram, Schedule, ScreeningContext, SimError,
+    TimingReport, BATCH_LANES,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -360,8 +360,9 @@ impl ExplorerConfig {
 /// Counters of the analytic screening pipeline for one exploration run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScreeningStats {
-    /// Analytic-model evaluations (candidates screened via the precomputed
-    /// [`ScreeningContext`] tables), summed over refinement rounds.
+    /// Candidates ranked by a model prediction, computed over the
+    /// precomputed [`ScreeningContext`] tables or inherited from a parent the
+    /// model cannot tell the child from, summed over refinement rounds.
     pub screened: usize,
     /// Survivor predictions carried into the next generation's ranking
     /// without re-screening (the cross-generation memo).
@@ -429,9 +430,11 @@ struct PopulationArena {
     schedules: Vec<Schedule>,
     live: usize,
     /// Ranking scratch: `(prediction's order key, source slot)` sorted, then
-    /// the inverse permutation.
+    /// which source slot each position holds and where each source slot is
+    /// while the leading ranks are placed.
     order: Vec<(u64, usize)>,
-    dest: Vec<usize>,
+    at: Vec<usize>,
+    pos: Vec<usize>,
 }
 
 impl PopulationArena {
@@ -442,7 +445,8 @@ impl PopulationArena {
             schedules: Vec::new(),
             live: 0,
             order: Vec::new(),
-            dest: Vec::new(),
+            at: Vec::new(),
+            pos: Vec::new(),
         }
     }
 
@@ -456,13 +460,15 @@ impl PopulationArena {
         }
     }
 
-    /// Stable-sorts the live prefix by predicted cycles, physically
-    /// reordering all three arrays. The physical reorder matters: predicted
-    /// ties are common (the model ignores the toggle genes), parents are
-    /// drawn by position, and the measured reduction walks rank order — so
-    /// the arrangement must equal a stable sort of the insertion order
-    /// exactly, as in the reference `Vec<Candidate>` implementation.
-    fn sort_live_by_predicted(&mut self) {
+    /// Ranks the live prefix by predicted cycles and moves the first `keep`
+    /// ranks into slots `0..keep`, in all three arrays: exactly the head of a
+    /// stable sort over the insertion order. That much is load-bearing:
+    /// predicted ties are common (the model ignores the toggle genes), the
+    /// measured reduction walks rank order and parents are drawn by position.
+    /// The caller passes the deepest rank it reads; the slots behind `keep`
+    /// hold the remaining candidates in no particular order, each still with
+    /// its own `Schedule` buffer, and are only ever overwritten by breeding.
+    fn sort_live_by_predicted(&mut self, keep: usize) {
         let n = self.live;
         // Ties broken by slot: the stable order, from a sort over plain
         // integers that needs no scratch allocation.
@@ -470,19 +476,20 @@ impl PopulationArena {
         let keyed = self.predicted[..n].iter().map(|&p| total_order_key(p));
         self.order.extend(keyed.zip(0..n));
         self.order.sort_unstable();
-        // Invert (dest[src] = rank), then apply by cycle-chasing swaps.
-        self.dest.clear();
-        self.dest.resize(n, 0);
-        for (rank, &(_, src)) in self.order.iter().enumerate() {
-            self.dest[src] = rank;
-        }
-        for i in 0..n {
-            while self.dest[i] != i {
-                let j = self.dest[i];
-                self.mapping_idx.swap(i, j);
-                self.predicted.swap(i, j);
-                self.schedules.swap(i, j);
-                self.dest.swap(i, j);
+        // One swap per placed rank; `at`/`pos` track what each swap evicted.
+        self.at.clear();
+        self.at.extend(0..n);
+        self.pos.clear();
+        self.pos.extend(0..n);
+        for rank in 0..keep.min(n) {
+            let src = self.order[rank].1;
+            let from = self.pos[src];
+            if from != rank {
+                self.mapping_idx.swap(rank, from);
+                self.predicted.swap(rank, from);
+                self.schedules.swap(rank, from);
+                self.pos.swap(src, self.at[rank]);
+                self.at.swap(rank, from);
             }
         }
     }
@@ -1086,7 +1093,9 @@ impl Explorer {
         // affected slots fall back to the naive random init.
         let mut warm_stats = WarmStartStats::default();
         let warm_slots = self.config.survivors.min(self.config.population);
-        let mut warm_seed: Option<(usize, Schedule)> = None;
+        // The adapted donor with its prediction, which the seeded slots
+        // inherit unless their mutation changed something the model reads.
+        let mut warm_seed: Option<(usize, Schedule, f64)> = None;
         let mut warm_fallback = false;
         if let Some(w) = warm {
             // Units of a heterogeneous accelerator only accept donors tuned
@@ -1095,25 +1104,30 @@ impl Explorer {
                 warm_stats.donors = 1;
                 warm_seed = mappings.iter().position(|m| *m == w.mapping).and_then(|i| {
                     let mut s = w.schedule.clone();
-                    adapt_schedule_to(ctxs.get(i), &mut s).then_some((i, s))
+                    let ctx = ctxs.get(i);
+                    if !adapt_schedule_to(ctx, &mut s) {
+                        return None;
+                    }
+                    let predicted = predict_with(ctx, &s).ok()?.cycles;
+                    Some((i, s, predicted))
                 });
                 warm_fallback = warm_seed.is_none();
             }
         }
 
         // ---- initial population --------------------------------------------
-        // Phase A: one RNG stream per slot, each slot *sampled* into a
+        // Sampling: one RNG stream per slot, each slot *sampled* into a
         // reusable `Schedule` buffer of a flat arena — so the population
         // depends on `(seed, slot)` only, never on evaluation order. The
         // first `warm_slots` slots clone the adapted donor instead (slot 0
         // verbatim, the rest with one mutation from the slot's own stream).
-        // Phase B then screens every sampled slot through the batched model
-        // ([`screen_sampled`]), bit-identical to per-candidate
-        // `predict_with`.
+        // [`screen_sampled`] then ranks every sampled slot: through the
+        // batched model, bit-identical to per-candidate `predict_with`, or
+        // by the prediction the slot inherited.
         let mut arena = PopulationArena::new();
         arena.ensure_slots(self.config.population);
         let mut scratch = ScreenScratch::default();
-        let mut sampled: Vec<(usize, bool)> = Vec::new();
+        let mut sampled: Vec<Sampled> = Vec::new();
         let mut metas: Vec<(usize, f64, bool)> = Vec::new();
         if truncated.is_none() {
             if warm_seed.is_some() {
@@ -1126,29 +1140,30 @@ impl Explorer {
                 .iter_mut()
                 .enumerate()
             {
-                let outcome = amos_sim::isolate::run_isolated(|| -> Result<usize, SimError> {
+                let outcome = amos_sim::isolate::run_isolated(|| -> Result<Sampled, SimError> {
                     self.injected_fault("screen", seed, 0, slot as u64)?;
                     let mut rng = stream_rng(seed, 0, slot as u64);
-                    if let Some((widx, wsched)) = &warm_seed {
+                    if let Some((widx, wsched, wpredicted)) = &warm_seed {
                         if slot < warm_slots {
                             sched.clone_from(wsched);
-                            if slot > 0 {
-                                mutate_schedule_ctx(ctxs.get(*widx), sched, &mut rng);
+                            if slot == 0 {
+                                return Ok(Sampled::Inherited(*widx, *wpredicted));
                             }
-                            return Ok(*widx);
+                            let ctx = ctxs.get(*widx);
+                            return Ok(mutate_child(ctx, *widx, sched, &mut rng, *wpredicted));
                         }
                     }
                     let mapping_idx = rng.gen_range(0..programs.len());
                     random_schedule_into(ctxs.get(mapping_idx), sched, &mut rng, true);
-                    Ok(mapping_idx)
+                    Ok(Sampled::Fresh(mapping_idx))
                 });
                 sampled.push(match outcome {
-                    Ok(Ok(mapping_idx)) => (mapping_idx, true),
+                    Ok(Ok(sampled)) => sampled,
                     // An injected `SimError` concedes the slot.
-                    Ok(Err(_)) => (0, false),
+                    Ok(Err(_)) => Sampled::Conceded,
                     Err(detail) => {
                         log_panic("screen", 0, slot as u64, detail);
-                        (0, false)
+                        Sampled::Conceded
                     }
                 });
             }
@@ -1174,8 +1189,9 @@ impl Explorer {
             if truncated.is_some() {
                 break;
             }
-            // Stable sort: ties keep slot order, which is deterministic.
-            arena.sort_live_by_predicted();
+            // Stable order: ties keep slot order, which is deterministic.
+            // Ranks are read as deep as measurement and selection below go.
+            arena.sort_live_by_predicted(self.config.survivors.max(self.config.measure_top));
 
             // Measure the most promising unmeasured candidates on the ground
             // truth, in rank order. Every outcome lands in `measured` at
@@ -1217,7 +1233,9 @@ impl Explorer {
             // Selection + mutation. Survivors keep their slots *and* their
             // predictions (the cross-generation memo: they are never
             // re-screened); children are bred into the tail slots, each on
-            // its own (seed, generation, slot) stream.
+            // its own (seed, generation, slot) stream. A child of its
+            // parent's mapping pays for what its mutation changed
+            // ([`mutate_child`]); one that jumped mappings is sampled afresh.
             arena.live = arena.live.min(self.config.survivors.max(1));
             if arena.live == 0 {
                 generations_completed = generation + 1;
@@ -1233,9 +1251,10 @@ impl Explorer {
             let bred = generation as u64 + 1;
             let (parents, rest) = arena.schedules.split_at_mut(survivors);
             let parent_maps = &arena.mapping_idx[..survivors];
+            let parent_predicted = &arena.predicted[..survivors];
             sampled.clear();
             for (slot, sched) in rest[..wanted].iter_mut().enumerate() {
-                let outcome = amos_sim::isolate::run_isolated(|| -> Result<usize, SimError> {
+                let outcome = amos_sim::isolate::run_isolated(|| -> Result<Sampled, SimError> {
                     self.injected_fault("breed", seed, bred, slot as u64)?;
                     let mut rng = stream_rng(seed, bred, slot as u64);
                     let p = rng.gen_range(0..parents.len());
@@ -1247,18 +1266,19 @@ impl Explorer {
                     let ctx = ctxs.get(mapping_idx);
                     if mapping_idx == parent_maps[p] {
                         sched.clone_from(&parents[p]);
-                    } else {
-                        random_schedule_into(ctx, sched, &mut rng, true);
+                        let inherited = parent_predicted[p];
+                        return Ok(mutate_child(ctx, mapping_idx, sched, &mut rng, inherited));
                     }
+                    random_schedule_into(ctx, sched, &mut rng, true);
                     mutate_schedule_ctx(ctx, sched, &mut rng);
-                    Ok(mapping_idx)
+                    Ok(Sampled::Fresh(mapping_idx))
                 });
                 sampled.push(match outcome {
-                    Ok(Ok(mapping_idx)) => (mapping_idx, true),
-                    Ok(Err(_)) => (0, false),
+                    Ok(Ok(sampled)) => sampled,
+                    Ok(Err(_)) => Sampled::Conceded,
                     Err(detail) => {
                         log_panic("breed", bred, slot as u64, detail);
-                        (0, false)
+                        Sampled::Conceded
                     }
                 });
             }
@@ -1519,43 +1539,60 @@ impl<'a> LazyContexts<'a> {
 /// nothing after the first batch.
 #[derive(Default)]
 struct ScreenScratch {
-    /// `(mapping_idx, slot)` pairs of the sampled slots, sorted so equal
+    /// `(mapping_idx, slot)` pairs of the fresh slots, sorted so equal
     /// mappings are adjacent (chunks share one context).
     order: Vec<(usize, usize)>,
     tables: BatchTables,
     out: Vec<Result<PerfBreakdown, SimError>>,
 }
 
-/// Phase B of a screening batch. The phase-A workers only *sample* (drawing
-/// exactly the RNG streams the former per-candidate path drew); this serial
-/// pass then batch-predicts every sampled slot through
+/// What sampling left in one slot of a screening batch.
+#[derive(Clone, Copy)]
+enum Sampled {
+    /// Given up to an injected fault or a quarantined panic: never ranked.
+    Conceded,
+    /// A schedule of this mapping the model has yet to see.
+    Fresh(usize),
+    /// A schedule of this mapping that the model cannot tell from the one it
+    /// was copied from, with that one's prediction.
+    Inherited(usize, f64),
+}
+
+/// Ranks one batch of sampled slots (`schedules[start..]`, one entry of
+/// `sampled` each) and rebuilds `metas` in slot order for
+/// [`PopulationArena::compact_accepted`]. An inherited slot is accepted
+/// with the prediction it carries. The fresh ones go through
 /// [`predict_batch_with`], grouped by mapping so each [`BATCH_LANES`]-wide
-/// chunk shares one [`ScreeningContext`].
-///
-/// Sampled schedules are always structurally valid for their context (the
-/// sampler resets to the context's axes; bred children clone a parent of the
-/// same mapping), so every lane predicts successfully — a slot conceded by
-/// an injected fault in phase A simply never reaches this pass, exactly like
-/// the former inline `predict_with` loop. `metas` is rebuilt in slot order,
-/// so [`PopulationArena::compact_accepted`] sees the same metadata for any
-/// thread count.
+/// chunk shares one [`ScreeningContext`]; they are always structurally
+/// valid for their context (the sampler resets to the context's axes, a bred
+/// child copies a parent of the same mapping), so every lane predicts. A
+/// conceded slot is left out of the ranking. `screened` counts the ranked
+/// slots of both kinds.
 #[allow(clippy::too_many_arguments)] // internal: mirrors the phase state
 fn screen_sampled(
     ctxs: &LazyContexts<'_>,
     schedules: &[Schedule],
     start: usize,
-    sampled: &[(usize, bool)],
+    sampled: &[Sampled],
     screened: &mut usize,
     scratch: &mut ScreenScratch,
     metas: &mut Vec<(usize, f64, bool)>,
 ) {
     metas.clear();
-    metas.extend(sampled.iter().map(|&(m, _)| (m, f64::INFINITY, false)));
     scratch.order.clear();
-    for (k, &(m, ok)) in sampled.iter().enumerate() {
-        if ok {
-            scratch.order.push((m, k));
-        }
+    for (k, &slot) in sampled.iter().enumerate() {
+        metas.push(match slot {
+            Sampled::Conceded => (0, f64::INFINITY, false),
+            Sampled::Inherited(m, predicted) => {
+                *screened += 1;
+                (m, predicted, true)
+            }
+            Sampled::Fresh(m) => {
+                *screened += 1;
+                scratch.order.push((m, k));
+                (m, f64::INFINITY, false)
+            }
+        });
     }
     scratch.order.sort_unstable();
     let mut pos = 0;
@@ -1578,7 +1615,6 @@ fn screen_sampled(
                 &mut scratch.tables,
                 &mut scratch.out,
             );
-            *screened += group.len();
             for (j, &(_, k)) in group.iter().enumerate() {
                 if let Ok(b) = &scratch.out[j] {
                     metas[k].1 = b.cycles;
@@ -1691,48 +1727,107 @@ pub fn mutate_schedule(
 /// filtering and no allocation. Draw-for-draw identical to the
 /// program-based form.
 pub fn mutate_schedule_ctx(ctx: &ScreeningContext, s: &mut Schedule, rng: &mut impl Rng) {
+    draw_mutation(ctx, s, rng);
+    repair_schedule_ctx(ctx, s);
+}
+
+/// Mutates `sched`, a copy of a schedule of mapping `mapping_idx` that
+/// passed `ctx`'s feasibility rule and that the model predicted at
+/// `predicted`, and reports what the child still has to pay for. When the
+/// draw changed nothing the model reads ([`crate::perf_model::reads`]) and
+/// the rule still holds ([`ScreeningContext::stays_feasible`]), repair would
+/// return the child as it is and the model would answer `predicted` again:
+/// the child inherits it. Otherwise it is repaired and left for the model.
+/// Draws exactly what [`mutate_schedule_ctx`] draws.
+fn mutate_child(
+    ctx: &ScreeningContext,
+    mapping_idx: usize,
+    sched: &mut Schedule,
+    rng: &mut impl Rng,
+    predicted: f64,
+) -> Sampled {
+    let change = draw_mutation(ctx, sched, rng);
+    if perf_model::reads(change) || !ctx.stays_feasible(sched, change) {
+        repair_schedule_ctx(ctx, sched);
+        return Sampled::Fresh(mapping_idx);
+    }
+    // Debug builds (tier-1 among them) re-derive every inherited value.
+    debug_assert!(
+        ctx.schedule_feasible(sched),
+        "a child that skips repair must pass the rule as it is ({change:?})"
+    );
+    debug_assert_eq!(
+        predict_with(ctx, sched).map(|b| b.cycles.to_bits()).ok(),
+        Some(predicted.to_bits()),
+        "an inherited prediction must be the model's own ({change:?})"
+    );
+    Sampled::Inherited(mapping_idx, predicted)
+}
+
+/// The gene draw of a mutation: changes one gene of `s` in place and reports
+/// what changed, without repairing feasibility.
+fn draw_mutation(ctx: &ScreeningContext, s: &mut Schedule, rng: &mut impl Rng) -> GeneChange {
+    // A numeric draw that lands on the old value (a split halved at 1 or
+    // doubled at the extent, the same warp or stage value drawn again) has
+    // changed nothing.
+    fn set(gene: &mut i64, value: i64) -> GeneChange {
+        let change = if *gene == value {
+            GeneChange::Nothing
+        } else {
+            GeneChange::Numeric
+        };
+        *gene = value;
+        change
+    }
     let axes = &ctx.axes[..];
     let gene = rng.gen_range(0..7);
     match gene {
-        6 => {
-            if let Some(&i) = ctx.nonspatial_axes.choose(rng) {
-                s.split_k[i] = if rng.gen_bool(0.5) {
+        6 => match ctx.nonspatial_axes.choose(rng) {
+            Some(&i) => {
+                let value = if rng.gen_bool(0.5) {
                     (s.split_k[i] * 2).min(axes[i].extent)
                 } else {
                     (s.split_k[i] / 2).max(1)
                 };
+                set(&mut s.split_k[i], value)
             }
-        }
-        0 => {
-            // Grow or shrink a grid split.
-            if let Some(&i) = ctx.spatial_axes.choose(rng) {
-                s.grid[i] = if rng.gen_bool(0.5) {
+            None => GeneChange::Nothing,
+        },
+        // Grow or shrink a grid split.
+        0 => match ctx.spatial_axes.choose(rng) {
+            Some(&i) => {
+                let value = if rng.gen_bool(0.5) {
                     (s.grid[i] * 2).min(axes[i].extent)
                 } else {
                     (s.grid[i] / 2).max(1)
                 };
+                set(&mut s.grid[i], value)
             }
+            None => GeneChange::Nothing,
+        },
+        1 => match ctx.tile_spatial_axes.choose(rng) {
+            Some(&i) => set(&mut s.warp[i], pick_124(rng)),
+            None => GeneChange::Nothing,
+        },
+        2 => match ctx.tile_reduction_axes.choose(rng) {
+            Some(&i) => set(&mut s.stage[i], pick_124(rng).min(axes[i].extent)),
+            None => GeneChange::Nothing,
+        },
+        3 => {
+            s.double_buffer = !s.double_buffer;
+            GeneChange::DoubleBuffer
         }
-        1 => {
-            if let Some(&i) = ctx.tile_spatial_axes.choose(rng) {
-                s.warp[i] = pick_124(rng);
-            }
+        4 => {
+            s.unroll = !s.unroll;
+            GeneChange::Unroll
         }
-        2 => {
-            if let Some(&i) = ctx.tile_reduction_axes.choose(rng) {
-                s.stage[i] = pick_124(rng).min(axes[i].extent);
-            }
+        _ => {
+            s.vectorize = !s.vectorize;
+            GeneChange::Vectorize
         }
-        3 => s.double_buffer = !s.double_buffer,
-        4 => s.unroll = !s.unroll,
-        _ => s.vectorize = !s.vectorize,
     }
-    repair_schedule_ctx(ctx, s);
 }
 
-/// Shrinks footprint-heavy genes until the schedule passes the context's
-/// allocation-free feasibility check (agrees with `Schedule::validate` —
-/// asserted by the sim crate's tests).
 /// Adapts a donor schedule (tuned for a *similar* shape) to `ctx`'s axes:
 /// every per-axis factor is clamped to the new extents, then the footprints
 /// are repaired like any sampled candidate. Deterministic — a pure function
@@ -1764,6 +1859,10 @@ fn adapt_schedule_to(ctx: &ScreeningContext, s: &mut Schedule) -> bool {
     ctx.schedule_feasible(s)
 }
 
+/// Shrinks footprint-heavy genes until the schedule passes the context's
+/// allocation-free feasibility check (agrees with `Schedule::validate` —
+/// asserted by the sim crate's tests). A schedule that already passes is
+/// left as it is, which is why [`mutate_child`] can skip the call.
 fn repair_schedule_ctx(ctx: &ScreeningContext, s: &mut Schedule) {
     for _ in 0..16 {
         if ctx.schedule_feasible(s) {
@@ -2099,7 +2198,7 @@ mod tests {
     }
 
     #[test]
-    fn ranking_is_the_stable_sort_by_total_cmp() {
+    fn ranking_places_the_head_of_the_stable_sort_by_total_cmp() {
         let values = [
             3.5,
             f64::INFINITY,
@@ -2114,20 +2213,36 @@ mod tests {
             f64::INFINITY,
             1.0,
         ];
-        let mut arena = PopulationArena::new();
-        arena.ensure_slots(values.len());
-        arena.predicted.copy_from_slice(&values);
-        for (slot, m) in arena.mapping_idx.iter_mut().enumerate() {
-            *m = slot;
-        }
-        arena.live = values.len();
-        arena.sort_live_by_predicted();
-        let mut expected: Vec<usize> = (0..values.len()).collect();
+        let n = values.len();
+        let mut expected: Vec<usize> = (0..n).collect();
         expected.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-        assert_eq!(arena.mapping_idx, expected);
-        let ranked: Vec<u64> = arena.predicted.iter().map(|p| p.to_bits()).collect();
-        let sorted: Vec<u64> = expected.iter().map(|&i| values[i].to_bits()).collect();
-        assert_eq!(ranked, sorted);
+        // 1, a typical `survivors`, and every rank.
+        for keep in [1, 4, n] {
+            let mut arena = PopulationArena::new();
+            arena.ensure_slots(n);
+            arena.predicted.copy_from_slice(&values);
+            for (slot, m) in arena.mapping_idx.iter_mut().enumerate() {
+                *m = slot;
+            }
+            // Tag every `Schedule` buffer with the slot it starts in.
+            for (slot, s) in arena.schedules.iter_mut().enumerate() {
+                s.grid.push(slot as i64);
+            }
+            arena.live = n;
+            arena.sort_live_by_predicted(keep);
+            assert_eq!(arena.mapping_idx[..keep], expected[..keep], "keep {keep}");
+            // The tail holds the other slots, each exactly once.
+            let mut tail = arena.mapping_idx[keep..].to_vec();
+            tail.sort_unstable();
+            let mut rest = expected[keep..].to_vec();
+            rest.sort_unstable();
+            assert_eq!(tail, rest, "keep {keep}");
+            // Prediction and buffer travelled with their slot.
+            for (at, &slot) in arena.mapping_idx.iter().enumerate() {
+                assert_eq!(arena.predicted[at].to_bits(), values[slot].to_bits());
+                assert_eq!(arena.schedules[at].grid, [slot as i64]);
+            }
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@
 
 use amos_hw::{AcceleratorSpec, OperandRef};
 use amos_sim::{
-    div_ceil, AxisKind, BatchTables, MappedProgram, Schedule, ScreeningContext, SimError,
-    BATCH_LANES,
+    div_ceil, AxisKind, BatchTables, GeneChange, MappedProgram, Schedule, ScreeningContext,
+    SimError, BATCH_LANES,
 };
 
 /// A per-level breakdown of the prediction, for diagnostics.
@@ -55,6 +55,15 @@ pub struct PerfBreakdown {
     pub w_device: f64,
     /// Sequential factor at the device level (waves of blocks, unquantised).
     pub s_device: f64,
+}
+
+/// Whether a prediction can differ across `change`. The model reads the
+/// per-axis factors and none of the three toggles: `unroll`, `vectorize` and
+/// the overlap `double_buffer` buys are second-order effects of the timing
+/// engine alone. A model that starts reading a toggle must say so here;
+/// `tests/model_invariance.rs` holds all three functions below to this line.
+pub fn reads(change: GeneChange) -> bool {
+    matches!(change, GeneChange::Numeric)
 }
 
 /// Predicts execution cycles for a mapped program under a schedule.

@@ -31,6 +31,7 @@
 
 use crate::proto::{ExploreReply, ExploreRequest, Request, Response, ServerStats};
 use amos_core::{load_registry, shape_fingerprint, Budget, CacheConfig, Engine, ExplorerConfig};
+use amos_hw::AcceleratorSpec;
 use amos_ir::ComputeDef;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -426,11 +427,8 @@ fn explore(core: &Arc<Core>, req: ExploreRequest, receipt: Instant) -> String {
         Ok(def) => def,
         Err(e) => return error_line(core, format!("bad spec `{}`: {e}", req.spec)),
     };
-    let accel_name = req
-        .accel
-        .clone()
-        .unwrap_or_else(|| core.config.default_accel.clone());
-    let accel = match core.engine.accelerator(&accel_name) {
+    let accel_name = req.accel.as_deref().unwrap_or(&core.config.default_accel);
+    let accel = match core.engine.accelerator(accel_name) {
         Ok(a) => a,
         Err(e) => return error_line(core, e.to_string()),
     };
@@ -481,7 +479,7 @@ fn explore(core: &Arc<Core>, req: ExploreRequest, receipt: Instant) -> String {
                 let key = key.clone();
                 let flight = Arc::clone(&flight);
                 std::thread::spawn(move || {
-                    run_exploration(&core, &key, &flight, &req, &def, accel_name, seed, budget);
+                    run_exploration(&core, &key, &flight, &req, &def, &accel, seed, budget);
                     core.admission.release();
                 });
             }
@@ -512,7 +510,7 @@ fn run_exploration(
     flight: &Arc<Flight>,
     req: &ExploreRequest,
     def: &ComputeDef,
-    accel_name: String,
+    accel: &AcceleratorSpec,
     seed: u64,
     budget: Budget,
 ) {
@@ -537,14 +535,6 @@ fn run_exploration(
             None => false,
         }
     };
-    let accel = match core.engine.accelerator(&accel_name) {
-        Ok(a) => a,
-        Err(e) => {
-            let line = error_line(core, e.to_string());
-            resolve_and_remove(core, key, flight, line);
-            return;
-        }
-    };
     let mut config = core.config.base.clone();
     config.seed = seed;
     config.budget = budget;
@@ -554,7 +544,7 @@ fn run_exploration(
         if injected_panic {
             panic!("injected serve fault: handler panic");
         }
-        core.engine.explore_op_with(config, def, &accel)
+        core.engine.explore_op_with(config, def, accel)
     }));
     let line = match outcome {
         Ok(Ok(result)) => Response::Ok(ExploreReply {

@@ -35,7 +35,7 @@ pub use functional::{
     ExecStats,
 };
 pub use program::{div_ceil, Axis, AxisKind, FusedGroup, MappedProgram};
-pub use schedule::{subcores_per_core, Schedule};
+pub use schedule::{subcores_per_core, GeneChange, Schedule};
 pub use screening::{BatchTables, ScreeningContext, BATCH_LANES};
 pub use timing::{scalar_fallback_cycles, simulate, simulate_isolated, TimingReport};
 

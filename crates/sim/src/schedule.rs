@@ -77,6 +77,27 @@ impl Clone for Schedule {
     }
 }
 
+/// What one mutation changed in a [`Schedule`], at the granularity its
+/// readers differ by. The timing engine reads every gene; which of them the
+/// analytic model and the feasibility rule read is stated beside each
+/// (`amos_core::perf_model::reads`, [`ScreeningContext::stays_feasible`]),
+/// and the explorer asks them what a bred child still has to pay for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GeneChange {
+    /// The draw left every gene at its old value (a clamp, the same
+    /// `warp`/`stage` value again, or no axis of the drawn kind).
+    Nothing,
+    /// `unroll` flipped.
+    Unroll,
+    /// `vectorize` flipped.
+    Vectorize,
+    /// `double_buffer` flipped; the schedule holds the new value.
+    DoubleBuffer,
+    /// A per-axis factor (`grid`, `split_k`, `subcore`, `stage`, `warp`)
+    /// took a new value.
+    Numeric,
+}
+
 impl Schedule {
     /// The identity schedule: fully sequential on one core, minimal staging.
     pub fn naive(prog: &MappedProgram) -> Self {

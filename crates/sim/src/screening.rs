@@ -22,7 +22,7 @@
 
 use crate::error::SimError;
 use crate::program::{Axis, AxisKind, MappedProgram, MAX_AXES};
-use crate::schedule::{subcores_per_core, Schedule};
+use crate::schedule::{subcores_per_core, GeneChange, Schedule};
 use amos_hw::{AcceleratorSpec, OperandRef};
 
 /// Number of candidate lanes the batched screening path evaluates together
@@ -387,6 +387,20 @@ impl ScreeningContext {
             self.chunks_if_feasible::<NARROW_AXES>(s).is_some()
         } else {
             self.chunks_if_feasible::<MAX_AXES>(s).is_some()
+        }
+    }
+
+    /// Whether `s` is feasible, given that it was before `change` was
+    /// applied to it: what the rule below reads of each kind of gene. It
+    /// never reads `unroll` or `vectorize`; of `double_buffer` it reads only
+    /// the doubling of the staging footprint, so turning it off cannot
+    /// overflow a capacity that held; anything else is probed. Pinned by
+    /// `tests/model_invariance.rs`.
+    pub fn stays_feasible(&self, s: &Schedule, change: GeneChange) -> bool {
+        match change {
+            GeneChange::Nothing | GeneChange::Unroll | GeneChange::Vectorize => true,
+            GeneChange::DoubleBuffer if !s.double_buffer => true,
+            GeneChange::DoubleBuffer | GeneChange::Numeric => self.schedule_feasible(s),
         }
     }
 
