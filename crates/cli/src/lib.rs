@@ -46,7 +46,9 @@
 //! same workloads from disk instead of re-exploring. Entries are re-validated
 //! on load and keyed by a code-version salt, so a stale or corrupted
 //! directory can only cost time, never change an answer. `amos cache stats`
-//! and `amos cache clear` inspect and empty such a directory.
+//! and `amos cache clear` inspect and empty such a directory; the `stale`
+//! line of `stats` counts the entries another version left behind, which
+//! nothing but `clear` reclaims.
 //!
 //! `--deadline-ms N`, `--max-measurements N` and `--max-evaluations N`
 //! bound the exploration the `explore`/`ir`/`cuda` commands run
@@ -755,6 +757,7 @@ pub fn run_with_cancel(
                     writeln!(out, "salt     : {}", amos_core::cache_salt()).map_err(io)?;
                     writeln!(out, "entries  : {}", stats.entries).map_err(io)?;
                     writeln!(out, "bytes    : {}", stats.bytes).map_err(io)?;
+                    writeln!(out, "stale    : {}", stats.stale).map_err(io)?;
                 }
                 "clear" => {
                     let removed =
@@ -1064,6 +1067,7 @@ mod tests {
         let dir_arg = dir.to_str().unwrap();
         let out = run_to_string(&["cache", "stats", "--cache-dir", dir_arg]).unwrap();
         assert!(out.contains("entries  : 0"), "{out}");
+        assert!(out.contains("stale    : 0"), "{out}");
         assert!(out.contains(&amos_core::cache_salt()), "{out}");
         let out = run_to_string(&["cache", "clear", "--cache-dir", dir_arg]).unwrap();
         assert!(out.contains("removed 0 entries"), "{out}");
@@ -1071,7 +1075,7 @@ mod tests {
     }
 
     /// Pins the exact `cache stats` output shape for the L2 tier: the
-    /// label column and the entry/byte counts scripts grep for.
+    /// label column and the entry/byte/stale counts scripts grep for.
     #[test]
     fn cache_stats_output_shape_is_pinned() {
         let dir = std::env::temp_dir().join(format!("amos-cli-statspin-{}", std::process::id()));
@@ -1079,18 +1083,25 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("a.amosc"), b"0123456789").unwrap();
         std::fs::write(dir.join("b.amosc"), b"01234").unwrap();
+        let current = format!("amos-l2 {}\n", amos_core::cache_salt());
+        std::fs::write(dir.join("c.amosc"), &current).unwrap();
         std::fs::write(dir.join("ignored.txt"), b"not a cache entry").unwrap();
         let out = run_to_string(&["cache", "stats", "--cache-dir", dir.to_str().unwrap()]).unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4, "{out}");
+        assert_eq!(lines.len(), 5, "{out}");
         assert_eq!(lines[0], format!("cache dir: {}", dir.display()), "{out}");
         assert_eq!(
             lines[1],
             format!("salt     : {}", amos_core::cache_salt()),
             "{out}"
         );
-        assert_eq!(lines[2], "entries  : 2", "{out}");
-        assert_eq!(lines[3], "bytes    : 15", "{out}");
+        assert_eq!(lines[2], "entries  : 3", "{out}");
+        assert_eq!(
+            lines[3],
+            format!("bytes    : {}", 15 + current.len()),
+            "{out}"
+        );
+        assert_eq!(lines[4], "stale    : 2", "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

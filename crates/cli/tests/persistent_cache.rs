@@ -58,6 +58,10 @@ fn second_process_answers_from_disk_bit_identically() {
         !stats.contains("entries  : 0"),
         "cold run must persist entries: {stats}"
     );
+    assert!(
+        stats.contains("stale    : 0"),
+        "every entry was written by this build: {stats}"
+    );
 
     // A brand-new process with a brand-new in-memory cache: every layer
     // shape must come back as a disk hit, with zero cold explorations.

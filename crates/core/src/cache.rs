@@ -19,13 +19,12 @@ use crate::explore::{
 };
 use crate::mapping::Mapping;
 use amos_hw::AcceleratorSpec;
-use amos_ir::ComputeDef;
+use amos_ir::{Access, ComputeDef, DType, Expr, IterKind, OpKind, TensorRole};
 use amos_sim::Schedule;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Hit/miss counters of the engine's structural exploration cache. The four
 /// fields partition top-level lookups: every lookup is exactly one of an
@@ -89,6 +88,22 @@ pub struct ExplorationCache {
     // `warm_start`, so enabling the flag mid-session benefits from shapes
     // explored before it.
     warm_index: Mutex<HashMap<String, Vec<WarmStart>>>,
+    // Every distinct machine value this cache was asked about: as many as
+    // the process sees (the registry's, plus one unit per intrinsic of a
+    // heterogeneous one).
+    machines: Mutex<Vec<Arc<Machine>>>,
+}
+
+/// One interned machine, and the two things keys call it.
+#[derive(Debug)]
+pub(crate) struct Machine {
+    spec: AcceleratorSpec,
+    /// `#{position in the table}`: its name in this cache's in-memory keys.
+    id: String,
+    /// The spec's derived `Debug`, rendered this once: its name on disk,
+    /// where ids mean nothing. `hash` is FNV-1a of it.
+    text: String,
+    hash: u64,
 }
 
 impl ExplorationCache {
@@ -131,6 +146,30 @@ impl ExplorationCache {
     /// Number of distinct (shape, accelerator, config) entries stored.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("cache lock").len()
+    }
+
+    /// Interns `accel` **by value**: two specs are one machine exactly when
+    /// they compare equal, never because a hash said so.
+    pub(crate) fn intern(&self, accel: &AcceleratorSpec) -> Arc<Machine> {
+        let mut machines = self.machines.lock().expect("machine table lock");
+        if let Some(known) = machines.iter().find(|m| m.spec == *accel) {
+            return Arc::clone(known);
+        }
+        // The derived Debug covers every field (hierarchy, memories,
+        // intrinsics), so two distinct machines never share a text. A value
+        // `==` cannot recognise (a NaN field) is still one machine by it.
+        let text = format!("{accel:?}");
+        if let Some(known) = machines.iter().find(|m| m.text == text) {
+            return Arc::clone(known);
+        }
+        let machine = Arc::new(Machine {
+            spec: accel.clone(),
+            id: format!("#{}", machines.len()),
+            hash: fnv1a(&text),
+            text,
+        });
+        machines.push(Arc::clone(&machine));
+        machine
     }
 
     /// [`Explorer::explore_multi`] with memoisation. The explorer's
@@ -187,9 +226,9 @@ impl ExplorationCache {
     /// future shapes of the same class. The donor is resolved *before* the
     /// run starts (and the run is deterministic given that donor), so
     /// results are bit-identical for a fixed cache state at any thread
-    /// count. An L2 hit is promoted into L1 and — like an L1 hit — still
-    /// records its winner as a donor, so a warm process rebuilds its
-    /// similarity index from disk.
+    /// count. An L2 hit is promoted into L1 and still records its winner as
+    /// a donor, so a warm process rebuilds its similarity index from disk;
+    /// an L1 hit records nothing, since whoever stored the entry did.
     fn explore_warm(
         &self,
         explorer: &Explorer,
@@ -198,9 +237,13 @@ impl ExplorationCache {
         shape: Option<&str>,
         run: impl FnOnce(&KeyStem, Option<&WarmStart>) -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let stem = KeyStem::new(explorer.config(), def, accel, shape);
+        let stem = KeyStem::new(explorer.config(), def, self.intern(accel), shape);
         let key = stem.key("multi");
-        if let Some(hit) = self.probe_tiers(&key, def, accel) {
+        if let Some(hit) = self.probe_l1(&key, &self.hits) {
+            return hit;
+        }
+        if let Some(loaded) = self.probe_l2(&key, &stem, "multi", def, accel) {
+            let hit = Ok(loaded);
             self.record_warm_start(&stem, def, &hit);
             return hit;
         }
@@ -218,42 +261,60 @@ impl ExplorationCache {
         };
         miss_counter.fetch_add(1, Ordering::Relaxed);
         let result = run(&stem, warm.as_ref());
-        self.insert(key, &result);
+        self.insert(key, Some((&stem, "multi")), &result);
         self.record_warm_start(&stem, def, &result);
         result
     }
 
-    /// Probes L1 then L2 for `key`, counting whichever answers. An L2 hit
-    /// is promoted into L1 so later lookups skip re-validation.
-    fn probe_tiers(
+    /// Probes L1 for `key`, counting a hit in `hits`.
+    fn probe_l1(
         &self,
         key: &str,
+        hits: &AtomicUsize,
+    ) -> Option<Result<ExplorationResult, ExploreError>> {
+        let cached = self.entries.lock().expect("cache lock").get(key)?.clone();
+        hits.fetch_add(1, Ordering::Relaxed);
+        Some(cached)
+    }
+
+    /// Probes L2 for `stem`'s request under `tag`, counting a hit and
+    /// promoting it into L1 under `key` so later lookups skip re-validation.
+    /// Only here, past an L1 miss, is the request's full text assembled.
+    fn probe_l2(
+        &self,
+        key: &str,
+        stem: &KeyStem,
+        tag: &str,
         def: &ComputeDef,
         accel: &AcceleratorSpec,
-    ) -> Option<Result<ExplorationResult, ExploreError>> {
-        if let Some(cached) = self.entries.lock().expect("cache lock").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(cached.clone());
-        }
-        let loaded = self.disk.as_ref()?.load(key, def, accel)?;
+    ) -> Option<ExplorationResult> {
+        let disk = self.disk.as_ref()?;
+        let loaded = disk.load(stem.file_hash(tag), &stem.disk_key(tag), def, accel)?;
         self.l2_hits.fetch_add(1, Ordering::Relaxed);
         self.entries
             .lock()
             .expect("cache lock")
             .insert(key.to_string(), Ok(loaded.clone()));
-        Some(Ok(loaded))
+        Some(loaded)
     }
 
-    /// Stores a cacheable result in L1 and writes clean `Finished` results
-    /// through to L2 (`Err` entries stay in-memory: "this shape has no
-    /// valid mapping" is cheap to rediscover and not worth trusting across
-    /// code versions).
-    fn insert(&self, key: String, result: &Result<ExplorationResult, ExploreError>) {
+    /// Stores a cacheable result in L1 and, for the top-level request
+    /// `persist` names, writes a clean `Finished` one through to L2 (`Err`
+    /// entries stay in-memory: "this shape has no valid mapping" is cheap to
+    /// rediscover and not worth trusting across code versions; refinement
+    /// sub-runs pass `None`, they would only duplicate their top-level
+    /// entry's information on disk).
+    fn insert(
+        &self,
+        key: String,
+        persist: Option<(&KeyStem, &str)>,
+        result: &Result<ExplorationResult, ExploreError>,
+    ) {
         if !cacheable(result) {
             return;
         }
-        if let (Some(disk), Ok(r)) = (&self.disk, result) {
-            disk.store(&key, r);
+        if let (Some(disk), Some((stem, tag)), Ok(r)) = (&self.disk, persist, result) {
+            disk.store(stem.file_hash(tag), &stem.disk_key(tag), r);
         }
         self.entries
             .lock()
@@ -333,7 +394,14 @@ impl ExplorationCache {
         stem: &KeyStem,
         run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.run_counted(stem.key(tag), run, &self.refine_hits, &self.refine_misses)
+        let key = stem.key(tag);
+        if let Some(hit) = self.probe_l1(&key, &self.refine_hits) {
+            return hit;
+        }
+        self.refine_misses.fetch_add(1, Ordering::Relaxed);
+        let result = run();
+        self.insert(key, None, &result);
+        result
     }
 
     /// Memoises an arbitrary exploration flavour under an extra `tag`
@@ -350,10 +418,13 @@ impl ExplorationCache {
         shape: Option<&str>,
         run: impl FnOnce(&KeyStem) -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let stem = KeyStem::new(explorer.config(), def, accel, shape);
+        let stem = KeyStem::new(explorer.config(), def, self.intern(accel), shape);
         let key = stem.key(tag);
-        if let Some(hit) = self.probe_tiers(&key, def, accel) {
+        if let Some(hit) = self.probe_l1(&key, &self.hits) {
             return hit;
+        }
+        if let Some(loaded) = self.probe_l2(&key, &stem, tag, def, accel) {
+            return Ok(loaded);
         }
         // The lock is NOT held while exploring: a search can take seconds and
         // other layers (other threads) must be able to probe the cache. Two
@@ -361,32 +432,7 @@ impl ExplorationCache {
         // and store identical results — wasteful but correct.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let result = run(&stem);
-        self.insert(key, &result);
-        result
-    }
-
-    /// L1-only memoisation (the refinement path: sub-runs are internal to
-    /// one exploration, so persisting them would only duplicate the
-    /// top-level entry's information on disk).
-    fn run_counted(
-        &self,
-        key: String,
-        run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
-        hits: &AtomicUsize,
-        misses: &AtomicUsize,
-    ) -> Result<ExplorationResult, ExploreError> {
-        if let Some(cached) = self.entries.lock().expect("cache lock").get(&key) {
-            hits.fetch_add(1, Ordering::Relaxed);
-            return cached.clone();
-        }
-        misses.fetch_add(1, Ordering::Relaxed);
-        let result = run();
-        if cacheable(&result) {
-            self.entries
-                .lock()
-                .expect("cache lock")
-                .insert(key, result.clone());
-        }
+        self.insert(key, Some((&stem, tag)), &result);
         result
     }
 }
@@ -411,11 +457,12 @@ fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
 }
 
 /// Structural identity of one exploration request, minus the tag that names
-/// the flavour of search: everything expensive to format — the shape
-/// fingerprint and the accelerator's `Debug`, ≈ 2 KiB together — rendered
-/// once per top-level call. Every key of the call is a concatenation with
-/// it: `"{tag};" + body` for the call itself and for its refinement rounds,
-/// the operator class plus the `accel:` suffix for the warm-start index.
+/// the flavour of search: the configuration and the shape fingerprint,
+/// written once per top-level call, beside the interned machine. Every key
+/// of the call is a concatenation with it: `"{tag};" + body + id` in memory,
+/// for the call itself and for its refinement rounds, and the same with
+/// `accel:{text}` for the id on disk; the operator class plus the id for
+/// the warm-start index.
 ///
 /// Deliberately *excludes* the computation's name (same-shape layers must
 /// share an entry) and `config.jobs` (results are thread-count-invariant).
@@ -424,78 +471,86 @@ fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
 /// identical under every budget.
 #[derive(Debug)]
 pub(crate) struct KeyStem {
-    /// `cfg:…;{shape};[faults:…;]accel:{accel:?}`.
+    /// `cfg:…;{shape};[faults:…;]`.
     body: String,
-    /// Where `accel:` starts in `body`.
-    accel_at: usize,
+    machine: Arc<Machine>,
 }
 
 impl KeyStem {
     /// Callers may pass `def`'s shape fingerprint when they already computed
     /// one (network evaluation derives per-shape seeds from it), saving the
     /// rebuild; it is the caller's contract that the two match.
-    pub(crate) fn new(
+    fn new(
         config: &ExplorerConfig,
         def: &ComputeDef,
-        accel: &AcceleratorSpec,
+        machine: Arc<Machine>,
         shape: Option<&str>,
     ) -> Self {
         if let Some(fp) = shape {
             debug_assert_eq!(fp, shape_fingerprint(def), "stale shape fingerprint");
         }
         let shape = shape.map_or_else(|| Cow::Owned(shape_fingerprint(def)), Cow::Borrowed);
-        let mut body = String::with_capacity(2560);
-        // `warm_start` splits entries: a warm-started result depends on the
-        // cache state at lookup time, so it must never answer a cold lookup.
-        let _ = write!(
-            body,
-            "cfg:{}/{}/{}/{}/{}/w{};{};",
+        let mut body = String::with_capacity(shape.len() + 96);
+        body.push_str("cfg:");
+        for knob in [
             config.population,
             config.generations,
             config.survivors,
             config.measure_top,
-            config.seed,
-            config.warm_start as u8,
-            shape,
-        );
+        ] {
+            push_uint(&mut body, knob as u64);
+            body.push('/');
+        }
+        push_uint(&mut body, config.seed);
+        // `warm_start` splits entries: a warm-started result depends on the
+        // cache state at lookup time, so it must never answer a cold lookup.
+        body.push_str(if config.warm_start { "/w1;" } else { "/w0;" });
+        body.push_str(&shape);
+        body.push(';');
         // An active fault plan changes which candidates survive, so it must
         // split cache entries (test-harness builds only).
         #[cfg(feature = "fault-injection")]
         {
+            use std::fmt::Write as _;
             let _ = write!(body, "faults:{};", config.faults);
         }
-        let accel_at = body.len();
-        // The full accelerator description (hierarchy, memories, intrinsics) —
-        // derived Debug covers every field, so two distinct machines never
-        // collide.
-        let _ = write!(body, "accel:{accel:?}");
-        KeyStem { body, accel_at }
+        KeyStem { body, machine }
     }
 
     /// The same request against another machine: a unit of a heterogeneous
     /// accelerator, whose refinement keys name the unit.
-    pub(crate) fn retarget(&self, accel: &AcceleratorSpec) -> Self {
-        let mut body = self.body[..self.accel_at].to_string();
-        let _ = write!(body, "accel:{accel:?}");
+    pub(crate) fn retarget(&self, machine: Arc<Machine>) -> Self {
         KeyStem {
-            body,
-            accel_at: self.accel_at,
+            body: self.body.clone(),
+            machine,
         }
     }
 
-    /// The cache key of this request under `tag`.
+    /// The in-memory cache key of this request under `tag`.
     fn key(&self, tag: &str) -> String {
-        [tag, ";", &self.body].concat()
+        [tag, ";", &self.body, &self.machine.id].concat()
     }
 
-    /// Key of the warm-start similarity index: operator class + the full
-    /// accelerator description (a donor tuned for one machine must not seed
-    /// another).
+    /// The request under `tag` in full, as the disk tier stores and compares
+    /// it.
+    fn disk_key(&self, tag: &str) -> String {
+        [tag, ";", &self.body, "accel:", &self.machine.text].concat()
+    }
+
+    /// What the disk tier names the entry of [`KeyStem::disk_key`] by:
+    /// FNV-1a over `{tag};{body}`, continued over the machine text's own
+    /// hash instead of the text.
+    fn file_hash(&self, tag: &str) -> u64 {
+        let h = rand::fnv1a_64(tag.as_bytes());
+        let h = rand::fnv1a_64_extend(h, b";");
+        let h = rand::fnv1a_64_extend(h, self.body.as_bytes());
+        rand::fnv1a_64_extend(h, &self.machine.hash.to_le_bytes())
+    }
+
+    /// Key of the warm-start similarity index: operator class + the machine
+    /// (a donor tuned for one machine must not seed another).
     fn warm_key(&self, def: &ComputeDef) -> String {
-        let mut s = class_fingerprint(def);
-        s.push(';');
-        s.push_str(&self.body[self.accel_at..]);
-        s
+        [&class_fingerprint(def), ";", &self.machine.id].concat()
     }
 }
 
@@ -513,20 +568,11 @@ pub fn fnv1a(key: &str) -> u64 {
 /// computation's name, so same-shape layers of a network share it. Callers
 /// that need shape-keyed bookkeeping of their own (e.g. deriving one seed per
 /// distinct layer shape) can reuse it.
+///
+/// The text is seed material as well as key material (network evaluation
+/// seeds each search from its hash), so a byte changed here changes winners.
 pub fn shape_fingerprint(def: &ComputeDef) -> String {
-    let mut s = String::with_capacity(256);
-    for it in def.iters() {
-        let _ = write!(s, "i:{}:{}:{:?};", it.name, it.extent, it.kind);
-    }
-    for t in def.tensors() {
-        let _ = write!(s, "t:{:?}:{:?}:{:?};", t.shape, t.dtype, t.role);
-    }
-    let _ = write!(s, "out:{:?};", def.output());
-    for a in def.inputs() {
-        let _ = write!(s, "in:{:?};", a);
-    }
-    let _ = write!(s, "op:{:?};preds:{:?}", def.op(), def.predicates());
-    s
+    write_fingerprint(def, true)
 }
 
 /// Operator-*class* identity: [`shape_fingerprint`] with every extent
@@ -537,19 +583,130 @@ pub fn shape_fingerprint(def: &ComputeDef) -> String {
 /// extents, and a donor only *seeds* the search — it is re-validated on the
 /// new shape, never trusted.
 fn class_fingerprint(def: &ComputeDef) -> String {
-    let mut s = String::with_capacity(256);
+    write_fingerprint(def, false)
+}
+
+/// Both fingerprints, and their specification (DESIGN.md §5h has it as a
+/// table); `sized` adds what only the shape's has. The text is what
+/// `format!` made of the parts' derived `Debug`, written without `fmt`.
+fn write_fingerprint(def: &ComputeDef, sized: bool) -> String {
+    let mut s = String::with_capacity(512);
     for it in def.iters() {
-        let _ = write!(s, "i:{}:{:?};", it.name, it.kind);
+        s.push_str("i:");
+        s.push_str(&it.name);
+        s.push(':');
+        if sized {
+            push_int(&mut s, it.extent);
+            s.push(':');
+        }
+        s.push_str(match it.kind {
+            IterKind::Spatial => "Spatial;",
+            IterKind::Reduction => "Reduction;",
+        });
     }
     for t in def.tensors() {
-        let _ = write!(s, "t:{:?}:{:?};", t.dtype, t.role);
+        s.push_str("t:");
+        if sized {
+            push_list(&mut s, &t.shape, |s, &dim| push_int(s, dim));
+            s.push(':');
+        }
+        s.push_str(match t.dtype {
+            DType::F16 => "F16:",
+            DType::F32 => "F32:",
+            DType::I8 => "I8:",
+            DType::I32 => "I32:",
+        });
+        s.push_str(match t.role {
+            TensorRole::Input => "Input;",
+            TensorRole::Output => "Output;",
+            TensorRole::Constant => "Constant;",
+        });
     }
-    let _ = write!(s, "out:{:?};", def.output());
-    for a in def.inputs() {
-        let _ = write!(s, "in:{:?};", a);
+    s.push_str("out:");
+    push_access(&mut s, def.output());
+    for access in def.inputs() {
+        s.push_str(";in:");
+        push_access(&mut s, access);
     }
-    let _ = write!(s, "op:{:?}", def.op());
+    s.push_str(match def.op() {
+        OpKind::MulAcc => ";op:MulAcc",
+        OpKind::AddAcc => ";op:AddAcc",
+        OpKind::MaxAcc => ";op:MaxAcc",
+    });
+    if sized {
+        s.push_str(";preds:");
+        push_list(&mut s, def.predicates(), push_expr);
+    }
     s
+}
+
+fn push_access(s: &mut String, access: &Access) {
+    s.push_str("Access { tensor: TensorId(");
+    push_uint(s, access.tensor.0.into());
+    s.push_str("), indices: ");
+    push_list(s, &access.indices, push_expr);
+    s.push_str(" }");
+}
+
+/// `[a, b, …]`, as a slice's `Debug` lays it out.
+fn push_list<T>(s: &mut String, items: &[T], push: impl Fn(&mut String, &T)) {
+    s.push('[');
+    for (n, item) in items.iter().enumerate() {
+        if n > 0 {
+            s.push_str(", ");
+        }
+        push(s, item);
+    }
+    s.push(']');
+}
+
+fn push_expr(s: &mut String, e: &Expr) {
+    let (node, lhs, rhs) = match e {
+        Expr::Var(id) => {
+            s.push_str("Var(IterId(");
+            push_uint(s, id.0.into());
+            s.push_str("))");
+            return;
+        }
+        Expr::Const(c) => {
+            s.push_str("Const(");
+            push_int(s, *c);
+            s.push(')');
+            return;
+        }
+        Expr::Add(lhs, rhs) => ("Add(", lhs, rhs),
+        Expr::Sub(lhs, rhs) => ("Sub(", lhs, rhs),
+        Expr::Mul(lhs, rhs) => ("Mul(", lhs, rhs),
+        Expr::FloorDiv(lhs, rhs) => ("FloorDiv(", lhs, rhs),
+        Expr::Mod(lhs, rhs) => ("Mod(", lhs, rhs),
+    };
+    s.push_str(node);
+    push_expr(s, lhs);
+    s.push_str(", ");
+    push_expr(s, rhs);
+    s.push(')');
+}
+
+fn push_int(s: &mut String, v: i64) {
+    if v < 0 {
+        s.push('-');
+    }
+    push_uint(s, v.unsigned_abs());
+}
+
+/// `v` in decimal, as `{}` prints it.
+fn push_uint(s: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
 }
 
 #[cfg(test)]
@@ -827,6 +984,58 @@ mod tests {
         assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
     }
 
+    #[test]
+    fn machines_are_interned_by_value_and_rendered_once() {
+        let cache = ExplorationCache::new();
+        let v100 = catalog::v100();
+        let first = cache.intern(&v100);
+        let again = cache.intern(&catalog::v100());
+        assert!(Arc::ptr_eq(&first, &again), "one rendering");
+        assert_eq!(first.id, "#0");
+        assert_eq!(first.text, format!("{v100:?}"));
+        assert_eq!(first.hash, fnv1a(&first.text));
+        let mut faster = v100.clone();
+        faster.clock_ghz += 0.25;
+        assert_ne!(cache.intern(&faster).id, first.id);
+        // A value that is not equal to itself is still one machine.
+        let mut nan = v100;
+        nan.clock_ghz = f64::NAN;
+        assert_eq!(cache.intern(&nan).id, cache.intern(&nan).id);
+        assert_eq!(cache.machines.lock().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn the_class_writer_is_the_derived_debug_rendering() {
+        use std::fmt::Write as _;
+        let mut b = ComputeBuilder::new("strided");
+        let i = b.spatial("i", 6);
+        let k = b.reduce("k", 10);
+        let a = b.input("a", &[64], DType::I8);
+        let w = b.constant("w", &[7], DType::I32);
+        let o = b.output("o", &[6], DType::F16);
+        b.mul_acc(
+            o.at([i]),
+            a.at([(i.ex() * 2 + k.ex() - 3).floor_div(4)]),
+            w.at([(k.ex() + Expr::int(-1)).rem(7)]),
+        );
+        b.require_zero((i.ex() - k.ex()).rem(2));
+        for def in [gemm("g", 64, 32, 16), b.finish().unwrap()] {
+            let mut s = String::new();
+            for it in def.iters() {
+                let _ = write!(s, "i:{}:{:?};", it.name, it.kind);
+            }
+            for t in def.tensors() {
+                let _ = write!(s, "t:{:?}:{:?};", t.dtype, t.role);
+            }
+            let _ = write!(s, "out:{:?};", def.output());
+            for a in def.inputs() {
+                let _ = write!(s, "in:{:?};", a);
+            }
+            let _ = write!(s, "op:{:?}", def.op());
+            assert_eq!(class_fingerprint(&def), s);
+        }
+    }
+
     // ---- the persistent L2 tier --------------------------------------------
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -901,23 +1110,70 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The entry the parent of the `KeyStem` change (commit 8e11c70, one
-    /// `fingerprint` call per key) wrote for `small_explorer(11)` on the
-    /// 64-cubed GEMM on v100. It goes stale, and is to be rewritten by the
-    /// commit that does it, when the version salt, the entry layout, the key
-    /// layout or `data/accels/v100.toml` changes on purpose.
+    /// Entries for `small_explorer(11)` on the 64-cubed GEMM on v100: the
+    /// one the last schema-1 commit (4704759) wrote, and the one this schema
+    /// writes. The second goes stale, and is to be rewritten by the commit
+    /// that does it, when the version salt, the entry layout, the key
+    /// layout, the file naming or `data/accels/v100.toml` changes on
+    /// purpose.
     #[cfg(not(feature = "fault-injection"))]
-    const PARENT_ENTRY: (&str, &str) = (
+    const SCHEMA_1_ENTRY: (&str, &str) = (
         "79b7a158852dee99.amosc",
         include_str!("../tests/fixtures/79b7a158852dee99.amosc"),
+    );
+    #[cfg(not(feature = "fault-injection"))]
+    const SCHEMA_2_ENTRY: (&str, &str) = (
+        "83d21f019876c0d8.amosc",
+        include_str!("../tests/fixtures/83d21f019876c0d8.amosc"),
     );
 
     #[test]
     #[cfg(not(feature = "fault-injection"))]
-    fn an_entry_written_by_the_parent_commit_still_answers_bit_identically() {
-        let dir = tmp_dir("parent-entry");
+    fn a_schema_1_entry_is_a_silent_cold_miss_and_is_rewritten() {
+        let dir = tmp_dir("schema-1-entry");
         std::fs::create_dir_all(&dir).expect("cache dir");
-        std::fs::write(dir.join(PARENT_ENTRY.0), PARENT_ENTRY.1).expect("fixture copy");
+        // Under its own name no lookup opens it; under the name this schema
+        // looks for, its first line rejects it.
+        for name in [SCHEMA_1_ENTRY.0, SCHEMA_2_ENTRY.0] {
+            std::fs::write(dir.join(name), SCHEMA_1_ENTRY.1).expect("fixture copy");
+        }
+        let accel = catalog::v100();
+        let def = gemm("g", 64, 64, 64);
+        let cold = disk_cache(&dir);
+        let explored = cold
+            .explore_multi(&small_explorer(11), &def, &accel)
+            .unwrap();
+        assert_eq!(
+            cold.stats(),
+            CacheStats {
+                hits: 0,
+                l2_hits: 0,
+                warm_starts: 0,
+                misses: 1
+            }
+        );
+        let rewritten = std::fs::read_to_string(dir.join(SCHEMA_2_ENTRY.0)).expect("entry");
+        assert!(rewritten.starts_with(crate::disk::header()), "{rewritten}");
+        let warm = disk_cache(&dir);
+        let read = warm
+            .explore_multi(&small_explorer(11), &def, &accel)
+            .unwrap();
+        assert_eq!(warm.stats().l2_hits, 1, "{:?}", warm.stats());
+        assert_eq!(explored.cycles().to_bits(), read.cycles().to_bits());
+        assert_eq!(
+            crate::disk::cache_dir_stats(&dir).unwrap().stale,
+            1,
+            "the leftover under its schema-1 name is what `cache clear` reclaims"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[cfg(not(feature = "fault-injection"))]
+    fn a_committed_schema_2_entry_answers_bit_identically() {
+        let dir = tmp_dir("schema-2-entry");
+        std::fs::create_dir_all(&dir).expect("cache dir");
+        std::fs::write(dir.join(SCHEMA_2_ENTRY.0), SCHEMA_2_ENTRY.1).expect("fixture copy");
         let accel = catalog::v100();
         let def = gemm("g", 64, 64, 64);
         let cache = disk_cache(&dir);
@@ -932,7 +1188,7 @@ mod tests {
                 warm_starts: 0,
                 misses: 0
             },
-            "the parent's key content and entry format must still be accepted"
+            "the committed key content, file name and entry format must still be accepted"
         );
         let cold = ExplorationCache::new()
             .explore_multi(&small_explorer(11), &def, &accel)
@@ -967,33 +1223,59 @@ mod tests {
         let faults = String::new();
         #[cfg(feature = "fault-injection")]
         let faults = format!("faults:{};", config.faults);
-        // What `fingerprint(tag, …)` and `warm_key` assembled, spelled out.
-        let body = format!("cfg:8/2/3/2/11/w0;{shape};{faults}accel:{accel:?}");
-        let stem = KeyStem::new(&config, &def, &accel, None);
-        assert_eq!(stem.key("multi"), format!("multi;{body}"));
+        let body = format!("cfg:8/2/3/2/11/w0;{shape};{faults}");
+        let cache = ExplorationCache::new();
+        let stem = KeyStem::new(&config, &def, cache.intern(&accel), None);
+        // In memory the machine is its id, the first interned being 0...
+        assert_eq!(stem.key("multi"), format!("multi;{body}#0"));
         assert_eq!(
             stem.key("refine:2:17:24301"),
-            format!("refine:2:17:24301;{body}")
+            format!("refine:2:17:24301;{body}#0")
         );
         assert_eq!(
             stem.warm_key(&def),
-            format!("{};accel:{accel:?}", class_fingerprint(&def))
+            format!("{};#0", class_fingerprint(&def))
         );
-        let reused = KeyStem::new(&config, &def, &accel, Some(&shape));
+        // ...on disk it is spelled out, and the file is named by the hash
+        // of everything before it continued over the hash of the spelling.
+        assert_eq!(
+            stem.disk_key("multi"),
+            format!("multi;{body}accel:{accel:?}")
+        );
+        assert_eq!(
+            stem.file_hash("multi"),
+            rand::fnv1a_64_extend(
+                fnv1a(&format!("multi;{body}")),
+                &fnv1a(&format!("{accel:?}")).to_le_bytes()
+            )
+        );
+        let reused = KeyStem::new(&config, &def, cache.intern(&accel), Some(&shape));
         assert_eq!(reused.key("fixed:im2col"), stem.key("fixed:im2col"));
         // A unit of a heterogeneous machine keys its rounds by the unit.
         let npu = catalog::ascend_npu();
         let mut unit = npu.clone();
         unit.intrinsic = unit.extra_intrinsics.remove(0);
-        let retargeted = KeyStem::new(&config, &def, &npu, None).retarget(&unit);
-        let direct = KeyStem::new(&config, &def, &unit, None);
+        let whole = KeyStem::new(&config, &def, cache.intern(&npu), None);
+        let retargeted = whole.retarget(cache.intern(&unit));
+        let direct = KeyStem::new(&config, &def, cache.intern(&unit), None);
         assert_eq!(retargeted.key("refine:0:0:1"), direct.key("refine:0:0:1"));
         assert_eq!(retargeted.warm_key(&def), direct.warm_key(&def));
-        // Byte for byte the key the parent commit stored in its entry.
+        assert_eq!(
+            retargeted.key("refine:0:0:1"),
+            format!("refine:0:0:1;{body}#2")
+        );
+        assert_ne!(retargeted.key("refine:0:0:1"), whole.key("refine:0:0:1"));
+        // Byte for byte the key both committed entries store, under the
+        // name this schema gives it.
         #[cfg(not(feature = "fault-injection"))]
-        assert!(PARENT_ENTRY
-            .1
-            .contains(&format!("\n{}\n", stem.key("multi"))));
+        for entry in [SCHEMA_1_ENTRY.1, SCHEMA_2_ENTRY.1] {
+            assert!(entry.contains(&format!("\n{}\n", stem.disk_key("multi"))));
+        }
+        #[cfg(not(feature = "fault-injection"))]
+        assert_eq!(
+            format!("{:016x}.amosc", stem.file_hash("multi")),
+            SCHEMA_2_ENTRY.0
+        );
     }
 
     #[test]
@@ -1026,6 +1308,30 @@ mod tests {
         let mut lying = text.into_bytes();
         lying[report_at] = if lying[report_at] == b'0' { b'1' } else { b'0' };
         scenarios.push(("lying-report", lying));
+        // Two requests whose file names collide: the file is where this
+        // request looks, and stores another request's (another seed's) key.
+        let text = String::from_utf8_lossy(&good).to_string();
+        assert!(text.contains("\nmulti;cfg:8/2/3/2/11/w0;"));
+        let collided = text.replacen(
+            "\nmulti;cfg:8/2/3/2/11/w0;",
+            "\nmulti;cfg:8/2/3/2/12/w0;",
+            1,
+        );
+        scenarios.push(("name-collision", collided.into_bytes()));
+        // An entry past the size bound that would otherwise be accepted:
+        // the evaluation trace is the one part nothing re-derives.
+        let padded = |evals: usize| {
+            let (head, _) = text.split_once("\nevals ").expect("evals line");
+            let mut s = format!("{head}\nevals {evals}\n");
+            for _ in 0..evals {
+                s.push_str("e 0000000000000000 0000000000000000\n");
+            }
+            s.push_str("end\n");
+            s.into_bytes()
+        };
+        let oversize = padded(500_000);
+        assert!(oversize.len() > 16 * 1024 * 1024);
+        scenarios.push(("oversize", oversize));
 
         for (name, bytes) in scenarios {
             tamper(&bytes);
@@ -1050,6 +1356,15 @@ mod tests {
             );
             assert_eq!(got.best_schedule, reference.best_schedule, "{name}");
         }
+        // The same padding under the bound is read: it is the bound that
+        // turned the oversized entry away.
+        tamper(&padded(1_000));
+        let cache = disk_cache(&dir);
+        let got = cache
+            .explore_multi(&small_explorer(11), &def, &accel)
+            .unwrap();
+        assert_eq!(cache.stats().l2_hits, 1, "{:?}", cache.stats());
+        assert_eq!(got.evaluations.len(), 1_000);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,8 @@
 //! config)`, so a winner found yesterday is exactly the winner a fresh
 //! process would find today — provided nothing about the *code* producing it
 //! changed. Entries are therefore keyed by the same structural fingerprint
-//! as the in-memory L1, hashed into a file name, and every file carries a
+//! as the in-memory L1 with the machine spelled out, named by a 64-bit hash
+//! the caller derives from it, and every file carries a
 //! **version salt** (cache schema + crate version + the hardware
 //! abstraction's [`amos_hw::ABSTRACTION_VERSION`]): any incompatible change
 //! invalidates cleanly, as a cold miss.
@@ -25,7 +26,6 @@
 //!   and `rename`d into place, so a concurrent reader sees either the old
 //!   complete file or the new complete file, never a torn one.
 
-use crate::cache::fnv1a;
 use crate::error::AmosError;
 use crate::explore::{
     Completion, ExplorationResult, QuarantineReport, ScreeningStats, WarmStartStats,
@@ -34,15 +34,19 @@ use crate::mapping::Mapping;
 use amos_hw::AcceleratorSpec;
 use amos_ir::{ComputeDef, IterId};
 use amos_sim::{simulate, FusedGroup, Schedule, TimingReport};
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Layout version of the on-disk entry format itself. Bump on any change to
-/// the serialization below.
-const SCHEMA: u32 = 1;
+/// the serialization below or to how files are named: schema 2 is schema
+/// 1's entry under the caller's `hash` (schema 1 hashed the whole key).
+const SCHEMA: u32 = 2;
 
-/// Entries larger than this are rejected unread (a corrupted length field
-/// must not make a lookup allocate gigabytes).
+/// Entries larger than this are rejected, and no read goes past it (a
+/// corrupted or swapped file must not make a lookup allocate gigabytes).
 const MAX_FILE_BYTES: u64 = 16 * 1024 * 1024;
 
 /// File extension of cache entries; everything else in the directory is
@@ -68,12 +72,14 @@ pub fn cache_salt() -> String {
     )
 }
 
-fn header() -> String {
-    format!("amos-l2 {}\n", cache_salt())
+/// The first line of every entry this build writes or accepts.
+pub(crate) fn header() -> &'static str {
+    static HEADER: OnceLock<String> = OnceLock::new();
+    HEADER.get_or_init(|| format!("amos-l2 {}\n", cache_salt()))
 }
 
-fn file_name(key: &str) -> String {
-    format!("{:016x}{EXT}", fnv1a(key))
+fn file_name(hash: u64) -> String {
+    format!("{hash:016x}{EXT}")
 }
 
 /// The persistent tier. Thread-safe without locks: stores are atomic
@@ -89,10 +95,11 @@ impl DiskCache {
         DiskCache { dir }
     }
 
-    /// Persists a clean `Finished` result under `key`. Best-effort: an
-    /// unwritable directory or full disk silently skips the store — the
-    /// result is still correct, it just stays process-local.
-    pub(crate) fn store(&self, key: &str, r: &ExplorationResult) {
+    /// Persists a clean `Finished` result under `key`, in the file `hash`
+    /// names. Best-effort: an unwritable directory or full disk silently
+    /// skips the store — the result is still correct, it just stays
+    /// process-local.
+    pub(crate) fn store(&self, hash: u64, key: &str, r: &ExplorationResult) {
         if r.completion != Completion::Finished {
             return;
         }
@@ -102,7 +109,7 @@ impl DiskCache {
         }
         let text = render(key, r, intrinsic);
         let _ = std::fs::create_dir_all(&self.dir);
-        let name = file_name(key);
+        let name = file_name(hash);
         let tmp = self.dir.join(format!(".tmp-{}-{name}", std::process::id()));
         if std::fs::write(&tmp, text.as_bytes()).is_ok()
             && std::fs::rename(&tmp, self.dir.join(name)).is_err()
@@ -111,20 +118,31 @@ impl DiskCache {
         }
     }
 
-    /// Loads, parses and re-validates the entry for `key`. Any failure —
-    /// missing file, bad salt, torn write, hash collision, a winner the
-    /// current simulator does not reproduce — returns `None` (a cold miss).
+    /// Loads, parses and re-validates the entry for `key` from the file
+    /// `hash` names. Any failure — missing file, bad salt, torn write, two
+    /// keys sharing a `hash`, an oversized file, a winner the current
+    /// simulator does not reproduce — returns `None` (a cold miss).
     pub(crate) fn load(
         &self,
+        hash: u64,
         key: &str,
         def: &ComputeDef,
         accel: &AcceleratorSpec,
     ) -> Option<ExplorationResult> {
-        let path = self.dir.join(file_name(key));
-        if std::fs::metadata(&path).ok()?.len() > MAX_FILE_BYTES {
+        // One open: the size checked is the size of the file that is read,
+        // and the read stops at the bound whatever that file does meanwhile.
+        let file = std::fs::File::open(self.dir.join(file_name(hash))).ok()?;
+        let len = file.metadata().ok()?.len();
+        if len > MAX_FILE_BYTES {
             return None;
         }
-        let text = std::fs::read_to_string(&path).ok()?;
+        let mut text = String::with_capacity(len as usize + 1);
+        file.take(MAX_FILE_BYTES + 1)
+            .read_to_string(&mut text)
+            .ok()?;
+        if text.len() as u64 > MAX_FILE_BYTES {
+            return None;
+        }
         parse_and_validate(&text, key, def, accel)
     }
 }
@@ -146,7 +164,7 @@ fn unbits(s: &str) -> Option<f64> {
 
 fn render(key: &str, r: &ExplorationResult, intrinsic: &str) -> String {
     let mut s = String::with_capacity(1024 + key.len());
-    s.push_str(&header());
+    s.push_str(header());
     let _ = writeln!(s, "key {}", key.len());
     s.push_str(key);
     s.push('\n');
@@ -238,6 +256,16 @@ fn ints<T: std::str::FromStr>(payload: &str) -> Option<Vec<T>> {
     payload.split_whitespace().map(|w| w.parse().ok()).collect()
 }
 
+/// The words of a line of exactly `N`.
+fn words<const N: usize>(payload: &str) -> Option<[&str; N]> {
+    let mut rest = payload.split_whitespace();
+    let mut words = [""; N];
+    for word in &mut words {
+        *word = rest.next()?;
+    }
+    rest.next().is_none().then_some(words)
+}
+
 fn parse_and_validate(
     text: &str,
     key: &str,
@@ -245,7 +273,7 @@ fn parse_and_validate(
     accel: &AcceleratorSpec,
 ) -> Option<ExplorationResult> {
     // Version salt first: entries from any other build are invisible.
-    let rest = text.strip_prefix(&header())?;
+    let rest = text.strip_prefix(header())?;
     // The full key is stored verbatim (length-prefixed, since accelerator
     // Debug output may contain anything but newlines) and must match the
     // request — two keys colliding on the 64-bit file hash miss cleanly.
@@ -281,10 +309,8 @@ fn parse_and_validate(
     if flags.iter().any(|&f| f > 1) {
         return None;
     }
-    let rep: Vec<&str> = tagged(&mut lines, "report")?.split_whitespace().collect();
-    let [cyc, blocks, waves, occ, util, dr, dw, reg, bcc, btc] = rep.as_slice() else {
-        return None;
-    };
+    let [cyc, blocks, waves, occ, util, dr, dw, reg, bcc, btc] =
+        words(tagged(&mut lines, "report")?)?;
     let stored = TimingReport {
         cycles: unbits(cyc)?,
         blocks: blocks.parse().ok()?,
@@ -299,10 +325,7 @@ fn parse_and_validate(
     };
     let num_mappings: usize = tagged(&mut lines, "nmap")?.parse().ok()?;
     let sim_failures: usize = tagged(&mut lines, "simf")?.parse().ok()?;
-    let scr: Vec<&str> = tagged(&mut lines, "screen")?.split_whitespace().collect();
-    let [screened, survivor, measured, secs] = scr.as_slice() else {
-        return None;
-    };
+    let [screened, survivor, measured, secs] = words(tagged(&mut lines, "screen")?)?;
     let screening = ScreeningStats {
         screened: screened.parse().ok()?,
         survivor_memo_hits: survivor.parse().ok()?,
@@ -339,13 +362,16 @@ fn parse_and_validate(
     // the stored report bit-for-bit. A file that lies about its provenance
     // cannot pass; a file from a subtly different model version cannot
     // either, even if its salt somehow matched.
-    let intrinsic = accel
-        .all_intrinsics()
-        .find(|i| i.name == intrinsic_name)?
-        .clone();
-    let mut unit = accel.clone();
-    unit.intrinsic = intrinsic;
-    unit.extra_intrinsics.clear();
+    let intrinsic = accel.all_intrinsics().find(|i| i.name == intrinsic_name)?;
+    // A homogeneous machine is its own unit, so nothing is copied.
+    let unit = if accel.extra_intrinsics.is_empty() {
+        Cow::Borrowed(accel)
+    } else {
+        let mut unit = accel.clone();
+        unit.intrinsic = intrinsic.clone();
+        unit.extra_intrinsics.clear();
+        Cow::Owned(unit)
+    };
     let best_mapping = Mapping {
         groups,
         correspondence,
@@ -403,6 +429,20 @@ pub struct DiskDirStats {
     pub entries: usize,
     /// Their total size in bytes.
     pub bytes: u64,
+    /// How many of them no lookup of this build can answer from: their
+    /// first line is not this build's (another schema or version wrote
+    /// them, or a write was torn). [`clear_cache_dir`] reclaims them.
+    pub stale: usize,
+}
+
+/// Whether `path` starts with the line every entry of this build starts
+/// with; no more of the file than that line is read.
+fn is_current(path: &Path) -> bool {
+    let mut first = vec![0u8; header().len()];
+    std::fs::File::open(path)
+        .and_then(|mut file| file.read_exact(&mut first))
+        .is_ok()
+        && first == header().as_bytes()
 }
 
 fn entry_files(dir: &Path) -> Result<Vec<(PathBuf, u64)>, AmosError> {
@@ -439,6 +479,7 @@ pub fn cache_dir_stats(dir: &Path) -> Result<DiskDirStats, AmosError> {
     Ok(DiskDirStats {
         entries: files.len(),
         bytes: files.iter().map(|(_, len)| len).sum(),
+        stale: files.iter().filter(|(path, _)| !is_current(path)).count(),
     })
 }
 
@@ -504,6 +545,7 @@ mod tests {
         std::fs::write(dir.join("README.txt"), "keep me").unwrap();
         let stats = cache_dir_stats(&dir).unwrap();
         assert_eq!(stats.entries, 2);
+        assert_eq!(stats.stale, 2, "neither starts with this build's header");
         assert!(stats.bytes > 0);
         assert_eq!(clear_cache_dir(&dir).unwrap(), 2);
         assert!(dir.join("README.txt").exists());

@@ -884,7 +884,7 @@ impl Explorer {
             let retargeted;
             let cache = match cache {
                 Some((c, stem)) if unit.accel != *accel => {
-                    retargeted = stem.retarget(&unit.accel);
+                    retargeted = stem.retarget(c.intern(&unit.accel));
                     Some((c, &retargeted))
                 }
                 same => same,

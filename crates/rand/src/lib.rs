@@ -127,7 +127,12 @@ impl_sample_range!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
 /// (which re-exports it as `amos_core::fnv1a`) can call the same loop
 /// instead of keeping copies.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    fnv1a_64_extend(0xcbf29ce484222325, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes:
+/// `fnv1a_64_extend(fnv1a_64(a), b)` is `fnv1a_64` of `a` followed by `b`.
+pub fn fnv1a_64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);

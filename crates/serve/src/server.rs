@@ -442,7 +442,10 @@ fn explore(core: &Arc<Core>, req: ExploreRequest, receipt: Instant) -> String {
     // The dedup key is the structural cache identity: budget deliberately
     // excluded (it never changes which candidates run, only how many
     // generations — the same exclusion the L1/L2 fingerprint makes).
-    let key = format!("{}|{}|{}", shape_fingerprint(&def), accel.name, seed);
+    // It leads with the shape fingerprint, rendered here once and handed
+    // on to the engine, whose cache key starts from the same text.
+    let shape = shape_fingerprint(&def);
+    let key = format!("{shape}|{}|{seed}", accel.name);
 
     let (flight, owner) = {
         let mut flights = core.flights.lock().unwrap();
@@ -479,7 +482,9 @@ fn explore(core: &Arc<Core>, req: ExploreRequest, receipt: Instant) -> String {
                 let key = key.clone();
                 let flight = Arc::clone(&flight);
                 std::thread::spawn(move || {
-                    run_exploration(&core, &key, &flight, &req, &def, &accel, seed, budget);
+                    run_exploration(
+                        &core, &key, &flight, &req, &def, &shape, &accel, seed, budget,
+                    );
                     core.admission.release();
                 });
             }
@@ -510,6 +515,7 @@ fn run_exploration(
     flight: &Arc<Flight>,
     req: &ExploreRequest,
     def: &ComputeDef,
+    shape: &str,
     accel: &AcceleratorSpec,
     seed: u64,
     budget: Budget,
@@ -544,7 +550,8 @@ fn run_exploration(
         if injected_panic {
             panic!("injected serve fault: handler panic");
         }
-        core.engine.explore_op_with(config, def, accel)
+        core.engine
+            .explore_op_shaped(config, def, accel, Some(shape))
     }));
     let line = match outcome {
         Ok(Ok(result)) => Response::Ok(ExploreReply {
