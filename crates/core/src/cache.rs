@@ -24,7 +24,7 @@ use amos_sim::Schedule;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Hit/miss counters of the engine's structural exploration cache. The four
 /// fields partition top-level lookups: every lookup is exactly one of an
@@ -100,10 +100,18 @@ pub(crate) struct Machine {
     spec: AcceleratorSpec,
     /// `#{position in the table}`: its name in this cache's in-memory keys.
     id: String,
-    /// The spec's derived `Debug`, rendered this once: its name on disk,
-    /// where ids mean nothing. `hash` is FNV-1a of it.
-    text: String,
-    hash: u64,
+    /// FNV-1a of the spec's derived `Debug`, and the text: its name on disk,
+    /// where ids mean nothing. Rendered by the first disk key that asks.
+    text: OnceLock<(u64, String)>,
+}
+
+impl Machine {
+    fn text(&self) -> &(u64, String) {
+        self.text.get_or_init(|| {
+            let text = format!("{:?}", self.spec);
+            (fnv1a(&text), text)
+        })
+    }
 }
 
 impl ExplorationCache {
@@ -155,19 +163,22 @@ impl ExplorationCache {
         if let Some(known) = machines.iter().find(|m| m.spec == *accel) {
             return Arc::clone(known);
         }
-        // The derived Debug covers every field (hierarchy, memories,
-        // intrinsics), so two distinct machines never share a text. A value
-        // `==` cannot recognise (a NaN field) is still one machine by it.
-        let text = format!("{accel:?}");
-        if let Some(known) = machines.iter().find(|m| m.text == text) {
-            return Arc::clone(known);
-        }
-        let machine = Arc::new(Machine {
+        let machine = Machine {
             spec: accel.clone(),
             id: format!("#{}", machines.len()),
-            hash: fnv1a(&text),
-            text,
-        });
+            text: OnceLock::new(),
+        };
+        // A spec with a NaN field is not `==` to itself: it is one machine by
+        // its text, which covers every field. Only such specs render here.
+        #[allow(clippy::eq_op)]
+        if accel != accel {
+            let text = &machine.text().1;
+            let rendered = |m: &&Arc<Machine>| m.text.get().is_some_and(|(_, t)| t == text);
+            if let Some(known) = machines.iter().find(rendered) {
+                return Arc::clone(known);
+            }
+        }
+        let machine = Arc::new(machine);
         machines.push(Arc::clone(&machine));
         machine
     }
@@ -534,7 +545,7 @@ impl KeyStem {
     /// The request under `tag` in full, as the disk tier stores and compares
     /// it.
     fn disk_key(&self, tag: &str) -> String {
-        [tag, ";", &self.body, "accel:", &self.machine.text].concat()
+        [tag, ";", &self.body, "accel:", &self.machine.text().1].concat()
     }
 
     /// What the disk tier names the entry of [`KeyStem::disk_key`] by:
@@ -544,7 +555,7 @@ impl KeyStem {
         let h = rand::fnv1a_64(tag.as_bytes());
         let h = rand::fnv1a_64_extend(h, b";");
         let h = rand::fnv1a_64_extend(h, self.body.as_bytes());
-        rand::fnv1a_64_extend(h, &self.machine.hash.to_le_bytes())
+        rand::fnv1a_64_extend(h, &self.machine.text().0.to_le_bytes())
     }
 
     /// Key of the warm-start similarity index: operator class + the machine
@@ -990,17 +1001,40 @@ mod tests {
         let v100 = catalog::v100();
         let first = cache.intern(&v100);
         let again = cache.intern(&catalog::v100());
-        assert!(Arc::ptr_eq(&first, &again), "one rendering");
+        assert!(Arc::ptr_eq(&first, &again), "one machine");
         assert_eq!(first.id, "#0");
-        assert_eq!(first.text, format!("{v100:?}"));
-        assert_eq!(first.hash, fnv1a(&first.text));
+        // A memory-only lookup, miss and hit (refinement rounds included),
+        // never names the machine on disk, so its text is never rendered.
+        let e = small_explorer(5);
+        let g = gemm("g", 64, 64, 64);
+        for _ in 0..2 {
+            cache.explore_multi(&e, &g, &v100).expect("explores");
+        }
+        assert_eq!(cache.stats().hits, 1);
+        let machines = cache.machines.lock().unwrap().clone();
+        assert!(
+            machines.iter().all(|m| m.text.get().is_none()),
+            "nothing rendered"
+        );
+        // The first disk key renders it, once.
+        let stem = KeyStem::new(e.config(), &g, Arc::clone(&first), None);
+        let key = stem.disk_key("multi");
+        let (hash, text) = first.text.get().expect("rendered by the disk key");
+        assert_eq!(*text, format!("{v100:?}"));
+        assert_eq!(*hash, fnv1a(text));
+        assert!(key.ends_with(text.as_str()));
+        stem.file_hash("multi");
+        assert!(std::ptr::eq(first.text(), first.text.get().unwrap()));
         let mut faster = v100.clone();
         faster.clock_ghz += 0.25;
         assert_ne!(cache.intern(&faster).id, first.id);
-        // A value that is not equal to itself is still one machine.
+        // A value that is not equal to itself is still one machine: the one
+        // spec that is rendered to be interned.
         let mut nan = v100;
         nan.clock_ghz = f64::NAN;
-        assert_eq!(cache.intern(&nan).id, cache.intern(&nan).id);
+        let (a, b) = (cache.intern(&nan), cache.intern(&nan.clone()));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(a.text.get().is_some());
         assert_eq!(cache.machines.lock().unwrap().len(), 3);
     }
 

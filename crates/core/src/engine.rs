@@ -35,6 +35,7 @@ use amos_hw::{AcceleratorSpec, Registry};
 use amos_ir::nodes::Stmt;
 use amos_ir::ComputeDef;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// An operator bound to an accelerator and decomposed into per-intrinsic
 /// exploration units. Output of [`Engine::analyze`].
@@ -194,7 +195,7 @@ pub struct Engine {
     base: ExplorerConfig,
     cache: ExplorationCache,
     cache_config: CacheConfig,
-    registry: Registry,
+    registry: OnceLock<Registry>,
 }
 
 impl Default for Engine {
@@ -224,7 +225,7 @@ impl Engine {
             base,
             cache: ExplorationCache::with_disk(&cache_config),
             cache_config,
-            registry: Registry::builtin(),
+            registry: OnceLock::new(),
         }
     }
 
@@ -233,13 +234,15 @@ impl Engine {
     /// [`load_registry`] and every verb sees the file-loaded machines.
     #[must_use]
     pub fn with_registry(mut self, registry: Registry) -> Self {
-        self.registry = registry;
+        self.registry = OnceLock::from(registry);
         self
     }
 
-    /// The accelerator registry this engine resolves names against.
+    /// The accelerator registry this engine resolves names against, built on
+    /// first use (a compile never asks): the built-in catalog unless
+    /// [`Engine::with_registry`] gave another.
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.registry.get_or_init(Registry::builtin)
     }
 
     /// Builds the named accelerator from the engine's registry.
@@ -249,10 +252,11 @@ impl Engine {
     /// A usage error listing the known machines when `name` is not
     /// registered.
     pub fn accelerator(&self, name: &str) -> Result<AcceleratorSpec, AmosError> {
-        self.registry.build(name).ok_or_else(|| {
+        let registry = self.registry();
+        registry.build(name).ok_or_else(|| {
             AmosError::usage(format!(
                 "unknown accelerator `{name}` (known: {})",
-                self.registry.names().join(", ")
+                registry.names().join(", ")
             ))
             .on_accelerator(name)
         })
@@ -831,6 +835,12 @@ mod tests {
     #[test]
     fn engine_resolves_accelerators_from_its_registry() {
         let engine = Engine::with_config(tiny_config(1));
+        // A compile takes its machine by value: the catalog is built on the
+        // first name lookup, not before.
+        engine
+            .compile(&small_gemm(), &catalog::v100())
+            .expect("compiles");
+        assert!(engine.registry.get().is_none(), "no lookup, no registry");
         assert_eq!(engine.accelerator("v100").unwrap(), catalog::v100());
         let err = engine.accelerator("z9000").unwrap_err();
         assert!(matches!(err.kind, AmosErrorKind::Usage(_)));
@@ -844,6 +854,21 @@ mod tests {
         registry.register(custom);
         let engine = Engine::with_config(tiny_config(1)).with_registry(registry);
         assert!(engine.accelerator("my-npu").is_ok());
+
+        // So does a file-loaded one, the `--accel-dir` path.
+        let dir = std::env::temp_dir().join(format!("amos-engine-files-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mini = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/accels/mini.toml");
+        let text = std::fs::read_to_string(mini).unwrap();
+        let text = text.replace("name = \"mini\"", "name = \"file-npu\"");
+        std::fs::write(dir.join("file-npu.toml"), text).unwrap();
+        let registry = load_registry(Some(&dir)).expect("loads");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let engine = Engine::with_config(tiny_config(1)).with_registry(registry);
+        let file_npu = engine.accelerator("file-npu").expect("file-loaded machine");
+        assert_eq!(file_npu.levels, catalog::mini_accel().levels);
+        assert_eq!(engine.accelerator("v100").unwrap(), catalog::v100());
     }
 
     #[test]

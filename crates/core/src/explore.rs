@@ -831,21 +831,24 @@ impl Explorer {
     }
 
     /// Lowers a mapping set for one unit on the calling thread (a lowering
-    /// is microseconds, below the cost of a pool hand-off); the programs
-    /// share one copy of the definition and the intrinsic. The first failure
-    /// in mapping order aborts.
+    /// is microseconds, below the cost of a pool hand-off); every program
+    /// after the first is its [`MappedProgram::sibling`], sharing one copy of
+    /// the pair and its facts. The first failure in mapping order aborts.
     pub(crate) fn lower_mappings(
         &self,
         def: &ComputeDef,
         unit: &AcceleratorSpec,
         mappings: &[Mapping],
     ) -> Result<Vec<MappedProgram>, ExploreError> {
-        let def = Arc::new(def.clone());
-        let intrinsic = Arc::new(unit.intrinsic.clone());
-        mappings
-            .iter()
-            .map(|m| Ok(m.lower_shared(&def, &intrinsic)?))
-            .collect()
+        let mut programs: Vec<MappedProgram> = Vec::with_capacity(mappings.len());
+        for m in mappings {
+            let (groups, corr) = (m.groups.clone(), m.correspondence.clone());
+            programs.push(match programs.first() {
+                Some(first) => first.sibling(groups, corr)?,
+                None => MappedProgram::new(def.clone(), unit.intrinsic.clone(), groups, corr)?,
+            });
+        }
+        Ok(programs)
     }
 
     /// The multi-unit merge loop over pre-lowered units: explores each unit

@@ -8,7 +8,6 @@
 use amos_hw::Intrinsic;
 use amos_ir::{BinMatrix, ComputeDef, IterId};
 use amos_sim::{FusedGroup, MappedProgram, SimError};
-use std::sync::Arc;
 
 /// A compute mapping: per intrinsic iteration, the ordered group of software
 /// iterations fused into it, plus the operand correspondence.
@@ -85,20 +84,9 @@ impl Mapping {
         def: &ComputeDef,
         intrinsic: &Intrinsic,
     ) -> Result<MappedProgram, SimError> {
-        self.lower_shared(&Arc::new(def.clone()), &Arc::new(intrinsic.clone()))
-    }
-
-    /// [`Mapping::lower`] for a whole mapping set: every program points at
-    /// the caller's one definition and one intrinsic instead of cloning
-    /// them per mapping.
-    pub(crate) fn lower_shared(
-        &self,
-        def: &Arc<ComputeDef>,
-        intrinsic: &Arc<Intrinsic>,
-    ) -> Result<MappedProgram, SimError> {
         MappedProgram::new(
-            Arc::clone(def),
-            Arc::clone(intrinsic),
+            def.clone(),
+            intrinsic.clone(),
             self.groups.clone(),
             self.correspondence.clone(),
         )

@@ -11,6 +11,10 @@
 use crate::json::{parse_object, ObjectBuilder, Value};
 use std::collections::BTreeMap;
 
+/// The longest request line `amosd` reads, newline excluded. A longer one is
+/// answered like a malformed request, and its connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// A request accepted by `amosd`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

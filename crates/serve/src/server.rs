@@ -29,12 +29,14 @@
 //! [`Request::Drain`] is the graceful path: stop admitting, finish
 //! in-flight flights, reply `drained`, exit.
 
-use crate::proto::{ExploreReply, ExploreRequest, Request, Response, ServerStats};
+use crate::proto::{
+    ExploreReply, ExploreRequest, Request, Response, ServerStats, MAX_REQUEST_BYTES,
+};
 use amos_core::{load_registry, shape_fingerprint, Budget, CacheConfig, Engine, ExplorerConfig};
 use amos_hw::AcceleratorSpec;
 use amos_ir::ComputeDef;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -342,20 +344,30 @@ fn handle_connection(core: &Arc<Core>, stream: UnixStream) {
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
+    let mut bytes = Vec::new();
+    // One byte past the bound tells an over-long line from a full one.
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        bytes.clear();
+        match reader.by_ref().take(limit).read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
+        let too_long = bytes.len() as u64 == limit && bytes.last() != Some(&b'\n');
+        let decoded = if too_long {
+            Err(format!("line exceeds {MAX_REQUEST_BYTES} bytes"))
+        } else {
+            let Ok(line) = std::str::from_utf8(&bytes) else {
+                return;
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            Request::decode(line).map_err(|e| e.to_string())
+        };
         let receipt = Instant::now();
         core.received.fetch_add(1, Ordering::SeqCst);
-        let (reply, drain_after) = match Request::decode(&line) {
+        let (reply, drain_after) = match decoded {
             Err(e) => (
                 Response::Error {
                     message: format!("malformed request: {e}"),
@@ -378,6 +390,11 @@ fn handle_connection(core: &Arc<Core>, stream: UnixStream) {
             || writer.write_all(b"\n").is_err()
             || writer.flush().is_err()
         {
+            return;
+        }
+        // The rest of an over-long line is not read: nothing after it can
+        // be told from its tail.
+        if too_long {
             return;
         }
         if drain_after {

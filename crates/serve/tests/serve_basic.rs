@@ -146,6 +146,58 @@ fn bad_requests_get_typed_errors_and_service_survives() {
 }
 
 #[test]
+fn an_over_long_request_line_is_a_typed_error_and_closes_the_connection() {
+    use amos_serve::proto::MAX_REQUEST_BYTES;
+    use std::io::{BufRead, BufReader, Read, Write};
+    let socket = tmp_path("long-line.sock");
+    let _ = std::fs::remove_file(&socket);
+    let mut config = ServeConfig::new(&socket);
+    config.base = small_base();
+    let (socket, handle) = start(config);
+
+    // A line that never ends: one byte past the bound and no newline. An
+    // unbounded reader would wait for the rest until its read timeout.
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut raw = String::new();
+    reader
+        .read_line(&mut raw)
+        .expect("answered before the read timeout");
+    let resp = Response::decode(raw.trim_end()).unwrap();
+    assert!(
+        matches!(&resp, Response::Error { message } if message.contains("malformed request")),
+        "{resp:?}"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).unwrap(),
+        0,
+        "connection closed"
+    );
+
+    // A line of exactly the bound is read whole (and is then just bad JSON).
+    let line = "y".repeat(MAX_REQUEST_BYTES);
+    let raw = client::request_once(&socket, &line).unwrap();
+    let resp = Response::decode(&raw).unwrap();
+    assert!(
+        matches!(&resp, Response::Error { message } if !message.contains("exceeds")),
+        "{resp:?}"
+    );
+
+    // The daemon is still serving.
+    let (pong, _) = client::submit(&socket, &Request::Ping, &one_shot()).unwrap();
+    assert_eq!(pong, Response::Pong { draining: false });
+    drain(&socket);
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn zero_capacity_sheds_with_honored_retry_hint() {
     let socket = tmp_path("shed.sock");
     let _ = std::fs::remove_file(&socket);

@@ -1,13 +1,13 @@
-//! The two lowered forms of a [`MappedProgram`], each a pure function of the
-//! program's logical fields, each built lazily and exactly once behind its
-//! own `OnceLock` (shared by clones through an `Arc`):
+//! What a [`MappedProgram`] derives from its logical fields, each a pure
+//! function of them, each shared by clones through an `Arc`:
 //!
-//! * [`ProgramShape`] — the loop axes and the operand-dependence tables.
-//!   This is everything [`MappedProgram::axes`],
-//!   [`MappedProgram::operand_uses_axis`], the schedule helpers, the
-//!   screening tables and the timing engine read, and it costs a few small
-//!   vectors. A search touches the shape of a program the first time it
-//!   samples or measures that program.
+//! * [`UnitFacts`] — what it reads of its `(definition, intrinsic)` pair
+//!   alone, built once per unit and shared with every
+//!   [`MappedProgram::sibling`]: [`MappedProgram::operand_uses_axis`] is a
+//!   bit test on it.
+//! * [`ProgramShape`] — the loop axes, all the schedule helpers, the
+//!   screening tables and the timing engine read of the mapping itself. A
+//!   search derives it the first time it samples or measures that program.
 //! * [`CompiledProgram`] — the functional executor's tables: group decode,
 //!   one compiled lane program per index expression, fragment strides and
 //!   guard predicates, so `execute_mapped` walks strides instead of
@@ -15,11 +15,13 @@
 //!   [`crate::functional`] reads it (via [`MappedProgram::compiled`]), so an
 //!   exploration — which never executes a candidate functionally — never
 //!   builds it.
+//!
+//! The last two are built lazily, once, behind their own `OnceLock`.
 
 use crate::error::SimError;
 use crate::program::{Axis, AxisKind, MappedProgram};
-use amos_hw::OperandRef;
-use amos_ir::{IterId, IterKind, LaneExpr};
+use amos_hw::{Intrinsic, OperandRef};
+use amos_ir::{ComputeDef, Expr, IterId, IterKind, LaneExpr};
 
 /// Mixed-radix decode table for one fused group: fused index → software
 /// iteration values written straight into the environment buffer.
@@ -97,18 +99,78 @@ impl FragAffine {
     }
 }
 
+/// What every program of one `(definition, intrinsic)` pair reads of the
+/// pair, whatever its mapping.
+#[derive(Debug)]
+pub(crate) struct UnitFacts {
+    /// Per operand row of `Z` (sources, then the destination): bit `t` set
+    /// when the row depends on intrinsic iteration `t`.
+    pub z_rows: Vec<u64>,
+    /// Per software access (inputs, then the output), `words` words with
+    /// bit `s` set when its indices use iteration `s`: exact past 64.
+    access_iters: Vec<u64>,
+    words: usize,
+    pub src_frag_bytes: Vec<u64>,
+    pub dst_frag_bytes: u64,
+    /// `def.scalar_ops()`, counted in `f64` when it overflows `i64`.
+    pub useful_ops: f64,
+}
+
+impl UnitFacts {
+    /// Derives the facts of a pair one program of which passed
+    /// [`MappedProgram::new`]'s checks (they bound `Z`'s columns by 64).
+    pub fn build(def: &ComputeDef, intr: &Intrinsic) -> UnitFacts {
+        let refs = intr.compute.operand_refs().into_iter();
+        let z_rows = refs.map(|r| mark_vars(&intr.compute.operand(r).dims, &mut [0])[0]);
+        let words = def.iters().len().div_ceil(64).max(1);
+        let mut access_iters = vec![0; (def.inputs().len() + 1) * words];
+        let accesses = def.inputs().iter().chain([def.output()]);
+        for (access, bits) in accesses.zip(access_iters.chunks_mut(words)) {
+            mark_vars(&access.indices, bits);
+        }
+        let extents = def.iters().iter().map(|v| v.extent);
+        let ops = extents.clone().try_fold(1i64, i64::checked_mul);
+        UnitFacts {
+            z_rows: z_rows.collect(),
+            access_iters,
+            words,
+            src_frag_bytes: (0..intr.compute.num_srcs())
+                .map(|m| intr.fragment_bytes(OperandRef::Src(m)))
+                .collect(),
+            dst_frag_bytes: intr.fragment_bytes(OperandRef::Dst),
+            useful_ops: ops.map_or_else(|| extents.map(|e| e as f64).product(), |ops| ops as f64),
+        }
+    }
+
+    /// Whether the indices of software access `access` use iteration `id`.
+    pub fn access_uses(&self, access: usize, id: IterId) -> bool {
+        let s = id.index();
+        self.access_iters[access * self.words + s / 64] >> (s % 64) & 1 == 1
+    }
+}
+
+/// Sets bit `s` of `bits` for every iteration `s` that `exprs` read.
+fn mark_vars<'b>(exprs: &[Expr], bits: &'b mut [u64]) -> &'b mut [u64] {
+    use Expr::*;
+    for e in exprs {
+        match e {
+            Var(id) => bits[id.index() / 64] |= 1 << (id.index() % 64),
+            Const(_) => {}
+            Add(a, b) | Sub(a, b) | Mul(a, b) | FloorDiv(a, b) | Mod(a, b) => {
+                mark_vars(std::slice::from_ref(&**a), bits);
+                mark_vars(std::slice::from_ref(&**b), bits);
+            }
+        }
+    }
+    bits
+}
+
 /// The loop-nest shape of a mapped program: what the schedule helpers,
 /// screening and `simulate` need per candidate.
 #[derive(Debug)]
 pub(crate) struct ProgramShape {
     /// The loop axes of the mapped program (see [`MappedProgram::axes`]).
     pub axes: Vec<Axis>,
-    /// Per operand slot (sources then destination): does it depend on
-    /// intrinsic iteration `t`? Mirror of the intrinsic access matrix `Z`.
-    pub tile_deps: Vec<Vec<bool>>,
-    /// Per operand slot: does its software access use software iteration
-    /// `s`?
-    pub outer_deps: Vec<Vec<bool>>,
 }
 
 /// Everything `execute_mapped` needs per candidate, lowered once.
@@ -143,10 +205,7 @@ impl ProgramShape {
     pub fn build(prog: &MappedProgram) -> ProgramShape {
         let def = prog.def();
         let intr = prog.intrinsic();
-        let num_iters = intr.compute.iters().len();
-        let num_srcs = intr.compute.num_srcs();
-
-        let mut axes = Vec::new();
+        let mut axes = Vec::with_capacity(prog.outer().len() + intr.compute.iters().len());
         for &id in prog.outer() {
             let v = def.iter_var(id);
             if v.kind == IterKind::Spatial {
@@ -181,35 +240,7 @@ impl ProgramShape {
                 });
             }
         }
-
-        let z = intr.compute.access_matrix();
-        let slot_access = |row: usize| -> &amos_ir::Access {
-            if row < num_srcs {
-                &def.inputs()[prog.correspondence()[row]]
-            } else {
-                def.output()
-            }
-        };
-        let tile_deps = (0..num_srcs + 1)
-            .map(|row| (0..num_iters).map(|t| z.get(row, t)).collect())
-            .collect();
-        let outer_deps = (0..num_srcs + 1)
-            .map(|row| {
-                let access = slot_access(row);
-                (0..def.iters().len())
-                    .map(|s| {
-                        let id = IterId(s as u32);
-                        access.indices.iter().any(|e| e.uses(id))
-                    })
-                    .collect()
-            })
-            .collect();
-
-        ProgramShape {
-            axes,
-            tile_deps,
-            outer_deps,
-        }
+        ProgramShape { axes }
     }
 }
 

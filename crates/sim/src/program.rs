@@ -8,7 +8,7 @@
 //! captures that structure; the functional executor and timing engine both
 //! interpret it.
 
-use crate::compiled::{CompiledProgram, ProgramShape};
+use crate::compiled::{CompiledProgram, ProgramShape, UnitFacts};
 use crate::error::SimError;
 use crate::screening::ScreeningContext;
 use amos_hw::{AcceleratorSpec, Intrinsic};
@@ -77,9 +77,10 @@ pub struct Axis {
 #[derive(Debug, Clone)]
 pub struct MappedProgram {
     /// Shared, not owned: the programs lowered for one exploration unit all
-    /// point at one definition and one intrinsic.
+    /// point at one definition, one intrinsic and one set of their facts.
     def: Arc<ComputeDef>,
     intrinsic: Arc<Intrinsic>,
+    pub(crate) facts: Arc<UnitFacts>,
     /// One fused group per intrinsic iteration.
     groups: Vec<FusedGroup>,
     /// Unmapped software iterations, declaration order.
@@ -87,8 +88,8 @@ pub struct MappedProgram {
     /// `correspondence[m]` = index into `def.inputs()` feeding intrinsic
     /// source slot `m`.
     correspondence: Vec<usize>,
-    /// Lazily-built loop-nest shape (axes, operand dependences): all the
-    /// schedule helpers and the screening tables read.
+    /// Lazily-built loop-nest shape (the axes): what the schedule helpers
+    /// and the screening tables read of the mapping.
     /// A pure function of the fields above, shared by clones via `Arc`.
     shape: OnceLock<Arc<ProgramShape>>,
     /// Lazily-built executor tables (decode tables, lane programs, fragment
@@ -121,14 +122,31 @@ impl MappedProgram {
     /// fits the 64-bit axis masks of the screening tables.
     ///
     /// `def` and `intrinsic` are taken by value or as an `Arc`; callers
-    /// lowering many mappings of one pair pass clones of one `Arc`.
+    /// lowering many mappings of one pair use [`MappedProgram::sibling`].
     pub fn new(
         def: impl Into<Arc<ComputeDef>>,
         intrinsic: impl Into<Arc<Intrinsic>>,
         groups: Vec<FusedGroup>,
         correspondence: Vec<usize>,
     ) -> Result<Self, SimError> {
-        let (def, intrinsic) = (def.into(), intrinsic.into());
+        Self::checked(def.into(), intrinsic.into(), None, groups, correspondence)
+    }
+
+    /// [`MappedProgram::new`] for another mapping of the same definition
+    /// onto the same intrinsic: it shares them and what is derived from
+    /// them alone, so a unit's mapping set derives that once.
+    pub fn sibling(&self, groups: Vec<FusedGroup>, corr: Vec<usize>) -> Result<Self, SimError> {
+        let (def, intr) = (Arc::clone(&self.def), Arc::clone(&self.intrinsic));
+        Self::checked(def, intr, Some(Arc::clone(&self.facts)), groups, corr)
+    }
+
+    fn checked(
+        def: Arc<ComputeDef>,
+        intrinsic: Arc<Intrinsic>,
+        facts: Option<Arc<UnitFacts>>,
+        groups: Vec<FusedGroup>,
+        correspondence: Vec<usize>,
+    ) -> Result<Self, SimError> {
         let num_intrinsic_iters = intrinsic.compute.iters().len();
         if groups.len() != num_intrinsic_iters {
             return Err(SimError::MalformedMapping {
@@ -180,9 +198,12 @@ impl MappedProgram {
                 ),
             });
         }
+        // Only now: the checks above bound what the facts' masks must hold.
+        let facts = facts.unwrap_or_else(|| Arc::new(UnitFacts::build(&def, &intrinsic)));
         Ok(MappedProgram {
             def,
             intrinsic,
+            facts,
             groups,
             outer,
             correspondence,
@@ -262,7 +283,8 @@ impl MappedProgram {
     /// Product of software extents fused into intrinsic iteration `t`
     /// (1 for an empty group).
     pub fn fused_extent(&self, t: usize) -> i64 {
-        self.group_extents(t).iter().product()
+        let iters = self.groups[t].iters.iter();
+        iters.map(|id| self.def.iter_var(*id).extent).product()
     }
 
     /// Number of tiles along intrinsic iteration `t`: the fused extent
@@ -328,14 +350,17 @@ impl MappedProgram {
     ///
     /// Tile axes matter when the operand is indexed by that intrinsic
     /// iteration; outer axes matter when the corresponding software access
-    /// uses that software iteration. Answered from the cached shape's
-    /// dependence tables.
+    /// uses that software iteration. A bit test on the unit's facts.
     pub fn operand_uses_axis(&self, operand_row: usize, axis: &Axis) -> bool {
-        let c = self.shape();
         match axis.kind {
-            AxisKind::TileSpatial(t) | AxisKind::TileReduction(t) => c.tile_deps[operand_row][t],
+            AxisKind::TileSpatial(t) | AxisKind::TileReduction(t) => {
+                self.facts.z_rows[operand_row] >> t & 1 == 1
+            }
             AxisKind::OuterSpatial(id) | AxisKind::OuterReduction(id) => {
-                c.outer_deps[operand_row][id.index()]
+                // There are as many sources as inputs: the destination row
+                // is numbered like the output access.
+                let access = self.correspondence.get(operand_row).unwrap_or(&operand_row);
+                self.facts.access_uses(*access, id)
             }
         }
     }
@@ -600,6 +625,33 @@ mod tests {
         // A clone shares the definition and the intrinsic, too.
         assert!(Arc::ptr_eq(&prog.def, &copy.def));
         assert!(Arc::ptr_eq(&prog.intrinsic, &copy.intrinsic));
+    }
+
+    #[test]
+    fn siblings_share_the_unit_and_are_checked_like_new() {
+        let prog = fig3_program();
+        let swapped = prog.sibling(prog.groups().to_vec(), vec![1, 0]).unwrap();
+        assert!(Arc::ptr_eq(&prog.def, &swapped.def));
+        assert!(Arc::ptr_eq(&prog.intrinsic, &swapped.intrinsic));
+        assert!(Arc::ptr_eq(&prog.facts, &swapped.facts));
+        let own = MappedProgram::new(
+            prog.def().clone(),
+            prog.intrinsic().clone(),
+            prog.groups().to_vec(),
+            vec![1, 0],
+        )
+        .unwrap();
+        assert_eq!(swapped, own);
+        for row in 0..3 {
+            for axis in own.axes() {
+                assert_eq!(
+                    swapped.operand_uses_axis(row, axis),
+                    own.operand_uses_axis(row, axis)
+                );
+            }
+        }
+        let err = prog.sibling(vec![FusedGroup::empty(); 2], vec![0, 1]);
+        assert!(matches!(err, Err(SimError::MalformedMapping { .. })));
     }
 
     #[test]

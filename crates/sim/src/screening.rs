@@ -23,7 +23,7 @@
 use crate::error::SimError;
 use crate::program::{Axis, AxisKind, MappedProgram, MAX_AXES};
 use crate::schedule::{subcores_per_core, GeneChange, Schedule};
-use amos_hw::{AcceleratorSpec, OperandRef};
+use amos_hw::AcceleratorSpec;
 
 /// Number of candidate lanes the batched screening path evaluates together
 /// (see [`ScreeningContext::fill_batch_tables`] and
@@ -173,14 +173,15 @@ pub struct ScreeningContext {
 
 impl ScreeningContext {
     /// Folds a `(program, accelerator)` pair into flat screening tables,
-    /// reading only the program's loop-nest shape. Infallible: every
-    /// [`MappedProgram`] is checked at construction to have at most
-    /// 64 loop axes, the width of the bitmasks here.
+    /// reading only the program's loop-nest shape and its unit's facts.
+    /// Infallible: every [`MappedProgram`] is checked at construction to
+    /// have at most 64 loop axes, the width of the bitmasks here.
     pub fn build(prog: &MappedProgram, accel: &AcceleratorSpec) -> Self {
         let axes = prog.axes().to_vec();
         debug_assert!(axes.len() <= MAX_AXES, "MappedProgram::new bounds the axes");
         let intr = prog.intrinsic();
-        let num_srcs = intr.compute.num_srcs();
+        let facts = &prog.facts;
+        let num_srcs = facts.src_frag_bytes.len();
 
         let mut spatial_mask = 0u64;
         let mut tile_spatial_mask = 0u64;
@@ -235,10 +236,8 @@ impl ScreeningContext {
             tile_spatial_mask,
             tile_reduction_mask,
             operand_masks,
-            src_frag_bytes: (0..num_srcs)
-                .map(|m| intr.fragment_bytes(OperandRef::Src(m)))
-                .collect(),
-            dst_frag_bytes: intr.fragment_bytes(OperandRef::Dst),
+            src_frag_bytes: facts.src_frag_bytes.clone(),
+            dst_frag_bytes: facts.dst_frag_bytes,
             initiation_interval: intr.initiation_interval as f64,
             latency: intr.latency as f64,
             register_bw: registers.load_bytes_per_cycle,
@@ -252,7 +251,7 @@ impl ScreeningContext {
             cores: cores as f64,
             inv_cores: 1.0 / cores as f64,
             num_cores: cores as i64,
-            useful_ops: prog.def().scalar_ops() as f64,
+            useful_ops: facts.useful_ops,
             peak_ops_per_cycle: accel.peak_tensor_ops_per_cycle(),
             subcores: subcores_per_core(accel) as i64,
             shared_capacity_bytes: shared.capacity_bytes,

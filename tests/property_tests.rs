@@ -391,7 +391,7 @@ proptest! {
         op in 0usize..4,
         accel_pick in 0usize..2,
         count in 1usize..24,
-        broken in 0usize..24,
+        broken in prop::collection::vec(0usize..6, 24),
         seed in 0u64..10_000,
     ) {
         use amos::core::perf_model::{predict_batch, predict_with};
@@ -413,9 +413,11 @@ proptest! {
             .expect("lower");
         let ctx = prog.screening_context(&accel);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // A random arena of schedules, with one candidate possibly
-        // malformed (wrong axis count): the batched path must isolate it in
-        // its own lane without disturbing its neighbours.
+        // A random arena of schedules, a third of them malformed (an axis
+        // too few or too many): the batched path must isolate each in its
+        // own lane without disturbing its neighbours, whether its chunk is
+        // full, padded, or narrow enough (at most two valid lanes of one to
+        // eight) to run lane by lane.
         let mut arena: Vec<amos::sim::Schedule> = (0..count)
             .map(|_| {
                 let mut s = amos::core::random_schedule(&prog, &accel, &mut rng);
@@ -423,8 +425,12 @@ proptest! {
                 s
             })
             .collect();
-        if broken < count {
-            arena[broken].grid.pop();
+        for (s, &b) in arena.iter_mut().zip(&broken) {
+            match b {
+                0 => { s.grid.pop(); }
+                1 => s.grid.push(1),
+                _ => {}
+            }
         }
         let refs: Vec<&amos::sim::Schedule> = arena.iter().collect();
         let mut batched = Vec::new();
