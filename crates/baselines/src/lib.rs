@@ -22,6 +22,6 @@ pub use fixed::{fixed_mapping, FixedKind};
 pub use matcher::TemplateMatcher;
 pub use network::{NetworkCost, NetworkEvaluator};
 pub use systems::{
-    akg_supported, evaluate, evaluate_opts, evaluate_with, evaluate_with_warm, geomean,
-    library_tensor_supported, EvalOpts, System, SystemCost, SCALAR_OP_CYCLES,
+    akg_supported, evaluate, evaluate_opts, evaluate_with, geomean, library_tensor_supported,
+    EvalOpts, System, SystemCost, SCALAR_OP_CYCLES,
 };

@@ -26,7 +26,6 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct NetworkEvaluator {
     engine: Engine,
-    warm_start: bool,
     jobs: usize,
     depth: usize,
 }
@@ -85,16 +84,6 @@ impl NetworkEvaluator {
         self
     }
 
-    /// Switches on the explorer's nearest-shape warm start for AMOS's
-    /// searches: each distinct layer shape still pays one exploration, but
-    /// misses seed their population from the best mapping of the nearest
-    /// previously-explored shape of the same operator class (counted under
-    /// [`CacheStats::warm_starts`]).
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Evaluates a network end-to-end at the given batch size.
     ///
     /// Runs in three passes: collect the distinct layer shapes (ResNet
@@ -130,14 +119,12 @@ impl NetworkEvaluator {
         // the shape fingerprint, so two groups with the same layer shape run
         // the same search and the shared cache answers the second one.
         // Distinct shapes are independent searches with disjoint cache keys,
-        // so exploring them concurrently cannot race on an entry; the warm
-        // start is the one cross-shape dependency (later shapes seed from
-        // earlier donors), so it keeps the sequential order.
+        // so exploring them concurrently cannot race on an entry.
         let jobs = self.effective_jobs();
         let engine = &self.engine;
         let shapes = &distinct;
         let depth = self.depth;
-        let lane = |warm_start: bool, inner: Option<usize>| {
+        let lane = |inner: Option<usize>| {
             move |i: usize| {
                 let (fp, def) = &shapes[i];
                 evaluate_opts(
@@ -147,7 +134,6 @@ impl NetworkEvaluator {
                     accel,
                     fnv1a(fp),
                     EvalOpts {
-                        warm_start,
                         shape_fp: Some(fp),
                         jobs: inner,
                         depth,
@@ -155,7 +141,7 @@ impl NetworkEvaluator {
                 )
             }
         };
-        let shape_costs: Vec<SystemCost> = if jobs > 1 && distinct.len() > 1 && !self.warm_start {
+        let shape_costs: Vec<SystemCost> = if jobs > 1 && distinct.len() > 1 {
             // One flat wave over the distinct shapes: every shape is a slot
             // on the shared worker pool and each per-shape search runs with
             // a serial inner budget. (An earlier revision split the budget
@@ -164,11 +150,9 @@ impl NetworkEvaluator {
             // which is what turns network-level parallelism into an actual
             // speedup.) Per-shape searches are jobs-invariant, so forcing
             // inner = 1 cannot change any cost.
-            parallel_map(jobs, distinct.len(), lane(false, Some(1)))
+            parallel_map(jobs, distinct.len(), lane(Some(1)))
         } else {
-            (0..distinct.len())
-                .map(lane(self.warm_start, None))
-                .collect()
+            (0..distinct.len()).map(lane(None)).collect()
         };
 
         // Pass 3: sequential replay of the per-group accounting.
@@ -273,50 +257,6 @@ mod tests {
         let a = ev.evaluate(System::Amos, &net, 1, &accel);
         let b = ev.evaluate(System::Amos, &net, 1, &accel);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn warm_start_seeds_later_shapes_of_the_same_class() {
-        use amos_workloads::networks::{NetOp, Network, OpGroup};
-        // Two matvec layers of different extents: same operator class, so
-        // with warm start on the second exploration seeds from the first.
-        let net = Network {
-            name: "two-linears",
-            groups: vec![
-                OpGroup {
-                    name: "fc1",
-                    count: 1,
-                    op: NetOp::MatVec { m: 256, k: 256 },
-                },
-                OpGroup {
-                    name: "fc2",
-                    count: 1,
-                    op: NetOp::MatVec { m: 256, k: 512 },
-                },
-            ],
-        };
-        let accel = catalog::v100();
-        let mut warm = NetworkEvaluator::new().with_warm_start(true);
-        let w = warm.evaluate(System::Amos, &net, 1, &accel);
-        let stats = warm.cache_stats();
-        assert_eq!(stats.misses, 1, "first shape runs cold: {stats:?}");
-        assert_eq!(
-            stats.warm_starts, 1,
-            "second shape finds a donor: {stats:?}"
-        );
-        // Warm start changes only the exploration trajectory, not what a
-        // mapping costs: every reported cost is still a ground-truth
-        // simulation, and mapped-op accounting is unaffected.
-        let mut cold = NetworkEvaluator::new();
-        let c = cold.evaluate(System::Amos, &net, 1, &accel);
-        assert_eq!(cold.cache_stats().warm_starts, 0);
-        assert_eq!(w.mapped_ops, c.mapped_ops);
-        assert!(
-            w.total_cycles <= c.total_cycles * 1.5,
-            "{} vs {}",
-            w.total_cycles,
-            c.total_cycles
-        );
     }
 
     #[test]

@@ -228,41 +228,13 @@ pub fn evaluate_with(
     accel: &AcceleratorSpec,
     seed: u64,
 ) -> SystemCost {
-    evaluate_with_warm(engine, system, def, accel, seed, false)
-}
-
-/// [`evaluate_with`] with the explorer's nearest-shape warm start switched
-/// on for AMOS's searches (the baselines' frozen-mapping tuning is
-/// unaffected): each cache miss seeds its population from the best mapping
-/// of the nearest previously-explored shape of the same operator class.
-pub fn evaluate_with_warm(
-    engine: &Engine,
-    system: System,
-    def: &ComputeDef,
-    accel: &AcceleratorSpec,
-    seed: u64,
-    warm_start: bool,
-) -> SystemCost {
-    evaluate_opts(
-        engine,
-        system,
-        def,
-        accel,
-        seed,
-        EvalOpts {
-            warm_start,
-            ..EvalOpts::default()
-        },
-    )
+    evaluate_opts(engine, system, def, accel, seed, EvalOpts::default())
 }
 
 /// Per-call knobs of [`evaluate_opts`], all defaulting to the
 /// [`evaluate_with`] behaviour.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalOpts<'a> {
-    /// Switch on the explorer's nearest-shape warm start for AMOS's
-    /// searches (see [`evaluate_with_warm`]).
-    pub warm_start: bool,
     /// Precomputed `amos_core::shape_fingerprint(def)`, reused for the
     /// cache keys instead of being recomputed per lookup. **Must** match
     /// `def` when given.
@@ -285,8 +257,8 @@ pub struct EvalOpts<'a> {
     pub depth: usize,
 }
 
-/// [`evaluate_with`] with every per-call knob explicit: warm start, a
-/// precomputed shape fingerprint and a worker-thread override.
+/// [`evaluate_with`] with every per-call knob explicit: a precomputed shape
+/// fingerprint, a worker-thread override and a search depth.
 pub fn evaluate_opts(
     engine: &Engine,
     system: System,
@@ -295,7 +267,6 @@ pub fn evaluate_opts(
     seed: u64,
     opts: EvalOpts<'_>,
 ) -> SystemCost {
-    let warm_start = opts.warm_start;
     match system {
         System::Amos => {
             // AMOS searches the full mapping space (every unit of a
@@ -309,7 +280,6 @@ pub fn evaluate_opts(
                 measure_top: 6,
                 seed,
                 jobs: opts.jobs.unwrap_or(0),
-                warm_start,
                 ..Default::default()
             };
             // AMOS measures candidates on the ground truth, so it also knows

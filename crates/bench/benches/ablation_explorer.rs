@@ -77,67 +77,6 @@ fn print_ablation() {
     }
 }
 
-/// Quality-vs-budget curves for nearest-shape warm-start transfer: the same
-/// target explored cold and warm-started from a previously-tuned neighbour
-/// shape, at increasing generation budgets. The warm similarity index is
-/// keyed by operator class alone (not by budget), so one donor exploration
-/// seeds every budget point.
-fn print_warm_start_curve() {
-    amos_bench::banner("Warm start: best cycles vs generation budget, cold vs warm (V100)");
-    let accel = catalog::v100();
-    // C5 and C8 share stride and filter size, so they are one operator
-    // class (the warm index key is extent-free but stride-sensitive: the
-    // stride is a constant inside the access expressions).
-    let layers = configs::resnet18_conv_layers(16);
-    let donor = ops::c2d(layers[5].1);
-    let target = ops::c2d(layers[8].1);
-    let config = |generations, warm_start| ExplorerConfig {
-        population: 12,
-        generations,
-        survivors: 4,
-        measure_top: 3,
-        seed: 17,
-        jobs: 0,
-        warm_start,
-        ..Default::default()
-    };
-    println!(
-        "{:<12} {:>14} {:>14} {:>8}  (donor: {}, target: {})",
-        "generations",
-        "cold cycles",
-        "warm cycles",
-        "gain",
-        donor.name(),
-        target.name()
-    );
-    for generations in [1, 2, 3, 5] {
-        // Fresh engines per budget point so each row measures exactly one
-        // donor -> target transfer (a persistent engine would also record
-        // the target's own earlier, cheaper runs as distance-0 donors).
-        let cold = amos_core::Engine::with_config(config(generations, false))
-            .explore_op(&target, &accel)
-            .expect("cold explores");
-        let warm_engine = amos_core::Engine::with_config(config(6, true));
-        warm_engine
-            .explore_op(&donor, &accel)
-            .expect("donor explores");
-        let warm = warm_engine
-            .explore_op_with(config(generations, true), &target, &accel)
-            .expect("warm explores");
-        assert!(
-            warm.warm_start.donors > 0,
-            "warm arm must actually consult a donor"
-        );
-        println!(
-            "{:<12} {:>14.0} {:>14.0} {:>7.2}x",
-            generations,
-            cold.cycles(),
-            warm.cycles(),
-            cold.cycles() / warm.cycles()
-        );
-    }
-}
-
 /// Wall-clock scaling of the parallel engine: the same search at jobs=1 and
 /// jobs=N returns bit-identical winners (asserted here), only faster.
 fn print_jobs_scaling() {
@@ -183,7 +122,6 @@ fn print_jobs_scaling() {
 
 fn bench(c: &mut Criterion) {
     print_ablation();
-    print_warm_start_curve();
     print_jobs_scaling();
     let accel = catalog::a100();
     let def = ops::c2d(configs::resnet18_conv_layers(16)[6].1);

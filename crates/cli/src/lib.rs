@@ -8,7 +8,7 @@
 //! amos ir       <op> [--accel A]  print the generated Compute/Memory IR
 //! amos cuda     <op> [--accel A]  print CUDA-like source for the winner
 //! amos table6   [--accel A]       reproduce the Table 6 mapping counts
-//! amos network  <name> [--accel A] [--batch N] [--warm-start]
+//! amos network  <name> [--accel A] [--batch N]
 //!                                 end-to-end network cost under AMOS vs PyTorch
 //! amos cache    <stats|clear> --cache-dir DIR
 //!                                 inspect or empty a persistent cache directory
@@ -676,12 +676,6 @@ pub fn run_with_cancel(
                 "milstm" => amos_workloads::networks::mi_lstm(),
                 other => return Err(err(format!("unknown network `{other}`"))),
             };
-            // Seed each cache miss's population from the best mapping of the
-            // nearest previously-explored layer shape of the same operator
-            // class. Off by default: warm-started runs are deterministic but
-            // depend on the exploration order, so the stock output stays the
-            // order-independent cold baseline.
-            let warm_start = take_switch(&mut args, "--warm-start");
             reject_extras(&args, 2)?;
             let engine = Engine::with_cache(
                 ExplorerConfig {
@@ -695,7 +689,6 @@ pub fn run_with_cancel(
                 .accelerator(&accel_name)
                 .map_err(|e| err(e.to_string()))?;
             let mut ev = amos_baselines::NetworkEvaluator::with_engine(engine)
-                .with_warm_start(warm_start)
                 .with_jobs(jobs);
             let amos = ev.evaluate(amos_baselines::System::Amos, &net, batch, &accel);
             let torch = ev.evaluate(amos_baselines::System::PyTorch, &net, batch, &accel);
@@ -721,8 +714,8 @@ pub fn run_with_cancel(
             let stats = ev.cache_stats();
             writeln!(
                 out,
-                "  explorations cached: {} exact hits, {} disk hits, {} warm starts, {} cold misses (distinct layer shapes)",
-                stats.hits, stats.l2_hits, stats.warm_starts, stats.misses
+                "  explorations cached: {} exact hits, {} disk hits, {} cold misses (distinct layer shapes)",
+                stats.hits, stats.l2_hits, stats.misses
             )
             .map_err(io)?;
             writeln!(
@@ -891,7 +884,7 @@ pub fn run_with_cancel(
         }
         Some(other) => Err(err(format!("unknown command `{other}`"))),
         None => Err(err(
-            "usage: amos <ops|accels|mappings|explore|ir|cuda|table6|network|cache|pool|accel|serve|submit> [args] [--accel NAME] [--accel-dir DIR] [--seed N] [--batch N] [--jobs N] [--generations N] [--cache-dir DIR] [--deadline-ms N] [--max-measurements N] [--max-evaluations N] [--warm-start] [--list-accels]",
+            "usage: amos <ops|accels|mappings|explore|ir|cuda|table6|network|cache|pool|accel|serve|submit> [args] [--accel NAME] [--accel-dir DIR] [--seed N] [--batch N] [--jobs N] [--generations N] [--cache-dir DIR] [--deadline-ms N] [--max-measurements N] [--max-evaluations N] [--list-accels]",
         )),
     }
 }
@@ -1045,20 +1038,15 @@ mod tests {
         assert!(out.contains("MI-LSTM"), "{out}");
         assert!(out.contains("speedup"));
         assert!(out.contains("exact hits"), "{out}");
-        assert!(out.contains("0 warm starts"), "{out}");
         assert!(run_to_string(&["network", "nope"]).is_err());
     }
 
     #[test]
-    fn network_warm_start_flag_parses() {
-        // MI-LSTM has a single distinct layer shape, so nothing can donate:
-        // the flag must parse and the footer must still partition cleanly.
-        // (Cross-shape donation is exercised in amos-baselines, where a
-        // network with several same-class shapes keeps the test fast.)
-        let out = run_to_string(&["network", "milstm", "--warm-start"]).unwrap();
-        assert!(out.contains("1 cold misses"), "{out}");
-        assert!(out.contains("0 warm starts"), "{out}");
-        assert!(out.contains("speedup"), "{out}");
+    fn network_warm_start_flag_is_an_unknown_flag() {
+        // The retired warm-start switch is a usage error (exit status 2),
+        // rejected before any exploration runs.
+        let e = run_to_string(&["network", "milstm", "--warm-start"]).unwrap_err();
+        assert!(e.to_string().contains("unknown flag `--warm-start`"), "{e}");
     }
 
     #[test]

@@ -17,19 +17,16 @@ use crate::disk::{CacheConfig, DiskCache};
 use crate::explore::{
     Completion, ExplorationResult, ExploreError, Explorer, ExplorerConfig, LoweredUnit,
 };
-use crate::mapping::Mapping;
 use amos_hw::AcceleratorSpec;
 use amos_ir::{Access, ComputeDef, DType, Expr, IterKind, OpKind, TensorRole};
-use amos_sim::Schedule;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Hit/miss counters of the engine's structural exploration cache. The four
+/// Hit/miss counters of the engine's structural exploration cache. The three
 /// fields partition top-level lookups: every lookup is exactly one of an
-/// in-memory (L1) hit, an on-disk (L2) hit, a warm-started miss or a cold
-/// miss.
+/// in-memory (L1) hit, an on-disk (L2) hit or a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the in-memory L1 (exact structural key match).
@@ -38,28 +35,8 @@ pub struct CacheStats {
     /// written by an earlier process; always 0 without a
     /// [`CacheConfig::cache_dir`]).
     pub l2_hits: usize,
-    /// Lookups that missed but ran the explorer seeded from the nearest
-    /// previously-explored shape (the similarity index; only populated when
-    /// [`ExplorerConfig::warm_start`] is on).
-    pub warm_starts: usize,
-    /// Lookups that ran the explorer cold.
+    /// Lookups that ran the explorer.
     pub misses: usize,
-}
-
-/// One donor entry of the warm-start similarity index: the winning candidate
-/// of a previously-explored shape, keyed by operator class + accelerator and
-/// ranked by extent distance at lookup time.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmStart {
-    /// Iteration extents of the donor shape (the similarity metric's input).
-    pub(crate) extents: Vec<i64>,
-    /// The donor's winning mapping.
-    pub(crate) mapping: Mapping,
-    /// The donor's winning schedule.
-    pub(crate) schedule: Schedule,
-    /// Name of the intrinsic the winner mapped onto; units of a
-    /// heterogeneous accelerator only accept donors of their own intrinsic.
-    pub(crate) intrinsic: String,
 }
 
 /// A thread-safe memo table for exploration runs.
@@ -75,19 +52,11 @@ pub struct ExplorationCache {
     hits: AtomicUsize,
     l2_hits: AtomicUsize,
     misses: AtomicUsize,
-    warm_starts: AtomicUsize,
     // The refinement phase's internal sub-runs are memoised under separate
     // counters so they don't distort the caller-visible `stats()` — a hit
     // rate over top-level lookups, as every existing consumer expects.
     refine_hits: AtomicUsize,
     refine_misses: AtomicUsize,
-    // The similarity index: operator class + accelerator -> donors, one per
-    // distinct donor shape (first clean result wins; exploration is
-    // deterministic, so re-running a shape can never produce a different
-    // donor). Recorded on every clean top-level result regardless of
-    // `warm_start`, so enabling the flag mid-session benefits from shapes
-    // explored before it.
-    warm_index: Mutex<HashMap<String, Vec<WarmStart>>>,
     // Every distinct machine value this cache was asked about: as many as
     // the process sees (the registry's, plus one unit per intrinsic of a
     // heterogeneous one).
@@ -135,7 +104,6 @@ impl ExplorationCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             l2_hits: self.l2_hits.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
@@ -186,9 +154,7 @@ impl ExplorationCache {
     /// [`Explorer::explore_multi`] with memoisation. The explorer's
     /// refinement phase also routes its per-mapping sub-runs through this
     /// cache, so a miss here still reuses any previously-tuned shortlisted
-    /// mappings. With [`ExplorerConfig::warm_start`] on, a miss additionally
-    /// consults the similarity index and seeds the search from the nearest
-    /// previously-explored shape of the same operator class.
+    /// mappings.
     pub fn explore_multi(
         &self,
         explorer: &Explorer,
@@ -209,8 +175,8 @@ impl ExplorationCache {
         accel: &AcceleratorSpec,
         shape: Option<&str>,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_warm(explorer, def, accel, shape, |stem, warm| {
-            explorer.explore_multi_cached(def, accel, Some((self, stem)), warm)
+        self.explore_tagged_shaped("multi", explorer, def, accel, shape, |stem| {
+            explorer.explore_multi_cached(def, accel, Some((self, stem)))
         })
     }
 
@@ -225,56 +191,9 @@ impl ExplorationCache {
         accel: &AcceleratorSpec,
         units: &[LoweredUnit],
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_warm(explorer, def, accel, None, |stem, warm| {
-            explorer.explore_units_cached(def, accel, units, Some((self, stem)), warm)
+        self.explore_tagged_shaped("multi", explorer, def, accel, None, |stem| {
+            explorer.explore_units_cached(def, accel, units, Some((self, stem)))
         })
-    }
-
-    /// The shared top-level lookup: render the call's [`KeyStem`] (every key
-    /// below, the refinement rounds' included, derives from it), probe L1
-    /// then the persistent L2, consult the similarity index on a full miss
-    /// (when enabled), run, then record the clean winner as a donor for
-    /// future shapes of the same class. The donor is resolved *before* the
-    /// run starts (and the run is deterministic given that donor), so
-    /// results are bit-identical for a fixed cache state at any thread
-    /// count. An L2 hit is promoted into L1 and still records its winner as
-    /// a donor, so a warm process rebuilds its similarity index from disk;
-    /// an L1 hit records nothing, since whoever stored the entry did.
-    fn explore_warm(
-        &self,
-        explorer: &Explorer,
-        def: &ComputeDef,
-        accel: &AcceleratorSpec,
-        shape: Option<&str>,
-        run: impl FnOnce(&KeyStem, Option<&WarmStart>) -> Result<ExplorationResult, ExploreError>,
-    ) -> Result<ExplorationResult, ExploreError> {
-        let stem = KeyStem::new(explorer.config(), def, self.intern(accel), shape);
-        let key = stem.key("multi");
-        if let Some(hit) = self.probe_l1(&key, &self.hits) {
-            return hit;
-        }
-        if let Some(loaded) = self.probe_l2(&key, &stem, "multi", def, accel) {
-            let hit = Ok(loaded);
-            self.record_warm_start(&stem, def, &hit);
-            return hit;
-        }
-        let warm = if explorer.config().warm_start {
-            self.find_warm_start(&stem, def)
-        } else {
-            None
-        };
-        // L1/L2 hits were counted above; misses split by whether a donor
-        // seeded the run, so the four `CacheStats` fields partition lookups.
-        let miss_counter = if warm.is_some() {
-            &self.warm_starts
-        } else {
-            &self.misses
-        };
-        miss_counter.fetch_add(1, Ordering::Relaxed);
-        let result = run(&stem, warm.as_ref());
-        self.insert(key, Some((&stem, "multi")), &result);
-        self.record_warm_start(&stem, def, &result);
-        result
     }
 
     /// Probes L1 for `key`, counting a hit in `hits`.
@@ -333,69 +252,6 @@ impl ExplorationCache {
             .insert(key, result.clone());
     }
 
-    /// Nearest previously-explored shape of `def`'s operator class on
-    /// `accel`: minimal sum of absolute log-ratios over iteration extents
-    /// (scale-invariant, so 64->128 is as far as 128->256). Donors are kept
-    /// sorted by extents, so ties resolve to the lexicographically smallest
-    /// donor shape — deterministic for a fixed cache *population*,
-    /// independent of the order explorations completed in.
-    fn find_warm_start(&self, stem: &KeyStem, def: &ComputeDef) -> Option<WarmStart> {
-        let key = stem.warm_key(def);
-        let extents: Vec<i64> = def.iters().iter().map(|it| it.extent).collect();
-        let index = self.warm_index.lock().expect("warm index lock");
-        let donors = index.get(&key)?;
-        let mut best: Option<(f64, &WarmStart)> = None;
-        for d in donors {
-            if d.extents.len() != extents.len() {
-                continue;
-            }
-            let dist: f64 = d
-                .extents
-                .iter()
-                .zip(&extents)
-                .map(|(&a, &b)| ((a as f64).ln() - (b as f64).ln()).abs())
-                .sum();
-            if best.as_ref().map(|&(bd, _)| dist < bd).unwrap_or(true) {
-                best = Some((dist, d));
-            }
-        }
-        best.map(|(_, d)| d.clone())
-    }
-
-    /// Records a clean top-level result as a donor for its operator class.
-    /// Only `Finished` runs qualify (a truncated best-so-far is not a
-    /// converged winner). One donor per distinct shape, kept sorted by
-    /// extents: exploration is deterministic per shape, so duplicates are
-    /// identical, and sorted order makes the index independent of the order
-    /// concurrent explorations complete in.
-    fn record_warm_start(
-        &self,
-        stem: &KeyStem,
-        def: &ComputeDef,
-        result: &Result<ExplorationResult, ExploreError>,
-    ) {
-        let Ok(r) = result else { return };
-        if r.completion != Completion::Finished {
-            return;
-        }
-        let key = stem.warm_key(def);
-        let extents: Vec<i64> = def.iters().iter().map(|it| it.extent).collect();
-        let mut index = self.warm_index.lock().expect("warm index lock");
-        let donors = index.entry(key).or_default();
-        let Err(pos) = donors.binary_search_by(|d| d.extents.cmp(&extents)) else {
-            return;
-        };
-        donors.insert(
-            pos,
-            WarmStart {
-                extents,
-                mapping: r.best_mapping.clone(),
-                schedule: r.best_schedule.clone(),
-                intrinsic: r.best_program.intrinsic().name.clone(),
-            },
-        );
-    }
-
     /// Memoises one refinement sub-run of the call `stem` was rendered for
     /// (or of one of its units, see [`KeyStem::retarget`]). Counted under
     /// the refinement counters, not [`ExplorationCache::stats`].
@@ -415,11 +271,13 @@ impl ExplorationCache {
         result
     }
 
-    /// Memoises an arbitrary exploration flavour under an extra `tag`
-    /// (e.g. a fixed-mapping baseline's template name). The tag keeps
-    /// different flavours over the same shape from colliding. `shape`, when
-    /// given, must equal `shape_fingerprint(def)`; `run` receives the call's
-    /// stem for its refinement rounds.
+    /// The top-level lookup of every exploration flavour, named by `tag`
+    /// (`multi` for [`ExplorationCache::explore_multi`], a fixed-mapping
+    /// baseline's template name, …): render the call's [`KeyStem`], probe L1
+    /// then the persistent L2 (promoting a hit), else run and store. The tag
+    /// keeps different flavours over the same shape from colliding. `shape`,
+    /// when given, must equal `shape_fingerprint(def)`; `run` receives the
+    /// call's stem, from which its refinement rounds' keys derive.
     pub(crate) fn explore_tagged_shaped(
         &self,
         tag: &str,
@@ -472,8 +330,7 @@ fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
 /// written once per top-level call, beside the interned machine. Every key
 /// of the call is a concatenation with it: `"{tag};" + body + id` in memory,
 /// for the call itself and for its refinement rounds, and the same with
-/// `accel:{text}` for the id on disk; the operator class plus the id for
-/// the warm-start index.
+/// `accel:{text}` for the id on disk.
 ///
 /// Deliberately *excludes* the computation's name (same-shape layers must
 /// share an entry) and `config.jobs` (results are thread-count-invariant).
@@ -513,9 +370,9 @@ impl KeyStem {
             body.push('/');
         }
         push_uint(&mut body, config.seed);
-        // `warm_start` splits entries: a warm-started result depends on the
-        // cache state at lookup time, so it must never answer a cold lookup.
-        body.push_str(if config.warm_start { "/w1;" } else { "/w0;" });
+        // Schema-2 key text: the slot of a retired knob, frozen so stored
+        // entries keep their names. Dropping it renames every L2 entry.
+        body.push_str("/w0;");
         body.push_str(&shape);
         body.push(';');
         // An active fault plan changes which candidates survive, so it must
@@ -557,12 +414,6 @@ impl KeyStem {
         let h = rand::fnv1a_64_extend(h, self.body.as_bytes());
         rand::fnv1a_64_extend(h, &self.machine.text().0.to_le_bytes())
     }
-
-    /// Key of the warm-start similarity index: operator class + the machine
-    /// (a donor tuned for one machine must not seed another).
-    fn warm_key(&self, def: &ComputeDef) -> String {
-        [&class_fingerprint(def), ";", &self.machine.id].concat()
-    }
 }
 
 /// FNV-1a over a string, 64-bit variant — the workspace's one seed/label
@@ -582,34 +433,17 @@ pub fn fnv1a(key: &str) -> u64 {
 ///
 /// The text is seed material as well as key material (network evaluation
 /// seeds each search from its hash), so a byte changed here changes winners.
+/// This writer is its specification (DESIGN.md §5h has it as a table): the
+/// text is what `format!` made of the parts' derived `Debug`, written
+/// without `fmt`.
 pub fn shape_fingerprint(def: &ComputeDef) -> String {
-    write_fingerprint(def, true)
-}
-
-/// Operator-*class* identity: [`shape_fingerprint`] with every extent
-/// stripped — iteration names and kinds, tensor dtypes and roles, access
-/// patterns and the operator. Differently-sized instances of one operator
-/// family (all the 3x3 stride-1 convolutions of a network, say) share it;
-/// predicates are deliberately excluded because padding guards embed
-/// extents, and a donor only *seeds* the search — it is re-validated on the
-/// new shape, never trusted.
-fn class_fingerprint(def: &ComputeDef) -> String {
-    write_fingerprint(def, false)
-}
-
-/// Both fingerprints, and their specification (DESIGN.md §5h has it as a
-/// table); `sized` adds what only the shape's has. The text is what
-/// `format!` made of the parts' derived `Debug`, written without `fmt`.
-fn write_fingerprint(def: &ComputeDef, sized: bool) -> String {
     let mut s = String::with_capacity(512);
     for it in def.iters() {
         s.push_str("i:");
         s.push_str(&it.name);
         s.push(':');
-        if sized {
-            push_int(&mut s, it.extent);
-            s.push(':');
-        }
+        push_int(&mut s, it.extent);
+        s.push(':');
         s.push_str(match it.kind {
             IterKind::Spatial => "Spatial;",
             IterKind::Reduction => "Reduction;",
@@ -617,10 +451,8 @@ fn write_fingerprint(def: &ComputeDef, sized: bool) -> String {
     }
     for t in def.tensors() {
         s.push_str("t:");
-        if sized {
-            push_list(&mut s, &t.shape, |s, &dim| push_int(s, dim));
-            s.push(':');
-        }
+        push_list(&mut s, &t.shape, |s, &dim| push_int(s, dim));
+        s.push(':');
         s.push_str(match t.dtype {
             DType::F16 => "F16:",
             DType::F32 => "F32:",
@@ -644,10 +476,8 @@ fn write_fingerprint(def: &ComputeDef, sized: bool) -> String {
         OpKind::AddAcc => ";op:AddAcc",
         OpKind::MaxAcc => ";op:MaxAcc",
     });
-    if sized {
-        s.push_str(";preds:");
-        push_list(&mut s, def.predicates(), push_expr);
-    }
+    s.push_str(";preds:");
+    push_list(&mut s, def.predicates(), push_expr);
     s
 }
 
@@ -766,7 +596,6 @@ mod tests {
             CacheStats {
                 hits: 1,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 1
             }
         );
@@ -802,7 +631,6 @@ mod tests {
             CacheStats {
                 hits: 0,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 4
             }
         );
@@ -830,7 +658,6 @@ mod tests {
             CacheStats {
                 hits: 1,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 1
             }
         );
@@ -862,7 +689,6 @@ mod tests {
             CacheStats {
                 hits: 0,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 2
             }
         );
@@ -889,101 +715,9 @@ mod tests {
             CacheStats {
                 hits: 1,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 1
             }
         );
-    }
-
-    fn warm_explorer(seed: u64) -> Explorer {
-        let mut cfg = small_explorer(seed).config().clone();
-        cfg.warm_start = true;
-        Explorer::with_config(cfg)
-    }
-
-    #[test]
-    fn warm_start_counters_partition_lookups() {
-        let cache = ExplorationCache::new();
-        let e = warm_explorer(11);
-        let accel = catalog::v100();
-        // Cold: no donor of this class exists yet.
-        let cold = cache
-            .explore_multi(&e, &gemm("g", 64, 64, 64), &accel)
-            .unwrap();
-        // Same class, different extents: the 64^3 winner donates.
-        let seeded = cache
-            .explore_multi(&e, &gemm("g", 128, 128, 64), &accel)
-            .unwrap();
-        assert!(seeded.warm_start.donors > 0, "{:?}", seeded.warm_start);
-        assert!(
-            seeded.warm_start.seeded_slots > 0,
-            "{:?}",
-            seeded.warm_start
-        );
-        // Exact repeat of the first shape: an exact hit, not a warm start.
-        cache
-            .explore_multi(&e, &gemm("g2", 64, 64, 64), &accel)
-            .unwrap();
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                l2_hits: 0,
-                warm_starts: 1,
-                misses: 1
-            }
-        );
-        assert_eq!(cold.warm_start, crate::explore::WarmStartStats::default());
-    }
-
-    #[test]
-    fn warm_start_flag_keys_the_cache() {
-        // The same shape explored warm and cold must not collide: the warm
-        // run's trajectory depends on the donor, so sharing an entry would
-        // make results depend on exploration order. (The cold winner still
-        // donates — at distance zero — so the warm run counts as warm.)
-        let cache = ExplorationCache::new();
-        let accel = catalog::v100();
-        cache
-            .explore_multi(&small_explorer(11), &gemm("g", 64, 64, 64), &accel)
-            .unwrap();
-        cache
-            .explore_multi(&warm_explorer(11), &gemm("g", 64, 64, 64), &accel)
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 0,
-                l2_hits: 0,
-                warm_starts: 1,
-                misses: 1
-            }
-        );
-    }
-
-    #[test]
-    fn donors_do_not_cross_operator_classes_or_machines() {
-        let cache = ExplorationCache::new();
-        let e = warm_explorer(11);
-        cache
-            .explore_multi(&e, &gemm("g", 64, 64, 64), &catalog::v100())
-            .unwrap();
-        // Same class on a different machine: no donor.
-        cache
-            .explore_multi(&e, &gemm("g", 128, 128, 64), &catalog::a100())
-            .unwrap();
-        // Different dtype (a different class) on the same machine: no donor.
-        let mut b = ComputeBuilder::new("g32");
-        let i = b.spatial("i", 128);
-        let j = b.spatial("j", 128);
-        let r = b.reduce("k", 64);
-        let a = b.input("a", &[128, 64], DType::F32);
-        let w = b.input("b", &[64, 128], DType::F32);
-        let c = b.output("c", &[128, 128], DType::F32);
-        b.mul_acc(c.at([i, j]), a.at([i, r]), w.at([r, j]));
-        let _ = cache.explore_multi(&e, &b.finish().unwrap(), &catalog::v100());
-        assert_eq!(cache.stats().warm_starts, 0, "{:?}", cache.stats());
     }
 
     #[test]
@@ -1038,38 +772,6 @@ mod tests {
         assert_eq!(cache.machines.lock().unwrap().len(), 3);
     }
 
-    #[test]
-    fn the_class_writer_is_the_derived_debug_rendering() {
-        use std::fmt::Write as _;
-        let mut b = ComputeBuilder::new("strided");
-        let i = b.spatial("i", 6);
-        let k = b.reduce("k", 10);
-        let a = b.input("a", &[64], DType::I8);
-        let w = b.constant("w", &[7], DType::I32);
-        let o = b.output("o", &[6], DType::F16);
-        b.mul_acc(
-            o.at([i]),
-            a.at([(i.ex() * 2 + k.ex() - 3).floor_div(4)]),
-            w.at([(k.ex() + Expr::int(-1)).rem(7)]),
-        );
-        b.require_zero((i.ex() - k.ex()).rem(2));
-        for def in [gemm("g", 64, 32, 16), b.finish().unwrap()] {
-            let mut s = String::new();
-            for it in def.iters() {
-                let _ = write!(s, "i:{}:{:?};", it.name, it.kind);
-            }
-            for t in def.tensors() {
-                let _ = write!(s, "t:{:?}:{:?};", t.dtype, t.role);
-            }
-            let _ = write!(s, "out:{:?};", def.output());
-            for a in def.inputs() {
-                let _ = write!(s, "in:{:?};", a);
-            }
-            let _ = write!(s, "op:{:?}", def.op());
-            assert_eq!(class_fingerprint(&def), s);
-        }
-    }
-
     // ---- the persistent L2 tier --------------------------------------------
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -1109,7 +811,6 @@ mod tests {
             CacheStats {
                 hits: 0,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 1
             }
         );
@@ -1124,7 +825,6 @@ mod tests {
             CacheStats {
                 hits: 0,
                 l2_hits: 1,
-                warm_starts: 0,
                 misses: 0
             }
         );
@@ -1182,7 +882,6 @@ mod tests {
             CacheStats {
                 hits: 0,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 1
             }
         );
@@ -1219,7 +918,6 @@ mod tests {
             CacheStats {
                 hits: 0,
                 l2_hits: 1,
-                warm_starts: 0,
                 misses: 0
             },
             "the committed key content, file name and entry format must still be accepted"
@@ -1266,10 +964,6 @@ mod tests {
             stem.key("refine:2:17:24301"),
             format!("refine:2:17:24301;{body}#0")
         );
-        assert_eq!(
-            stem.warm_key(&def),
-            format!("{};#0", class_fingerprint(&def))
-        );
         // ...on disk it is spelled out, and the file is named by the hash
         // of everything before it continued over the hash of the spelling.
         assert_eq!(
@@ -1293,7 +987,6 @@ mod tests {
         let retargeted = whole.retarget(cache.intern(&unit));
         let direct = KeyStem::new(&config, &def, cache.intern(&unit), None);
         assert_eq!(retargeted.key("refine:0:0:1"), direct.key("refine:0:0:1"));
-        assert_eq!(retargeted.warm_key(&def), direct.warm_key(&def));
         assert_eq!(
             retargeted.key("refine:0:0:1"),
             format!("refine:0:0:1;{body}#2")
@@ -1378,7 +1071,6 @@ mod tests {
                 CacheStats {
                     hits: 0,
                     l2_hits: 0,
-                    warm_starts: 0,
                     misses: 1
                 },
                 "scenario `{name}` must be a cold miss"

@@ -27,9 +27,7 @@
 //!   complete file or the new complete file, never a torn one.
 
 use crate::error::AmosError;
-use crate::explore::{
-    Completion, ExplorationResult, QuarantineReport, ScreeningStats, WarmStartStats,
-};
+use crate::explore::{Completion, ExplorationResult, QuarantineReport, ScreeningStats};
 use crate::mapping::Mapping;
 use amos_hw::AcceleratorSpec;
 use amos_ir::{ComputeDef, IterId};
@@ -44,6 +42,11 @@ use std::sync::OnceLock;
 /// the serialization below or to how files are named: schema 2 is schema
 /// 1's entry under the caller's `hash` (schema 1 hashed the whole key).
 const SCHEMA: u32 = 2;
+
+/// A schema-2 line whose counters nothing sets any more, written and
+/// required verbatim. An entry with other counters was stored under a key no
+/// request can spell now, so it is a miss either way.
+const WARM_LINE: &str = "warm 0 0 0";
 
 /// Entries larger than this are rejected, and no read goes past it (a
 /// corrupted or swapped file must not make a lookup allocate gigabytes).
@@ -226,11 +229,8 @@ fn render(key: &str, r: &ExplorationResult, intrinsic: &str) -> String {
         r.screening.measured_memo_hits,
         bits(r.screening.screen_seconds),
     );
-    let _ = writeln!(
-        s,
-        "warm {} {} {}",
-        r.warm_start.donors, r.warm_start.seeded_slots, r.warm_start.fallback_slots
-    );
+    s.push_str(WARM_LINE);
+    s.push('\n');
     let _ = writeln!(s, "gens {}", r.generations_completed);
     let _ = writeln!(s, "evals {}", r.evaluations.len());
     for &(p, m) in &r.evaluations {
@@ -332,15 +332,9 @@ fn parse_and_validate(
         measured_memo_hits: measured.parse().ok()?,
         screen_seconds: unbits(secs)?,
     };
-    let warm: Vec<usize> = ints(tagged(&mut lines, "warm")?)?;
-    let [donors, seeded, fallback] = warm.as_slice() else {
+    if lines.next() != Some(WARM_LINE) {
         return None;
-    };
-    let warm_start = WarmStartStats {
-        donors: *donors,
-        seeded_slots: *seeded,
-        fallback_slots: *fallback,
-    };
+    }
     let generations_completed: usize = tagged(&mut lines, "gens")?.parse().ok()?;
     let nevals: usize = tagged(&mut lines, "evals")?.parse().ok()?;
     if nevals > 1_000_000 {
@@ -400,7 +394,6 @@ fn parse_and_validate(
         num_mappings,
         sim_failures,
         screening,
-        warm_start,
         completion: Completion::Finished,
         generations_completed,
         quarantine: QuarantineReport::default(),

@@ -434,9 +434,8 @@ impl Engine {
             units,
         } = lowered;
         let explorer = Explorer::with_config(config);
-        // Same key as the one-shot `explore_multi` path (so staged and
-        // one-shot lookups share entries), including the warm-start donor
-        // consultation on a miss.
+        // Same key as the one-shot `explore_multi` path, so staged and
+        // one-shot lookups share entries.
         let result = self
             .cache
             .explore_units(&explorer, &def, &accel, &units)

@@ -5,7 +5,7 @@
 //! analytic performance model, and the most promising ones are measured on
 //! the ground truth — real hardware in the paper, the timing simulator here.
 
-use crate::cache::{ExplorationCache, KeyStem, WarmStart};
+use crate::cache::{ExplorationCache, KeyStem};
 use crate::generate::MappingGenerator;
 use crate::mapping::Mapping;
 use crate::parallel::parallel_map;
@@ -287,13 +287,6 @@ pub struct ExplorerConfig {
     /// never changes *which* candidates a generation evaluates — it only
     /// decides how many generations run.
     pub budget: Budget,
-    /// Seed the initial population from the best mapping/schedule of the
-    /// nearest previously-explored shape of the same operator class (the
-    /// cache's similarity index). Off by default: warm-started runs are
-    /// deterministic for a fixed cache state, but *which* shapes were
-    /// explored before changes the trajectory, so opting in trades
-    /// cold-state reproducibility for faster convergence on shape families.
-    pub warm_start: bool,
     /// Cooperative cancellation flag, consulted at the same boundaries as
     /// the [`Budget`]. `None` (the default) makes the run uninterruptible.
     /// Like the budget, the token is excluded from cache fingerprints: it
@@ -315,7 +308,6 @@ impl Default for ExplorerConfig {
             seed: 0x5eed,
             jobs: 0,
             budget: Budget::default(),
-            warm_start: false,
             cancel: None,
             #[cfg(feature = "fault-injection")]
             faults: crate::faultplan::FaultPlan::default(),
@@ -392,31 +384,6 @@ impl ScreeningStats {
         self.survivor_memo_hits += other.survivor_memo_hits;
         self.measured_memo_hits += other.measured_memo_hits;
         self.screen_seconds += other.screen_seconds;
-    }
-}
-
-/// Counters of the nearest-shape warm-start path for one exploration run.
-/// All fields are deterministic for a fixed cache state (the donor index is
-/// consulted before any parallel phase starts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WarmStartStats {
-    /// Donors consulted: one per explored unit whose intrinsic matched the
-    /// similarity index's nearest previously-explored shape.
-    pub donors: usize,
-    /// Initial-population slots seeded from a donor's winning candidate
-    /// (slot 0 verbatim, the rest donor-plus-one-mutation).
-    pub seeded_slots: usize,
-    /// Slots that fell back to naive initialisation because the donor could
-    /// not be re-validated on this shape (mapping absent from the unit's
-    /// enumeration, or its schedule unrepairable on the new extents).
-    pub fallback_slots: usize,
-}
-
-impl WarmStartStats {
-    fn absorb(&mut self, other: &WarmStartStats) {
-        self.donors += other.donors;
-        self.seeded_slots += other.seeded_slots;
-        self.fallback_slots += other.fallback_slots;
     }
 }
 
@@ -605,10 +572,6 @@ pub struct ExplorationResult {
     /// time), summed over refinement rounds. All fields except
     /// `screen_seconds` are deterministic for a given seed.
     pub screening: ScreeningStats,
-    /// Nearest-shape warm-start counters (donors consulted, slots seeded or
-    /// fallen back), summed over units. All zeros unless
-    /// [`ExplorerConfig::warm_start`] found a donor.
-    pub warm_start: WarmStartStats,
     /// How the run ended: complete, degraded by quarantined candidates, or
     /// truncated by a [`Budget`] limit.
     pub completion: Completion,
@@ -780,7 +743,7 @@ impl Explorer {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_multi_cached(def, accel, None, None)
+        self.explore_multi_cached(def, accel, None)
     }
 
     /// [`Explorer::explore_multi`] with an optional shared cache for the
@@ -792,7 +755,6 @@ impl Explorer {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
         cache: Option<(&ExplorationCache, &KeyStem)>,
-        warm: Option<&WarmStart>,
     ) -> Result<ExplorationResult, ExploreError> {
         let units = self
             .unit_accelerators(accel)
@@ -807,7 +769,7 @@ impl Explorer {
                 })
             })
             .collect::<Result<Vec<_>, ExploreError>>()?;
-        self.explore_units_cached(def, accel, &units, cache, warm)
+        self.explore_units_cached(def, accel, &units, cache)
     }
 
     /// Decomposes a (possibly heterogeneous) accelerator into per-intrinsic
@@ -862,7 +824,6 @@ impl Explorer {
         accel: &AcceleratorSpec,
         units: &[LoweredUnit],
         cache: Option<(&ExplorationCache, &KeyStem)>,
-        warm: Option<&WarmStart>,
     ) -> Result<ExplorationResult, ExploreError> {
         self.config.validate()?;
         let sup = Supervisor::new(&self.config);
@@ -871,7 +832,6 @@ impl Explorer {
         let mut num_mappings = 0usize;
         let mut sim_failures = 0usize;
         let mut screening = ScreeningStats::default();
-        let mut warm_stats = WarmStartStats::default();
         let mut completion = Completion::Finished;
         let mut generations_completed = 0usize;
         let mut quarantine = QuarantineReport::default();
@@ -899,14 +859,12 @@ impl Explorer {
                 self.config.seed,
                 cache,
                 &sup,
-                warm,
             )?;
             quarantine.records.append(&mut result.quarantine.records);
             evaluations.extend(result.evaluations.iter().copied());
             num_mappings += result.num_mappings;
             sim_failures += result.sim_failures;
             screening.absorb(&result.screening);
-            warm_stats.absorb(&result.warm_start);
             completion = completion.merge(result.completion);
             generations_completed += result.generations_completed;
             let better = best
@@ -934,7 +892,6 @@ impl Explorer {
         best.num_mappings = num_mappings;
         best.sim_failures = sim_failures;
         best.screening = screening;
-        best.warm_start = warm_stats;
         best.completion = completion;
         best.generations_completed = generations_completed;
         best.quarantine = quarantine;
@@ -986,15 +943,8 @@ impl Explorer {
             });
         }
         let programs = self.lower_mappings(def, accel, &mappings)?;
-        let result = self.explore_programs(
-            accel,
-            &mappings,
-            &programs,
-            self.config.seed,
-            cache,
-            &sup,
-            None,
-        )?;
+        let result =
+            self.explore_programs(accel, &mappings, &programs, self.config.seed, cache, &sup)?;
         Ok(finalize(result))
     }
 
@@ -1012,7 +962,6 @@ impl Explorer {
     /// logged in the result's quarantine report instead of unwinding the
     /// search; the budget in `sup` is checked cooperatively at phase and
     /// generation boundaries.
-    #[allow(clippy::too_many_arguments)] // internal: mirrors the phase inputs
     fn explore_programs(
         &self,
         accel: &AcceleratorSpec,
@@ -1021,7 +970,6 @@ impl Explorer {
         seed: u64,
         cache: Option<(&ExplorationCache, &KeyStem)>,
         sup: &Supervisor,
-        warm: Option<&WarmStart>,
     ) -> Result<ExplorationResult, ExploreError> {
         // `Some` once a budget limit fires: later phases are skipped and the
         // best-so-far is returned with the truncation status.
@@ -1088,56 +1036,18 @@ impl Explorer {
             truncated = sup.check();
         }
 
-        // ---- warm-start donor -----------------------------------------------
-        // Adaptation is a pure function of (donor, context), so the seeded
-        // population is deterministic for a fixed cache state. A donor
-        // whose mapping is not in this unit's enumeration, or whose schedule
-        // cannot be re-validated on the new extents, is dropped and the
-        // affected slots fall back to the naive random init.
-        let mut warm_stats = WarmStartStats::default();
-        let warm_slots = self.config.survivors.min(self.config.population);
-        // The adapted donor with its prediction, which the seeded slots
-        // inherit unless their mutation changed something the model reads.
-        let mut warm_seed: Option<(usize, Schedule, f64)> = None;
-        let mut warm_fallback = false;
-        if let Some(w) = warm {
-            // Units of a heterogeneous accelerator only accept donors tuned
-            // for their own intrinsic.
-            if w.intrinsic == accel.intrinsic.name {
-                warm_stats.donors = 1;
-                warm_seed = mappings.iter().position(|m| *m == w.mapping).and_then(|i| {
-                    let mut s = w.schedule.clone();
-                    let ctx = ctxs.get(i);
-                    if !adapt_schedule_to(ctx, &mut s) {
-                        return None;
-                    }
-                    let predicted = predict_with(ctx, &s).ok()?.cycles;
-                    Some((i, s, predicted))
-                });
-                warm_fallback = warm_seed.is_none();
-            }
-        }
-
         // ---- initial population --------------------------------------------
         // Sampling: one RNG stream per slot, each slot *sampled* into a
         // reusable `Schedule` buffer of a flat arena — so the population
-        // depends on `(seed, slot)` only, never on evaluation order. The
-        // first `warm_slots` slots clone the adapted donor instead (slot 0
-        // verbatim, the rest with one mutation from the slot's own stream).
-        // [`screen_sampled`] then ranks every sampled slot: through the
-        // batched model, bit-identical to per-candidate `predict_with`, or
-        // by the prediction the slot inherited.
+        // depends on `(seed, slot)` only, never on evaluation order.
+        // [`screen_sampled`] then ranks every sampled slot through the
+        // batched model, bit-identical to per-candidate `predict_with`.
         let mut arena = PopulationArena::new();
         arena.ensure_slots(self.config.population);
         let mut scratch = ScreenScratch::default();
         let mut sampled: Vec<Sampled> = Vec::new();
         let mut metas: Vec<(usize, f64, bool)> = Vec::new();
         if truncated.is_none() {
-            if warm_seed.is_some() {
-                warm_stats.seeded_slots = warm_slots;
-            } else if warm_fallback {
-                warm_stats.fallback_slots = warm_slots;
-            }
             let screen_start = Instant::now();
             for (slot, sched) in arena.schedules[..self.config.population]
                 .iter_mut()
@@ -1146,16 +1056,6 @@ impl Explorer {
                 let outcome = amos_sim::isolate::run_isolated(|| -> Result<Sampled, SimError> {
                     self.injected_fault("screen", seed, 0, slot as u64)?;
                     let mut rng = stream_rng(seed, 0, slot as u64);
-                    if let Some((widx, wsched, wpredicted)) = &warm_seed {
-                        if slot < warm_slots {
-                            sched.clone_from(wsched);
-                            if slot == 0 {
-                                return Ok(Sampled::Inherited(*widx, *wpredicted));
-                            }
-                            let ctx = ctxs.get(*widx);
-                            return Ok(mutate_child(ctx, *widx, sched, &mut rng, *wpredicted));
-                        }
-                    }
                     let mapping_idx = rng.gen_range(0..programs.len());
                     random_schedule_into(ctxs.get(mapping_idx), sched, &mut rng, true);
                     Ok(Sampled::Fresh(mapping_idx))
@@ -1384,7 +1284,6 @@ impl Explorer {
                         refine_seed,
                         None,
                         sup,
-                        None,
                     )
                 };
                 Ok(match cache {
@@ -1429,7 +1328,6 @@ impl Explorer {
             num_mappings: mappings.len(),
             sim_failures,
             screening,
-            warm_start: warm_stats,
             completion: truncated.unwrap_or(Completion::Finished),
             generations_completed,
             quarantine: QuarantineReport {
@@ -1831,37 +1729,6 @@ fn draw_mutation(ctx: &ScreeningContext, s: &mut Schedule, rng: &mut impl Rng) -
     }
 }
 
-/// Adapts a donor schedule (tuned for a *similar* shape) to `ctx`'s axes:
-/// every per-axis factor is clamped to the new extents, then the footprints
-/// are repaired like any sampled candidate. Deterministic — a pure function
-/// of `(donor, ctx)`. Returns `false` when the donor cannot be re-validated
-/// (axis-structure mismatch, or infeasible even after repair), in which case
-/// the caller falls back to naive initialisation.
-fn adapt_schedule_to(ctx: &ScreeningContext, s: &mut Schedule) -> bool {
-    let axes = &ctx.axes[..];
-    let n = axes.len();
-    if s.grid.len() != n
-        || s.split_k.len() != n
-        || s.subcore.len() != n
-        || s.stage.len() != n
-        || s.warp.len() != n
-    {
-        return false;
-    }
-    for (i, a) in axes.iter().enumerate() {
-        let ext = a.extent.max(1);
-        s.grid[i] = s.grid[i].clamp(1, ext);
-        if s.grid[i] * s.split_k[i] > ext {
-            s.split_k[i] = (ext / s.grid[i]).max(1);
-        }
-        s.subcore[i] = s.subcore[i].clamp(1, ext);
-        s.stage[i] = s.stage[i].max(1);
-        s.warp[i] = s.warp[i].max(1);
-    }
-    repair_schedule_ctx(ctx, s);
-    ctx.schedule_feasible(s)
-}
-
 /// Shrinks footprint-heavy genes until the schedule passes the context's
 /// allocation-free feasibility check (agrees with `Schedule::validate` —
 /// asserted by the sim crate's tests). A schedule that already passes is
@@ -1991,44 +1858,6 @@ mod tests {
             wt.at([k.ex(), c.ex(), r.ex(), s.ex()]),
         );
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn adapt_schedule_to_clamps_or_rejects() {
-        let def = conv2d_small();
-        let accel = catalog::v100();
-        let mapping = crate::generate::MappingGenerator::new()
-            .enumerate(&def, &accel.intrinsic)
-            .into_iter()
-            .next()
-            .unwrap();
-        let prog = mapping.lower(&def, &accel.intrinsic).unwrap();
-        let ctx = prog.screening_context(&accel);
-        let mut rng = stream_rng(7, 0, 0);
-        let mut s = Schedule::naive(&prog);
-        random_schedule_into(&ctx, &mut s, &mut rng, true);
-
-        // A donor from the same context adapts cleanly.
-        let mut adapted = s.clone();
-        assert!(adapt_schedule_to(&ctx, &mut adapted));
-        assert!(ctx.schedule_feasible(&adapted));
-
-        // Oversized donor factors are clamped back into the extents.
-        let mut oversized = s.clone();
-        for g in &mut oversized.grid {
-            *g *= 1024;
-        }
-        assert!(adapt_schedule_to(&ctx, &mut oversized));
-        assert!(ctx.schedule_feasible(&oversized));
-        for (i, a) in ctx.axes.iter().enumerate() {
-            assert!(oversized.grid[i] <= a.extent.max(1));
-        }
-
-        // An axis-count mismatch (donor from another operator class) is
-        // rejected outright.
-        let mut wrong = s.clone();
-        wrong.grid.pop();
-        assert!(!adapt_schedule_to(&ctx, &mut wrong));
     }
 
     #[test]

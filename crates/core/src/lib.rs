@@ -95,7 +95,6 @@ pub use explore::{
     mutate_schedule, mutate_schedule_ctx, pairwise_accuracy, random_schedule, random_schedule_into,
     random_schedule_with, top_rate_recall, Budget, CancelToken, Completion, ExplorationResult,
     ExploreError, Explorer, ExplorerConfig, QuarantineRecord, QuarantineReport, ScreeningStats,
-    WarmStartStats,
 };
 pub use generate::{fragment_coherent, MappingGenerator, MappingPolicy};
 pub use mapping::Mapping;

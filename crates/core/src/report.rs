@@ -3,7 +3,7 @@
 //! physical memory mapping, tile counts, padding efficiency, memory
 //! footprints and the measured timing.
 
-use crate::explore::{Completion, ExplorationResult, ScreeningStats, WarmStartStats};
+use crate::explore::{Completion, ExplorationResult, ScreeningStats};
 use crate::memory_map::{physical_memory_mapping, MemoryMapping};
 use amos_hw::AcceleratorSpec;
 use amos_sim::{ExecStats, Schedule, TimingReport};
@@ -41,10 +41,6 @@ pub struct MappingReport {
     /// Analytic-screening counters of the exploration (candidates screened,
     /// survivor/measured memo hits, screening throughput).
     pub screening: ScreeningStats,
-    /// Warm-start counters: donors consulted and population slots seeded
-    /// from the nearest previously-explored shape (all zero unless
-    /// [`crate::ExplorerConfig::warm_start`] found a donor).
-    pub warm_start: WarmStartStats,
     /// Algorithm-1 validation calls performed by this process so far
     /// (paper §5.2), snapshotted when the report was built.
     pub validation_calls: u64,
@@ -95,7 +91,6 @@ impl MappingReport {
             microseconds: cycles / accel.cycles_per_second() * 1e6,
             sim_failures: result.sim_failures,
             screening: result.screening,
-            warm_start: result.warm_start,
             validation_calls: crate::validate::validation_calls(),
             exec_stats: None,
             completion: result.completion,
@@ -147,17 +142,6 @@ impl fmt::Display for MappingReport {
             self.screening.survivor_memo_hits,
             self.screening.measured_memo_hits
         )?;
-        // Only printed when a donor was consulted: cold runs keep the
-        // historical output byte-identical.
-        if self.warm_start.donors > 0 {
-            writeln!(
-                f,
-                "warm start       : {} donors, {} slots seeded, {} fallback slots",
-                self.warm_start.donors,
-                self.warm_start.seeded_slots,
-                self.warm_start.fallback_slots
-            )?;
-        }
         if let Some(es) = &self.exec_stats {
             writeln!(
                 f,
@@ -257,10 +241,6 @@ mod tests {
         assert!(text.contains("Algorithm-1 calls"));
         assert!(text.contains("survivor memo hits"));
         assert!(!text.contains("hot path"));
-        assert!(
-            !text.contains("warm start"),
-            "a cold run must keep the historical output"
-        );
         assert!(
             !text.contains("completion"),
             "a clean finish must keep the historical output"

@@ -15,7 +15,9 @@ use std::fmt::Write as _;
 pub enum Value {
     /// A JSON string (unescaped).
     Str(String),
-    /// Any JSON number.
+    /// A plain non-negative integer literal that fits `u64`, kept exact.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// `true` / `false`.
     Bool(bool),
@@ -32,21 +34,25 @@ impl Value {
         }
     }
 
-    /// The numeric payload as a non-negative integer, if exactly
-    /// representable.
+    /// The numeric payload as a non-negative integer, if it is exactly one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
+            Value::Int(n) => Some(*n),
+            // `u64::MAX as f64` rounds up to 2^64, which no `u64` is, so the
+            // bound is strict.
+            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < u64::MAX as f64 => {
+                Some(*x as u64)
             }
             _ => None,
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (an integer above 2^53
+    /// rounds).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Int(n) => Some(*n as f64),
+            Value::Num(x) => Some(*x),
             _ => None,
         }
     }
@@ -136,8 +142,10 @@ fn push_escaped(out: &mut String, s: &str) {
 /// A position-free message naming the malformed construct; nested objects
 /// and arrays are rejected (the protocol never produces them).
 pub fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, String> {
+    let text = line.trim();
     let mut p = Parser {
-        bytes: line.trim().as_bytes(),
+        text,
+        bytes: text.as_bytes(),
         pos: 0,
     };
     let map = p.object()?;
@@ -149,6 +157,9 @@ pub fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes; `pos` indexes both and only stops on a character
+    /// boundary.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -231,11 +242,18 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
+        let literal = &self.text[start..self.pos];
+        // A plain integer literal is read exactly: through `f64` a seed above
+        // 2^53 would come back as its neighbour.
+        if literal.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = literal.parse() {
+                return Ok(Value::Int(n));
+            }
+        }
+        literal
+            .parse::<f64>()
             .map(Value::Num)
-            .ok_or_else(|| "malformed number".into())
+            .map_err(|_| "malformed number".into())
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -261,9 +279,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or("malformed \\u escape")?;
                             out.push(char::from_u32(hex).ok_or("surrogate \\u escape")?);
@@ -274,12 +291,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or backslash passes
+                    // through as it is: both are ASCII, so the run ends on a
+                    // character boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -332,5 +350,126 @@ mod tests {
         let b = ObjectBuilder::new().str("k", "v").u64("n", 3).finish();
         assert_eq!(a, b);
         assert_eq!(a, "{\"k\":\"v\",\"n\":3}");
+    }
+
+    #[test]
+    fn integer_literals_are_exact_and_2_pow_64_is_not_a_u64() {
+        let int = |text: &str| parse_object(&format!("{{\"n\":{text}}}")).unwrap()["n"].as_u64();
+        assert_eq!(int("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(int("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(int("18446744073709551616"), None);
+        assert_eq!(int("1.8446744073709552e19"), None);
+        assert_eq!(int("1e3"), Some(1000));
+        assert_eq!(int("2.5"), None);
+        assert_eq!(int("-1"), None);
+    }
+
+    use proptest::prelude::*;
+
+    /// One field as the builder was given it.
+    #[derive(Debug, Clone)]
+    enum Field {
+        Str(String),
+        U64(u64),
+        F64(f64),
+        Bool(bool),
+        Null,
+    }
+
+    impl Field {
+        fn append(&self, b: ObjectBuilder, key: &str) -> ObjectBuilder {
+            match self {
+                Field::Str(s) => b.str(key, s),
+                Field::U64(n) => b.u64(key, *n),
+                Field::F64(x) => b.f64(key, *x),
+                Field::Bool(v) => b.bool(key, *v),
+                // The builder writes a non-finite float as `null`.
+                Field::Null => b.f64(key, f64::NAN),
+            }
+        }
+
+        /// Whether `v` reads back as this field through its accessor.
+        fn reads_back(&self, v: &Value) -> bool {
+            match self {
+                Field::Str(s) => v.as_str() == Some(s),
+                Field::U64(n) => v.as_u64() == Some(*n),
+                Field::F64(x) => v.as_f64().map(f64::to_bits) == Some(x.to_bits()),
+                Field::Bool(b) => *v == Value::Bool(*b),
+                Field::Null => *v == Value::Null,
+            }
+        }
+    }
+
+    /// Quotes, backslashes, control characters and 1- to 4-byte UTF-8.
+    fn text(max_chars: usize) -> impl Strategy<Value = String> {
+        let scalar = |lo: u32, hi: u32| (lo..hi).prop_map(|c| char::from_u32(c).expect("scalar"));
+        let ch = prop_oneof![
+            prop::strategy::Just('"'),
+            prop::strategy::Just('\\'),
+            scalar(0, 0x20),
+            scalar(0x20, 0x80),
+            scalar(0x80, 0x800),
+            scalar(0x800, 0xd800),
+            scalar(0x10000, 0x11_0000),
+        ];
+        prop::collection::vec(ch, 0..=max_chars).prop_map(String::from_iter)
+    }
+
+    fn field(max_chars: usize) -> impl Strategy<Value = Field> {
+        prop_oneof![
+            text(max_chars).prop_map(Field::Str),
+            (0..=u64::MAX).prop_map(Field::U64),
+            // Every finite bit pattern; a non-finite one is folded onto an
+            // integer-valued float.
+            (0..=u64::MAX).prop_map(|bits| {
+                let x = f64::from_bits(bits);
+                Field::F64(if x.is_finite() { x } else { bits as f64 })
+            }),
+            prop::bool::ANY.prop_map(Field::Bool),
+            prop::strategy::Just(Field::Null),
+        ]
+    }
+
+    fn encode(fields: &[(String, Field)]) -> String {
+        fields
+            .iter()
+            .fold(ObjectBuilder::new(), |b, (k, f)| f.append(b, k))
+            .finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn flat_objects_round_trip(
+            fields in prop::collection::vec((text(12), field(3000)), 0..8),
+        ) {
+            let line = encode(&fields);
+            let map = parse_object(&line).map_err(|e| TestCaseError::fail(format!("{e}: {line}")))?;
+            // A repeated key keeps its last value, as in the parsed map.
+            let expected: BTreeMap<&String, &Field> = fields.iter().map(|(k, f)| (k, f)).collect();
+            prop_assert_eq!(map.len(), expected.len());
+            for (key, field) in expected {
+                let got = map.get(key);
+                prop_assert!(got.is_some_and(|v| field.reads_back(v)), "{key:?}: {field:?} read as {got:?}");
+            }
+        }
+
+        #[test]
+        fn prefixes_and_corrupted_bytes_never_panic(
+            fields in prop::collection::vec((text(4), field(24)), 0..4),
+            fill in 0u8..=255,
+        ) {
+            let line = encode(&fields);
+            for (at, _) in line.char_indices() {
+                let _ = parse_object(&line[..at]);
+            }
+            let mut bytes = line.into_bytes();
+            for at in 0..bytes.len() {
+                let kept = std::mem::replace(&mut bytes[at], fill);
+                let _ = parse_object(&String::from_utf8_lossy(&bytes));
+                bytes[at] = kept;
+            }
+        }
     }
 }

@@ -348,6 +348,19 @@ mod tests {
         for req in reqs {
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
+        // Integers past 2^53 survive exactly: a rounded seed would explore,
+        // echo and share a dedup flight with its neighbour.
+        for n in [(1 << 53) + 1, u64::MAX] {
+            let req = Request::Explore(ExploreRequest {
+                spec: "gmm:64x64x64".into(),
+                accel: None,
+                seed: Some(n),
+                deadline_ms: Some(n),
+                max_evaluations: Some(n),
+                max_measurements: Some(n),
+            });
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        }
     }
 
     #[test]
@@ -388,6 +401,21 @@ mod tests {
             Response::Drained,
         ];
         for resp in resps {
+            let line = resp.encode();
+            assert_eq!(Response::decode(&line).unwrap(), resp, "{line}");
+        }
+        for n in [(1 << 53) + 1, u64::MAX] {
+            let resp = Response::Ok(ExploreReply {
+                spec: "gmm:64x64x64".into(),
+                accel: "v100".into(),
+                seed: n,
+                cycles,
+                cycles_bits: cycles.to_bits(),
+                completion: "finished".into(),
+                generations: n,
+                evaluations: n,
+                mappings: n,
+            });
             let line = resp.encode();
             assert_eq!(Response::decode(&line).unwrap(), resp, "{line}");
         }

@@ -221,7 +221,6 @@ fn a_machine_one_field_apart_is_answered_by_neither_tier() {
             CacheStats {
                 hits: 0,
                 l2_hits: 0,
-                warm_starts: 0,
                 misses: 1
             },
             "{field}: the disk tier answered for another machine"

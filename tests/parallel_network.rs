@@ -8,12 +8,10 @@ use amos::core::CacheStats;
 use amos::hw::catalog;
 use amos::workloads::networks;
 
-fn evaluate_at(jobs: usize, warm_start: bool) -> (NetworkCost, NetworkCost, CacheStats) {
+fn evaluate_at(jobs: usize) -> (NetworkCost, NetworkCost, CacheStats) {
     let accel = catalog::v100();
     let net = networks::mobilenet_v1();
-    let mut ev = NetworkEvaluator::new()
-        .with_jobs(jobs)
-        .with_warm_start(warm_start);
+    let mut ev = NetworkEvaluator::new().with_jobs(jobs);
     let amos = ev.evaluate(System::Amos, &net, 1, &accel);
     let torch = ev.evaluate(System::PyTorch, &net, 1, &accel);
     (amos, torch, ev.cache_stats())
@@ -21,32 +19,12 @@ fn evaluate_at(jobs: usize, warm_start: bool) -> (NetworkCost, NetworkCost, Cach
 
 #[test]
 fn network_costs_are_jobs_invariant() {
-    let (amos1, torch1, stats1) = evaluate_at(1, false);
+    let (amos1, torch1, stats1) = evaluate_at(1);
     for jobs in [2, 8] {
-        let (amos, torch, stats) = evaluate_at(jobs, false);
+        let (amos, torch, stats) = evaluate_at(jobs);
         assert_eq!(amos, amos1, "AMOS cost must not depend on jobs={jobs}");
         assert_eq!(torch, torch1, "PyTorch cost must not depend on jobs={jobs}");
         assert_eq!(stats, stats1, "cache stats must not depend on jobs={jobs}");
-    }
-}
-
-#[test]
-fn warm_started_network_costs_are_jobs_invariant() {
-    // Warm start makes later shapes depend on earlier donors, so the
-    // evaluator falls back to the sequential order; any thread budget must
-    // still produce the identical trajectory.
-    let (amos1, torch1, stats1) = evaluate_at(1, true);
-    for jobs in [2, 8] {
-        let (amos, torch, stats) = evaluate_at(jobs, true);
-        assert_eq!(amos, amos1, "warm AMOS cost must not depend on jobs={jobs}");
-        assert_eq!(
-            torch, torch1,
-            "warm PyTorch cost must not depend on jobs={jobs}"
-        );
-        assert_eq!(
-            stats, stats1,
-            "warm cache stats must not depend on jobs={jobs}"
-        );
     }
 }
 
