@@ -207,19 +207,18 @@ impl ExplorationCache {
         Some(cached)
     }
 
-    /// Probes L2 for `stem`'s request under `tag`, counting a hit and
-    /// promoting it into L1 under `key` so later lookups skip re-validation.
-    /// Only here, past an L1 miss, is the request's full text assembled.
+    /// Probes L2 for `stem`'s request, counting a hit and promoting it into
+    /// L1 under `key` so later lookups skip re-validation. Only here, past an
+    /// L1 miss, is the request's full text assembled.
     fn probe_l2(
         &self,
         key: &str,
         stem: &KeyStem,
-        tag: &str,
         def: &ComputeDef,
         accel: &AcceleratorSpec,
     ) -> Option<ExplorationResult> {
         let disk = self.disk.as_ref()?;
-        let loaded = disk.load(stem.file_hash(tag), &stem.disk_key(tag), def, accel)?;
+        let loaded = disk.load(stem.file_hash(), &stem.disk_key(), def, accel)?;
         self.l2_hits.fetch_add(1, Ordering::Relaxed);
         self.entries
             .lock()
@@ -237,14 +236,14 @@ impl ExplorationCache {
     fn insert(
         &self,
         key: String,
-        persist: Option<(&KeyStem, &str)>,
+        persist: Option<&KeyStem>,
         result: &Result<ExplorationResult, ExploreError>,
     ) {
         if !cacheable(result) {
             return;
         }
-        if let (Some(disk), Some((stem, tag)), Ok(r)) = (&self.disk, persist, result) {
-            disk.store(stem.file_hash(tag), &stem.disk_key(tag), r);
+        if let (Some(disk), Some(stem), Ok(r)) = (&self.disk, persist, result) {
+            disk.store(stem.file_hash(), &stem.disk_key(), r);
         }
         self.entries
             .lock()
@@ -252,16 +251,14 @@ impl ExplorationCache {
             .insert(key, result.clone());
     }
 
-    /// Memoises one refinement sub-run of the call `stem` was rendered for
-    /// (or of one of its units, see [`KeyStem::retarget`]). Counted under
-    /// the refinement counters, not [`ExplorationCache::stats`].
-    pub(crate) fn refine_tagged(
+    /// Memoises one refinement sub-run under `key`, a
+    /// [`KeyStem::refine_key`]. Counted under the refinement counters, not
+    /// [`ExplorationCache::stats`].
+    pub(crate) fn refine(
         &self,
-        tag: &str,
-        stem: &KeyStem,
+        key: String,
         run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let key = stem.key(tag);
         if let Some(hit) = self.probe_l1(&key, &self.refine_hits) {
             return hit;
         }
@@ -287,12 +284,12 @@ impl ExplorationCache {
         shape: Option<&str>,
         run: impl FnOnce(&KeyStem) -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
-        let stem = KeyStem::new(explorer.config(), def, self.intern(accel), shape);
-        let key = stem.key(tag);
+        let stem = KeyStem::new(tag, explorer.config(), def, self.intern(accel), shape);
+        let key = stem.key();
         if let Some(hit) = self.probe_l1(&key, &self.hits) {
             return hit;
         }
-        if let Some(loaded) = self.probe_l2(&key, &stem, tag, def, accel) {
+        if let Some(loaded) = self.probe_l2(&key, &stem, def, accel) {
             return Ok(loaded);
         }
         // The lock is NOT held while exploring: a search can take seconds and
@@ -301,7 +298,7 @@ impl ExplorationCache {
         // and store identical results — wasteful but correct.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let result = run(&stem);
-        self.insert(key, Some((&stem, tag)), &result);
+        self.insert(key, Some(&stem), &result);
         result
     }
 }
@@ -325,12 +322,14 @@ fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
     }
 }
 
-/// Structural identity of one exploration request, minus the tag that names
-/// the flavour of search: the configuration and the shape fingerprint,
+/// Structural identity of one exploration request: the tag that names the
+/// flavour of search, and the configuration and the shape fingerprint,
 /// written once per top-level call, beside the interned machine. Every key
-/// of the call is a concatenation with it: `"{tag};" + body + id` in memory,
-/// for the call itself and for its refinement rounds, and the same with
-/// `accel:{text}` for the id on disk.
+/// of the call is a concatenation with them: `"{tag};" + body + id` in
+/// memory, the same with `accel:{text}` for the id on disk, and
+/// `"{tag}/refine:{round}:{mapping}:{seed};" + body + id` for its refinement
+/// rounds, whose mapping index means something only in the request's own
+/// mapping list.
 ///
 /// Deliberately *excludes* the computation's name (same-shape layers must
 /// share an entry) and `config.jobs` (results are thread-count-invariant).
@@ -339,6 +338,7 @@ fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
 /// identical under every budget.
 #[derive(Debug)]
 pub(crate) struct KeyStem {
+    tag: String,
     /// `cfg:…;{shape};[faults:…;]`.
     body: String,
     machine: Arc<Machine>,
@@ -349,6 +349,7 @@ impl KeyStem {
     /// one (network evaluation derives per-shape seeds from it), saving the
     /// rebuild; it is the caller's contract that the two match.
     fn new(
+        tag: &str,
         config: &ExplorerConfig,
         def: &ComputeDef,
         machine: Arc<Machine>,
@@ -382,34 +383,45 @@ impl KeyStem {
             use std::fmt::Write as _;
             let _ = write!(body, "faults:{};", config.faults);
         }
-        KeyStem { body, machine }
+        KeyStem {
+            tag: tag.to_string(),
+            body,
+            machine,
+        }
     }
 
     /// The same request against another machine: a unit of a heterogeneous
     /// accelerator, whose refinement keys name the unit.
     pub(crate) fn retarget(&self, machine: Arc<Machine>) -> Self {
         KeyStem {
+            tag: self.tag.clone(),
             body: self.body.clone(),
             machine,
         }
     }
 
-    /// The in-memory cache key of this request under `tag`.
-    fn key(&self, tag: &str) -> String {
-        [tag, ";", &self.body, &self.machine.id].concat()
+    /// The in-memory cache key of this request.
+    fn key(&self) -> String {
+        [&self.tag, ";", &self.body, &self.machine.id].concat()
     }
 
-    /// The request under `tag` in full, as the disk tier stores and compares
-    /// it.
-    fn disk_key(&self, tag: &str) -> String {
-        [tag, ";", &self.body, "accel:", &self.machine.text().1].concat()
+    /// The in-memory cache key of refinement round `round` of this request,
+    /// which tunes mapping `mapping` of its list from `seed`.
+    pub(crate) fn refine_key(&self, round: usize, mapping: usize, seed: u64) -> String {
+        let round = format!("/refine:{round}:{mapping}:{seed};");
+        [self.tag.as_str(), &round, &self.body, &self.machine.id].concat()
+    }
+
+    /// The request in full, as the disk tier stores and compares it.
+    fn disk_key(&self) -> String {
+        [&self.tag, ";", &self.body, "accel:", &self.machine.text().1].concat()
     }
 
     /// What the disk tier names the entry of [`KeyStem::disk_key`] by:
     /// FNV-1a over `{tag};{body}`, continued over the machine text's own
     /// hash instead of the text.
-    fn file_hash(&self, tag: &str) -> u64 {
-        let h = rand::fnv1a_64(tag.as_bytes());
+    fn file_hash(&self) -> u64 {
+        let h = rand::fnv1a_64(self.tag.as_bytes());
         let h = rand::fnv1a_64_extend(h, b";");
         let h = rand::fnv1a_64_extend(h, self.body.as_bytes());
         rand::fnv1a_64_extend(h, &self.machine.text().0.to_le_bytes())
@@ -751,13 +763,13 @@ mod tests {
             "nothing rendered"
         );
         // The first disk key renders it, once.
-        let stem = KeyStem::new(e.config(), &g, Arc::clone(&first), None);
-        let key = stem.disk_key("multi");
+        let stem = KeyStem::new("multi", e.config(), &g, Arc::clone(&first), None);
+        let key = stem.disk_key();
         let (hash, text) = first.text.get().expect("rendered by the disk key");
         assert_eq!(*text, format!("{v100:?}"));
         assert_eq!(*hash, fnv1a(text));
         assert!(key.ends_with(text.as_str()));
-        stem.file_hash("multi");
+        stem.file_hash();
         assert!(std::ptr::eq(first.text(), first.text.get().unwrap()));
         let mut faster = v100.clone();
         faster.clock_ghz += 0.25;
@@ -957,52 +969,50 @@ mod tests {
         let faults = format!("faults:{};", config.faults);
         let body = format!("cfg:8/2/3/2/11/w0;{shape};{faults}");
         let cache = ExplorationCache::new();
-        let stem = KeyStem::new(&config, &def, cache.intern(&accel), None);
-        // In memory the machine is its id, the first interned being 0...
-        assert_eq!(stem.key("multi"), format!("multi;{body}#0"));
+        let stem = KeyStem::new("multi", &config, &def, cache.intern(&accel), None);
+        // In memory the machine is its id, the first interned being 0, and
+        // a refinement round is named under the request it refines...
+        assert_eq!(stem.key(), format!("multi;{body}#0"));
         assert_eq!(
-            stem.key("refine:2:17:24301"),
-            format!("refine:2:17:24301;{body}#0")
+            stem.refine_key(2, 17, 24301),
+            format!("multi/refine:2:17:24301;{body}#0")
         );
         // ...on disk it is spelled out, and the file is named by the hash
         // of everything before it continued over the hash of the spelling.
+        assert_eq!(stem.disk_key(), format!("multi;{body}accel:{accel:?}"));
         assert_eq!(
-            stem.disk_key("multi"),
-            format!("multi;{body}accel:{accel:?}")
-        );
-        assert_eq!(
-            stem.file_hash("multi"),
+            stem.file_hash(),
             rand::fnv1a_64_extend(
                 fnv1a(&format!("multi;{body}")),
                 &fnv1a(&format!("{accel:?}")).to_le_bytes()
             )
         );
-        let reused = KeyStem::new(&config, &def, cache.intern(&accel), Some(&shape));
-        assert_eq!(reused.key("fixed:im2col"), stem.key("fixed:im2col"));
+        let fixed =
+            |shape| KeyStem::new("fixed:im2col", &config, &def, cache.intern(&accel), shape);
+        assert_eq!(fixed(Some(&shape)).key(), fixed(None).key());
+        // Another request over the same shape refines under its own name.
+        assert_ne!(fixed(None).refine_key(0, 0, 1), stem.refine_key(0, 0, 1));
         // A unit of a heterogeneous machine keys its rounds by the unit.
         let npu = catalog::ascend_npu();
         let mut unit = npu.clone();
         unit.intrinsic = unit.extra_intrinsics.remove(0);
-        let whole = KeyStem::new(&config, &def, cache.intern(&npu), None);
+        let whole = KeyStem::new("multi", &config, &def, cache.intern(&npu), None);
         let retargeted = whole.retarget(cache.intern(&unit));
-        let direct = KeyStem::new(&config, &def, cache.intern(&unit), None);
-        assert_eq!(retargeted.key("refine:0:0:1"), direct.key("refine:0:0:1"));
+        let direct = KeyStem::new("multi", &config, &def, cache.intern(&unit), None);
+        assert_eq!(retargeted.refine_key(0, 0, 1), direct.refine_key(0, 0, 1));
         assert_eq!(
-            retargeted.key("refine:0:0:1"),
-            format!("refine:0:0:1;{body}#2")
+            retargeted.refine_key(0, 0, 1),
+            format!("multi/refine:0:0:1;{body}#2")
         );
-        assert_ne!(retargeted.key("refine:0:0:1"), whole.key("refine:0:0:1"));
+        assert_ne!(retargeted.refine_key(0, 0, 1), whole.refine_key(0, 0, 1));
         // Byte for byte the key both committed entries store, under the
         // name this schema gives it.
         #[cfg(not(feature = "fault-injection"))]
         for entry in [SCHEMA_1_ENTRY.1, SCHEMA_2_ENTRY.1] {
-            assert!(entry.contains(&format!("\n{}\n", stem.disk_key("multi"))));
+            assert!(entry.contains(&format!("\n{}\n", stem.disk_key())));
         }
         #[cfg(not(feature = "fault-injection"))]
-        assert_eq!(
-            format!("{:016x}.amosc", stem.file_hash("multi")),
-            SCHEMA_2_ENTRY.0
-        );
+        assert_eq!(format!("{:016x}.amosc", stem.file_hash()), SCHEMA_2_ENTRY.0);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::cache::{CacheStats, ExplorationCache};
 use crate::disk::CacheConfig;
 use crate::error::{AmosError, Stage};
 use crate::explore::{ExplorationResult, ExploreError, Explorer, ExplorerConfig, LoweredUnit};
+use crate::generate::MaskedMappings;
 use crate::mapping::Mapping;
 use crate::report::MappingReport;
 use amos_hw::{AcceleratorSpec, Registry};
@@ -71,13 +72,15 @@ impl Analyzed {
 }
 
 /// The enumerated valid-mapping sets, one per unit (paper §5.1, Table 6).
-/// Output of [`Engine::generate`].
+/// Output of [`Engine::generate`]. Each mapping is held as the enumerator
+/// found it, one software-iteration bit mask per intrinsic axis plus its
+/// operand correspondence; none is a [`Mapping`] value.
 #[derive(Debug, Clone)]
 pub struct MappingSet {
     def: ComputeDef,
     accel: AcceleratorSpec,
     config: ExplorerConfig,
-    units: Vec<(AcceleratorSpec, Vec<Mapping>)>,
+    units: Vec<(AcceleratorSpec, MaskedMappings)>,
 }
 
 impl MappingSet {
@@ -103,10 +106,11 @@ impl MappingSet {
 }
 
 /// Mapped programs, one per mapping per unit (§6 lowering). Output of
-/// [`Engine::lower`]. A unit's programs share one copy of the operator and
-/// the intrinsic; loop-nest shapes and screening contexts are derived when
-/// the search first touches a program, cached on it, and travel with the
-/// value.
+/// [`Engine::lower`]. A unit's programs share one copy of the operator, the
+/// intrinsic and the facts derived from the pair alone, which lowering
+/// derives with the unit's first program. Every other program is lowered
+/// from its masks the first time the search reads it, then screened, and
+/// a search reads only a few hundred of a space that can hold thousands.
 #[derive(Debug, Clone)]
 pub struct Lowered {
     def: ComputeDef,
@@ -126,7 +130,8 @@ impl Lowered {
         &self.accel
     }
 
-    /// Total number of lowered programs across all units.
+    /// Total number of programs across all units, one per mapping, lowered
+    /// or still to be lowered on first read.
     pub fn total_programs(&self) -> usize {
         self.units.iter().map(|u| u.programs.len()).sum()
     }
@@ -337,7 +342,7 @@ impl Engine {
     }
 
     /// Stage 2: enumerates the valid software–hardware mappings of every
-    /// unit (§5.1).
+    /// unit (§5.1), keeping each as the enumerator's bit masks.
     ///
     /// # Errors
     ///
@@ -351,7 +356,7 @@ impl Engine {
             units,
         } = analyzed;
         let explorer = Explorer::with_config(config.clone());
-        let units: Vec<(AcceleratorSpec, Vec<Mapping>)> = units
+        let units: Vec<(AcceleratorSpec, MaskedMappings)> = units
             .into_iter()
             .map(|unit| {
                 let mappings = explorer.enumerate_unit(&def, &unit);
@@ -379,12 +384,16 @@ impl Engine {
         })
     }
 
-    /// Stage 3: lowers every mapping to a mapped program (§6).
+    /// Stage 3: lowers each unit's mappings to mapped programs (§6): the
+    /// first one now, with the facts every program of the unit shares; each
+    /// other one the first time [`Engine::explore`] reads it.
     ///
     /// # Errors
     ///
-    /// [`Stage::Lower`] wrapping the simulator error of the first mapping
-    /// (in mapping order) that fails to lower.
+    /// [`Stage::Lower`] wrapping the simulator error of a unit's first
+    /// mapping when it fails to lower. The others lower whenever it does:
+    /// enumeration admits only definitions whose iterations plus intrinsic
+    /// axes fit a program's 64 loop axes.
     pub fn lower(&self, set: MappingSet) -> Result<Lowered, AmosError> {
         let MappingSet {
             def,
@@ -396,17 +405,14 @@ impl Engine {
         let units = units
             .into_iter()
             .map(|(unit, mappings)| {
-                let programs = explorer
-                    .lower_mappings(&def, &unit, &mappings)
-                    .map_err(|e| {
-                        AmosError::from(e)
-                            .at_stage(Stage::Lower)
-                            .for_operator(def.name())
-                            .on_accelerator(&accel.name)
-                    })?;
+                let programs = explorer.lower_unit(&def, &unit, mappings).map_err(|e| {
+                    AmosError::from(e)
+                        .at_stage(Stage::Lower)
+                        .for_operator(def.name())
+                        .on_accelerator(&accel.name)
+                })?;
                 Ok(LoweredUnit {
                     accel: unit,
-                    mappings,
                     programs,
                 })
             })

@@ -6,7 +6,7 @@
 //! the ground truth — real hardware in the paper, the timing simulator here.
 
 use crate::cache::{ExplorationCache, KeyStem};
-use crate::generate::MappingGenerator;
+use crate::generate::{MappingGenerator, MaskedMappings};
 use crate::mapping::Mapping;
 use crate::parallel::parallel_map;
 use crate::perf_model::{self, predict_batch_with, predict_with, PerfBreakdown};
@@ -19,6 +19,7 @@ use amos_sim::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -685,10 +686,36 @@ fn finalize(mut result: ExplorationResult) -> ExplorationResult {
 pub(crate) struct LoweredUnit {
     /// The accelerator re-targeted at this unit's intrinsic.
     pub(crate) accel: AcceleratorSpec,
-    /// The enumerated (or fixed) mapping set; may be empty.
-    pub(crate) mappings: Vec<Mapping>,
-    /// One lowered program per mapping.
-    pub(crate) programs: Vec<MappedProgram>,
+    /// The unit's programs; may be empty.
+    pub(crate) programs: UnitPrograms,
+}
+
+/// The programs of one exploration unit, one per mapping, as a search reads
+/// them through [`LazyContexts`].
+#[derive(Debug, Clone)]
+pub(crate) enum UnitPrograms {
+    /// An enumerated set: program 0 is lowered, every other one is lowered
+    /// from its masks the first time a search reads it, as a
+    /// [`MappedProgram::sibling`] of program 0. Enumerated masks always
+    /// lower: the enumeration's table bounds the iterations plus the
+    /// intrinsic axes to the 64 a program's loop nest may hold.
+    Masked {
+        first: MappedProgram,
+        set: MaskedMappings,
+    },
+    /// Caller-supplied mappings, every one lowered up front, so a mapping
+    /// that cannot lower fails before the search starts.
+    Lowered(Vec<MappedProgram>),
+}
+
+impl UnitPrograms {
+    /// Number of programs, lowered or not.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            UnitPrograms::Masked { set, .. } => set.len(),
+            UnitPrograms::Lowered(programs) => programs.len(),
+        }
+    }
 }
 
 /// The genetic mapping-and-schedule explorer.
@@ -760,11 +787,9 @@ impl Explorer {
             .unit_accelerators(accel)
             .into_iter()
             .map(|unit| {
-                let mappings = self.enumerate_unit(def, &unit);
-                let programs = self.lower_mappings(def, &unit, &mappings)?;
+                let programs = self.lower_unit(def, &unit, self.enumerate_unit(def, &unit))?;
                 Ok(LoweredUnit {
                     accel: unit,
-                    mappings,
                     programs,
                 })
             })
@@ -788,14 +813,36 @@ impl Explorer {
     }
 
     /// Enumerates the valid-mapping set of one unit's intrinsic.
-    pub(crate) fn enumerate_unit(&self, def: &ComputeDef, unit: &AcceleratorSpec) -> Vec<Mapping> {
-        self.generator.enumerate(def, &unit.intrinsic)
+    pub(crate) fn enumerate_unit(
+        &self,
+        def: &ComputeDef,
+        unit: &AcceleratorSpec,
+    ) -> MaskedMappings {
+        self.generator.enumerate_masks(def, &unit.intrinsic)
     }
 
-    /// Lowers a mapping set for one unit on the calling thread (a lowering
-    /// is microseconds, below the cost of a pool hand-off); every program
-    /// after the first is its [`MappedProgram::sibling`], sharing one copy of
-    /// the pair and its facts. The first failure in mapping order aborts.
+    /// Lowers the first mapping of an enumerated set for one unit, which
+    /// derives what its programs share; the search lowers the others the
+    /// first time it reads them ([`UnitPrograms::Masked`]).
+    pub(crate) fn lower_unit(
+        &self,
+        def: &ComputeDef,
+        unit: &AcceleratorSpec,
+        set: MaskedMappings,
+    ) -> Result<UnitPrograms, ExploreError> {
+        if set.is_empty() {
+            return Ok(UnitPrograms::Lowered(Vec::new()));
+        }
+        let (groups, corr) = (set.groups(0), set.correspondence(0).to_vec());
+        let first = MappedProgram::new(def.clone(), unit.intrinsic.clone(), groups, corr)?;
+        Ok(UnitPrograms::Masked { first, set })
+    }
+
+    /// Lowers a caller-supplied mapping set for one unit on the calling
+    /// thread (a lowering is microseconds, below the cost of a pool
+    /// hand-off); every program after the first is its
+    /// [`MappedProgram::sibling`], sharing one copy of the pair and its
+    /// facts. The first failure in mapping order aborts.
     pub(crate) fn lower_mappings(
         &self,
         def: &ComputeDef,
@@ -839,7 +886,7 @@ impl Explorer {
             // A unit whose intrinsic admits no mapping simply contributes
             // nothing, exactly like the per-unit `NoValidMapping` of the
             // unstaged path.
-            if unit.mappings.is_empty() {
+            if unit.programs.len() == 0 {
                 continue;
             }
             // Refinement keys name the unit's machine: the caller's own on a
@@ -852,14 +899,9 @@ impl Explorer {
                 }
                 same => same,
             };
-            let mut result = self.explore_programs(
-                &unit.accel,
-                &unit.mappings,
-                &unit.programs,
-                self.config.seed,
-                cache,
-                &sup,
-            )?;
+            let ctxs = LazyContexts::new(&unit.programs, &unit.accel);
+            let mut result =
+                self.explore_programs(&unit.accel, &ctxs, self.config.seed, cache, &sup)?;
             quarantine.records.append(&mut result.quarantine.records);
             evaluations.extend(result.evaluations.iter().copied());
             num_mappings += result.num_mappings;
@@ -920,8 +962,8 @@ impl Explorer {
     }
 
     /// [`Explorer::explore_mappings`] with an optional shared cache for the
-    /// refinement sub-runs: enumerates (or takes) the mapping set, lowers it
-    /// once, and hands the programs to the generation loop.
+    /// refinement sub-runs: enumerates (or takes and lowers) the mapping set
+    /// and hands it to the generation loop.
     pub(crate) fn explore_mappings_cached(
         &self,
         def: &ComputeDef,
@@ -931,29 +973,28 @@ impl Explorer {
     ) -> Result<ExplorationResult, ExploreError> {
         self.config.validate()?;
         let sup = Supervisor::new(&self.config);
-        let intr = &accel.intrinsic;
-        let mappings = match fixed {
-            Some(m) => m,
-            None => self.generator.enumerate(def, intr),
+        let programs = match fixed {
+            Some(mappings) => UnitPrograms::Lowered(self.lower_mappings(def, accel, &mappings)?),
+            None => self.lower_unit(def, accel, self.enumerate_unit(def, accel))?,
         };
-        if mappings.is_empty() {
+        if programs.len() == 0 {
             return Err(ExploreError::NoValidMapping {
                 computation: def.name().to_string(),
-                intrinsic: intr.name.clone(),
+                intrinsic: accel.intrinsic.name.clone(),
             });
         }
-        let programs = self.lower_mappings(def, accel, &mappings)?;
-        let result =
-            self.explore_programs(accel, &mappings, &programs, self.config.seed, cache, &sup)?;
+        let ctxs = LazyContexts::new(&programs, accel);
+        let result = self.explore_programs(accel, &ctxs, self.config.seed, cache, &sup)?;
         Ok(finalize(result))
     }
 
-    /// The generation loop over already-lowered programs. Every phase of a
+    /// The generation loop over one unit's programs, each lowered and
+    /// screened the first time the loop reads it. Every phase of a
     /// generation (sampling, screening, measurement, breeding) runs on the
     /// calling thread: a generation is microseconds of work, less than one
     /// pool hand-off. The one parallel step is the refinement wave at the
-    /// end, which re-enters this function on single-element slices of
-    /// `mappings`/`programs` (so shortlisted mappings are never re-lowered
+    /// end, which re-enters this function on a one-program unit holding the
+    /// shortlisted program as the search built it (so it is never re-lowered
     /// and no `Explorer`/`ExplorerConfig` clones are made), one long task
     /// per round.
     ///
@@ -965,8 +1006,7 @@ impl Explorer {
     fn explore_programs(
         &self,
         accel: &AcceleratorSpec,
-        mappings: &[Mapping],
-        programs: &[MappedProgram],
+        ctxs: &LazyContexts<'_>,
         seed: u64,
         cache: Option<(&ExplorationCache, &KeyStem)>,
         sup: &Supervisor,
@@ -974,7 +1014,10 @@ impl Explorer {
         // `Some` once a budget limit fires: later phases are skipped and the
         // best-so-far is returned with the truncation status.
         let mut truncated: Option<Completion> = sup.check();
-        let ctxs = LazyContexts::new(programs, accel)?;
+        // No context can be built without hierarchy levels: refused before
+        // any candidate asks for one.
+        ScreeningContext::require_levels(accel)?;
+        let num_mappings = ctxs.len();
         let mut screened = 0usize;
         let mut survivor_memo_hits = 0usize;
         let mut measured_memo_hits = 0usize;
@@ -1004,17 +1047,17 @@ impl Explorer {
         // ships (the library's fixed mapping is in our space), so exploration
         // can only improve on it.
         if truncated.is_none() {
-            let seed_count = mappings.len().min(64);
-            let stride = (mappings.len() / seed_count.max(1)).max(1);
+            let seed_count = num_mappings.min(64);
+            let stride = (num_mappings / seed_count.max(1)).max(1);
             let mut seeds = 0usize;
-            for (i, idx) in (0..mappings.len())
+            for (i, idx) in (0..num_mappings)
                 .step_by(stride)
                 .take(seed_count)
                 .enumerate()
             {
                 seeds += 1;
                 let slot = i as u64;
-                match self.measure_balanced("seed", seed, slot, &ctxs, idx) {
+                match self.measure_balanced("seed", seed, slot, ctxs, idx) {
                     Err(detail) => log_panic("seed", 0, slot, detail),
                     Ok(None) => sim_failures += 1,
                     Ok(Some((schedule, predicted, report))) => {
@@ -1056,7 +1099,7 @@ impl Explorer {
                 let outcome = amos_sim::isolate::run_isolated(|| -> Result<Sampled, SimError> {
                     self.injected_fault("screen", seed, 0, slot as u64)?;
                     let mut rng = stream_rng(seed, 0, slot as u64);
-                    let mapping_idx = rng.gen_range(0..programs.len());
+                    let mapping_idx = rng.gen_range(0..num_mappings);
                     random_schedule_into(ctxs.get(mapping_idx), sched, &mut rng, true);
                     Ok(Sampled::Fresh(mapping_idx))
                 });
@@ -1071,7 +1114,7 @@ impl Explorer {
                 });
             }
             screen_sampled(
-                &ctxs,
+                ctxs,
                 &arena.schedules,
                 0,
                 &sampled,
@@ -1164,7 +1207,7 @@ impl Explorer {
                     let mut mapping_idx = parent_maps[p];
                     // Occasionally jump to a different mapping entirely.
                     if rng.gen_bool(0.2) {
-                        mapping_idx = rng.gen_range(0..programs.len());
+                        mapping_idx = rng.gen_range(0..num_mappings);
                     }
                     let ctx = ctxs.get(mapping_idx);
                     if mapping_idx == parent_maps[p] {
@@ -1186,7 +1229,7 @@ impl Explorer {
                 });
             }
             screen_sampled(
-                &ctxs,
+                ctxs,
                 &arena.schedules,
                 survivors,
                 &sampled,
@@ -1207,10 +1250,10 @@ impl Explorer {
         // deterministic in mapping order).
         if best.is_none() {
             let mut attempts = 0usize;
-            for idx in 0..programs.len() {
+            for idx in 0..num_mappings {
                 attempts += 1;
                 let slot = idx as u64;
-                match self.measure_balanced("fallback", seed, slot, &ctxs, idx) {
+                match self.measure_balanced("fallback", seed, slot, ctxs, idx) {
                     Err(detail) => log_panic("fallback", 0, slot, detail),
                     Ok(None) => sim_failures += 1,
                     Ok(Some((schedule, predicted, report))) => {
@@ -1251,11 +1294,14 @@ impl Explorer {
             screen_seconds,
         };
 
-        if mappings.len() > 1 && truncated.is_none() {
+        if num_mappings > 1 && truncated.is_none() {
             let mut shortlist: Vec<(usize, f64)> =
                 best_per_mapping.iter().map(|(&i, &c)| (i, c)).collect();
             shortlist.sort_by(|a, b| a.1.total_cmp(&b.1));
             shortlist.truncate(3);
+            // Every shortlisted mapping was measured, so its program is built.
+            let shortlisted: Vec<&MappedProgram> =
+                shortlist.iter().map(|&(i, _)| ctxs.program(i)).collect();
             // The rounds are independently seeded full-depth searches —
             // milliseconds each, the only tasks in a search worth a pool
             // hand-off — so they run as one wave and merge in round order
@@ -1271,25 +1317,18 @@ impl Explorer {
                 if let Some(stop) = sup.check() {
                     return Err(stop);
                 }
-                // Re-enter the generation loop on a one-mapping slice: the
+                // Re-enter the generation loop on a one-program unit: the
                 // program (and its screening context) is reused as-is. When
                 // a shared cache is present the whole sub-run is memoised.
                 let ridx = shortlist[round].0;
                 let refine_seed = seed.wrapping_add(round as u64) ^ 0x9e3779b97f4a7c15;
                 let run = || {
-                    self.explore_programs(
-                        accel,
-                        &mappings[ridx..=ridx],
-                        &programs[ridx..=ridx],
-                        refine_seed,
-                        None,
-                        sup,
-                    )
+                    let one = std::slice::from_ref(shortlisted[round]);
+                    let ctxs = LazyContexts::over(one, None, accel);
+                    self.explore_programs(accel, &ctxs, refine_seed, None, sup)
                 };
                 Ok(match cache {
-                    Some((c, stem)) => {
-                        c.refine_tagged(&format!("refine:{round}:{ridx}:{refine_seed}"), stem, run)
-                    }
+                    Some((c, stem)) => c.refine(stem.refine_key(round, ridx, refine_seed), run),
                     None => run(),
                 })
             });
@@ -1319,13 +1358,14 @@ impl Explorer {
             }
         }
 
+        let best_program = ctxs.program(idx);
         Ok(ExplorationResult {
-            best_mapping: mappings[idx].clone(),
-            best_program: programs[idx].clone(),
+            best_mapping: Mapping::of_program(best_program),
+            best_program: best_program.clone(),
             best_schedule: schedule,
             best_report: report,
             evaluations,
-            num_mappings: mappings.len(),
+            num_mappings,
             sim_failures,
             screening,
             completion: truncated.unwrap_or(Completion::Finished),
@@ -1352,7 +1392,7 @@ impl Explorer {
         amos_sim::isolate::run_isolated(|| {
             self.injected_fault(phase, seed, 0, slot).ok()?;
             let ctx = ctxs.get(idx);
-            let schedule = Schedule::balanced(&ctxs.programs[idx], ctxs.accel);
+            let schedule = Schedule::balanced(ctxs.program(idx), ctxs.accel);
             let report = ctx.simulate(&schedule)?;
             let predicted = predict_with(ctx, &schedule)
                 .map(|b| b.cycles)
@@ -1403,34 +1443,83 @@ impl Explorer {
     }
 }
 
-/// The screening contexts of one run's programs, each fetched from its
-/// program the first time the run samples, seeds or measures that mapping.
-/// All per-candidate model queries and feasibility probes run over these
-/// precomputed tables, with no allocation on the hot path; a default-depth
-/// search touches a few hundred of a mapping space that can hold thousands,
-/// and a context is a pure function of `(program, accelerator)`, so building
-/// them on demand changes no result.
+/// One run's programs and their screening contexts, each program lowered
+/// (when it is one of an enumerated unit's masks) and screened the first time
+/// the run samples, seeds or measures that mapping. All per-candidate model
+/// queries and feasibility probes run over these precomputed tables, with no
+/// allocation on the hot path. A default-depth search touches a few hundred
+/// of a mapping space that can hold thousands, and a program and its context
+/// are pure functions of `(mapping, accelerator)`, so building them on demand
+/// changes no result.
 struct LazyContexts<'a> {
-    programs: &'a [MappedProgram],
+    /// The programs lowered before the run: all of them, or program 0 of a
+    /// masked unit.
+    lowered: &'a [MappedProgram],
+    /// A masked unit's mappings, each but the first lowered on its first read
+    /// as a sibling of `lowered[0]`.
+    masks: Option<&'a MaskedMappings>,
     accel: &'a AcceleratorSpec,
-    cells: Vec<OnceCell<Arc<ScreeningContext>>>,
+    cells: Vec<OnceCell<Touched<'a>>>,
+}
+
+/// A program the run has read, and its context.
+struct Touched<'a> {
+    program: Cow<'a, MappedProgram>,
+    ctx: Arc<ScreeningContext>,
 }
 
 impl<'a> LazyContexts<'a> {
-    /// Refuses a machine without hierarchy levels, for which no context can
-    /// be built, before any candidate asks for one.
-    fn new(programs: &'a [MappedProgram], accel: &'a AcceleratorSpec) -> Result<Self, SimError> {
-        ScreeningContext::require_levels(accel)?;
-        Ok(LazyContexts {
-            programs,
+    fn new(programs: &'a UnitPrograms, accel: &'a AcceleratorSpec) -> Self {
+        match programs {
+            UnitPrograms::Masked { first, set } => {
+                Self::over(std::slice::from_ref(first), Some(set), accel)
+            }
+            UnitPrograms::Lowered(programs) => Self::over(programs, None, accel),
+        }
+    }
+
+    fn over(
+        lowered: &'a [MappedProgram],
+        masks: Option<&'a MaskedMappings>,
+        accel: &'a AcceleratorSpec,
+    ) -> Self {
+        let len = masks.map_or(lowered.len(), MaskedMappings::len);
+        LazyContexts {
+            lowered,
+            masks,
             accel,
-            cells: vec![OnceCell::new(); programs.len()],
+            cells: (0..len).map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// Number of programs, touched or not.
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn touch(&self, idx: usize) -> &Touched<'a> {
+        self.cells[idx].get_or_init(|| {
+            let program = match self.masks {
+                Some(set) if idx > 0 => Cow::Owned(
+                    self.lowered[0]
+                        .sibling(set.groups(idx), set.correspondence(idx).to_vec())
+                        .expect("enumerated mappings lower"),
+                ),
+                _ => Cow::Borrowed(&self.lowered[idx]),
+            };
+            let ctx = program.screening_context(self.accel);
+            Touched { program, ctx }
         })
     }
 
     /// The context of program `idx`.
     fn get(&self, idx: usize) -> &ScreeningContext {
-        self.cells[idx].get_or_init(|| self.programs[idx].screening_context(self.accel))
+        &self.touch(idx).ctx
+    }
+
+    /// Program `idx`.
+    fn program(&self, idx: usize) -> &MappedProgram {
+        &self.touch(idx).program
     }
 }
 
@@ -2099,6 +2188,102 @@ mod tests {
             assert!(!set.insert(mapping_idx, &s), "a second probe is a hit");
         }
         assert_eq!(set.keys.len(), reference.len());
+    }
+
+    /// A program a search read: its index, the program and its context.
+    type Read = (usize, MappedProgram, Arc<ScreeningContext>);
+
+    /// Runs `explorer`'s search over the enumerated mappings of `def` on
+    /// `unit` as `explore_mappings` does, and hands back the unit's size,
+    /// the result and every program the search read, as it built them.
+    fn search_reads(
+        explorer: &Explorer,
+        def: &ComputeDef,
+        unit: &AcceleratorSpec,
+    ) -> (usize, ExplorationResult, Vec<Read>) {
+        let programs = explorer
+            .lower_unit(def, unit, explorer.enumerate_unit(def, unit))
+            .expect("enumerated mappings lower");
+        assert!(matches!(programs, UnitPrograms::Masked { .. }));
+        let ctxs = LazyContexts::new(&programs, unit);
+        let sup = Supervisor::new(explorer.config());
+        let result = explorer
+            .explore_programs(unit, &ctxs, explorer.config().seed, None, &sup)
+            .expect("explores");
+        let read = ctxs.cells.iter().enumerate().filter_map(|(i, cell)| {
+            let touched = cell.get()?;
+            Some((
+                i,
+                touched.program.clone().into_owned(),
+                Arc::clone(&touched.ctx),
+            ))
+        });
+        (programs.len(), result, read.collect())
+    }
+
+    #[test]
+    fn a_default_compile_lowers_only_the_programs_its_search_reads() {
+        // CAP has the largest mapping set of the v100 operators.
+        let def = amos_workloads::ops::cap(1, 8, 16, 6, 6, 3, 3, 4);
+        let accel = catalog::v100();
+        let explorer = Explorer::with_config(ExplorerConfig {
+            jobs: 1,
+            ..Default::default()
+        });
+        let (programs, result, read) = search_reads(&explorer, &def, &accel);
+        assert_eq!(programs, 585);
+        assert_eq!(read.len(), 126, "programs a default search reads");
+        // The same search as the public path, winner materialized from the
+        // program it won with.
+        let public = explorer.explore(&def, &accel).expect("explores");
+        assert_eq!(public.cycles().to_bits(), result.cycles().to_bits());
+        assert_eq!(public.best_mapping, result.best_mapping);
+        let mappings = explorer.generator.enumerate(&def, &accel.intrinsic);
+        assert!(mappings.contains(&result.best_mapping));
+    }
+
+    #[test]
+    fn programs_lowered_on_first_touch_equal_eagerly_lowered_ones() {
+        let explorer = Explorer::with_config(ExplorerConfig {
+            population: 12,
+            generations: 2,
+            survivors: 4,
+            measure_top: 2,
+            seed: 31,
+            jobs: 1,
+            ..Default::default()
+        });
+        let registry = amos_hw::Registry::builtin();
+        let configs = amos_workloads::configs::operator_configs();
+        let mut checked = 0usize;
+        for name in registry.names() {
+            let accel = registry.build(name).expect("listed machine builds");
+            for unit in explorer.unit_accelerators(&accel) {
+                for c in &configs {
+                    let intr = &unit.intrinsic;
+                    let mappings = explorer.generator.enumerate(&c.def, intr);
+                    assert_eq!(explorer.generator.count(&c.def, intr), mappings.len());
+                    if mappings.is_empty() {
+                        continue;
+                    }
+                    let (programs, result, read) = search_reads(&explorer, &c.def, &unit);
+                    assert_eq!(programs, mappings.len());
+                    assert_eq!(result.num_mappings, mappings.len());
+                    assert!(mappings.contains(&result.best_mapping));
+                    for (idx, lazy, ctx) in read {
+                        let eager = mappings[idx].lower(&c.def, intr).expect("lowers");
+                        let at = || format!("{name}/{} mapping {idx}", c.label);
+                        assert_eq!(lazy, eager, "{}", at());
+                        assert_eq!(lazy.axes(), eager.axes(), "{}", at());
+                        assert_eq!(Mapping::of_program(&lazy), mappings[idx], "{}", at());
+                        assert_eq!(*ctx, ScreeningContext::build(&eager, &unit), "{}", at());
+                        assert!(Arc::ptr_eq(&ctx, &lazy.screening_context(&unit)));
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 5_000, "{checked} programs checked");
     }
 
     #[test]

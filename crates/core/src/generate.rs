@@ -12,12 +12,14 @@
 //! Everything the leaf of that enumeration checks — Algorithm 1, the rules
 //! below, fragment coherence, the mirror key — depends on the
 //! `(computation, intrinsic)` pair through a handful of small tables, so
-//! [`MappingGenerator::enumerate`] builds them once per call and the leaf
-//! works on bitmasks: one `u64` of software iterations per intrinsic axis.
-//! The final pass assembles `X` and `Y` from those masks into two reused
-//! matrices and runs the same [`crate::validate::algorithm1`], once per
-//! candidate that passes the rules; [`crate::validate::validate_mapping`]
-//! and [`fragment_coherent`] are one-shot wrappers over the same tables.
+//! an enumeration builds them once per call and the leaf works on bitmasks:
+//! one `u64` of software iterations per intrinsic axis. The final pass
+//! assembles `X` and `Y` from those masks into two reused matrices and runs
+//! the same [`crate::validate::algorithm1`], once per candidate that passes
+//! the rules; [`crate::validate::validate_mapping`] and
+//! [`fragment_coherent`] are one-shot wrappers over the same tables. A
+//! mapping that passes stays in that form ([`MaskedMappings`]); only
+//! [`MappingGenerator::enumerate`] turns the whole set into [`Mapping`]s.
 //!
 //! Beyond Algorithm 1, three generation rules shape the space (reverse
 //! engineered from the paper's Table 6 counts; see DESIGN.md §5):
@@ -42,7 +44,6 @@ use crate::validate::AccessTable;
 use amos_hw::{ComputeAbstraction, Intrinsic};
 use amos_ir::{ComputeDef, IterId, IterKind};
 use amos_sim::FusedGroup;
-use std::collections::HashSet;
 
 /// Tunable generation rules.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,11 +99,27 @@ impl MappingGenerator {
     /// order. Empty when the operation or operand count differs, or when the
     /// definition is too wide for the 64-bit iteration masks.
     pub fn enumerate(&self, def: &ComputeDef, intrinsic: &Intrinsic) -> Vec<Mapping> {
+        let set = self.enumerate_masks(def, intrinsic);
+        (0..set.len()).map(|i| set.mapping(i)).collect()
+    }
+
+    /// Number of valid mappings (the quantity reported in paper Table 6).
+    pub fn count(&self, def: &ComputeDef, intrinsic: &Intrinsic) -> usize {
+        self.enumerate_masks(def, intrinsic).len()
+    }
+
+    /// [`MappingGenerator::enumerate`] as the enumerator finds the mappings:
+    /// same set, same order, none of them materialized.
+    pub(crate) fn enumerate_masks(
+        &self,
+        def: &ComputeDef,
+        intrinsic: &Intrinsic,
+    ) -> MaskedMappings {
         if def.op() != intrinsic.compute.op() {
-            return Vec::new();
+            return MaskedMappings::default();
         }
         let Some(table) = EnumTable::new(def, intrinsic) else {
-            return Vec::new();
+            return MaskedMappings::default();
         };
         let mut run = Enumeration::new(&self.policy, table);
         for correspondence in permutations(def.inputs().len()) {
@@ -114,10 +131,114 @@ impl MappingGenerator {
         }
         run.out
     }
+}
 
-    /// Number of valid mappings (the quantity reported in paper Table 6).
-    pub fn count(&self, def: &ComputeDef, intrinsic: &Intrinsic) -> usize {
-        self.enumerate(def, intrinsic).len()
+/// A mapping set held the way the enumerator found it: per mapping, one
+/// software-iteration mask per intrinsic axis and the index of its operand
+/// correspondence, in flat buffers. Mapping `i` is
+/// [`MaskedMappings::mapping`]`(i)`; the groups list their iterations in
+/// declaration order, as the enumerated [`Mapping`]s always have.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MaskedMappings {
+    /// Masks per mapping: the intrinsic's axis count.
+    axes: usize,
+    /// Mapping `i`'s masks are `masks[i * axes..][..axes]`.
+    masks: Vec<u64>,
+    /// Mapping `i`'s correspondence is `correspondences[corr[i]]`.
+    corr: Vec<u32>,
+    correspondences: Vec<Vec<usize>>,
+}
+
+impl MaskedMappings {
+    /// Number of mappings.
+    pub(crate) fn len(&self) -> usize {
+        self.corr.len()
+    }
+
+    /// `true` when the set is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.corr.is_empty()
+    }
+
+    /// The fused groups of mapping `i`.
+    pub(crate) fn groups(&self, i: usize) -> Vec<FusedGroup> {
+        self.masks[i * self.axes..][..self.axes]
+            .iter()
+            .map(|&g| FusedGroup::of(bits(g).map(|s| IterId(s as u32)).collect()))
+            .collect()
+    }
+
+    /// The operand correspondence of mapping `i`.
+    pub(crate) fn correspondence(&self, i: usize) -> &[usize] {
+        &self.correspondences[self.corr[i] as usize]
+    }
+
+    /// Mapping `i`, materialized.
+    pub(crate) fn mapping(&self, i: usize) -> Mapping {
+        Mapping {
+            groups: self.groups(i),
+            correspondence: self.correspondence(i).to_vec(),
+        }
+    }
+}
+
+/// The mirror keys of the mappings found so far: key `k` is the sorted
+/// `(operand-identity class, fused group)` list of mapping `k`, `width`
+/// entries, stored back to back. An open-addressing table of indices finds
+/// them by an in-tree hash and compares every probe exactly, so a collision
+/// can cost a step but never drop a mapping.
+#[derive(Default)]
+struct MirrorKeys {
+    width: usize,
+    keys: Vec<(usize, u64)>,
+    /// `index + 1` of a key; `0` marks an empty slot.
+    table: Vec<u32>,
+}
+
+impl MirrorKeys {
+    fn hash(key: &[(usize, u64)]) -> u64 {
+        let mut h = 0u64;
+        for &(class, group) in key {
+            h = (h.rotate_left(5) ^ class as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h = (h.rotate_left(5) ^ group).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        h >> 32
+    }
+
+    fn key(&self, k: usize) -> &[(usize, u64)] {
+        &self.keys[k * self.width..][..self.width]
+    }
+
+    /// Adds `key` (`width` entries); `false` when it was already present.
+    fn insert(&mut self, key: &[(usize, u64)]) -> bool {
+        let len = self.keys.len() / self.width.max(1);
+        if (len + 1) * 2 > self.table.len() {
+            self.table = vec![0; (self.table.len() * 2).max(64)];
+            for k in 0..len {
+                let at = self.slot_of(self.key(k));
+                self.table[at] = k as u32 + 1;
+            }
+        }
+        let at = self.slot_of(key);
+        if self.table[at] != 0 {
+            return false;
+        }
+        self.keys.extend_from_slice(key);
+        self.table[at] = len as u32 + 1;
+        true
+    }
+
+    /// The table slot holding `key`, or the empty slot it belongs in.
+    fn slot_of(&self, key: &[(usize, u64)]) -> usize {
+        let mask = self.table.len() - 1;
+        let mut at = Self::hash(key) as usize & mask;
+        while let Some(k) = (self.table[at] as usize).checked_sub(1) {
+            if self.key(k) == key {
+                break;
+            }
+            at = (at + 1) & mask;
+        }
+        at
     }
 }
 
@@ -295,14 +416,16 @@ impl CoherenceTable {
     }
 }
 
-/// The state of one [`MappingGenerator::enumerate`] call: the shared table,
-/// the tables of the operand correspondence being walked, the assignment
-/// under construction and the mappings found so far.
+/// The state of one enumeration: the shared table, the tables of the operand
+/// correspondence being walked, the assignment under construction and the
+/// mappings found so far.
 struct Enumeration<'a> {
     policy: &'a MappingPolicy,
     table: EnumTable,
     /// `correspondence[m]` is the input access feeding source slot `m`.
     correspondence: Vec<usize>,
+    /// Its index in `out`'s correspondence list.
+    corr_id: u32,
     /// Candidate intrinsic axes per software iteration.
     candidates: Vec<Vec<usize>>,
     /// Axes some iteration could feed (rule 3).
@@ -315,25 +438,36 @@ struct Enumeration<'a> {
     /// Distinct operand identities seen across all correspondences: sorted
     /// `(access key, compound)` lists, `usize::MAX` keying the destination.
     classes: Vec<Vec<(usize, bool)>>,
-    /// Mirror-invariant keys of the mappings in `out`: per axis its
-    /// operand-identity class and fused group, sorted.
-    seen: HashSet<Vec<(usize, u64)>>,
-    out: Vec<Mapping>,
+    /// The mirror key of the current assignment (see
+    /// [`Enumeration::mirror_key`]).
+    key: Vec<(usize, u64)>,
+    /// Mirror-invariant keys of the mappings in `out`, in `out`'s order.
+    seen: MirrorKeys,
+    out: MaskedMappings,
 }
 
 impl<'a> Enumeration<'a> {
     fn new(policy: &'a MappingPolicy, table: EnumTable) -> Self {
+        let axes = table.access.z().cols();
         Enumeration {
             policy,
-            groups: vec![0; table.access.z().cols()],
+            groups: vec![0; axes],
             table,
             correspondence: Vec::new(),
+            corr_id: 0,
             candidates: Vec::new(),
             pool_nonempty: 0,
             axis_class: Vec::new(),
             classes: Vec::new(),
-            seen: HashSet::new(),
-            out: Vec::new(),
+            key: Vec::with_capacity(axes),
+            seen: MirrorKeys {
+                width: axes,
+                ..MirrorKeys::default()
+            },
+            out: MaskedMappings {
+                axes,
+                ..MaskedMappings::default()
+            },
         }
     }
 
@@ -384,6 +518,8 @@ impl<'a> Enumeration<'a> {
                 }
             })
             .collect();
+        self.corr_id = self.out.correspondences.len() as u32;
+        self.out.correspondences.push(correspondence.clone());
         self.correspondence = correspondence;
     }
 
@@ -408,12 +544,14 @@ impl<'a> Enumeration<'a> {
 
     /// Mirror-invariant key of the current assignment: for every intrinsic
     /// axis, the software-side identity of the operands that use it (via the
-    /// correspondence) plus the fused group, as a sorted list.
-    fn mirror_key(&self) -> Vec<(usize, u64)> {
+    /// correspondence) plus the fused group, as a sorted list, written into
+    /// the reused `key` buffer.
+    fn mirror_key(&mut self) -> &[(usize, u64)] {
         let classes = self.axis_class.iter().copied();
-        let mut key: Vec<(usize, u64)> = classes.zip(self.groups.iter().copied()).collect();
-        key.sort_unstable();
-        key
+        self.key.clear();
+        self.key.extend(classes.zip(self.groups.iter().copied()));
+        self.key.sort_unstable();
+        &self.key
     }
 
     /// The leaf: generation rules 2 and 3, Algorithm 1, fragment coherence
@@ -443,16 +581,10 @@ impl<'a> Enumeration<'a> {
         {
             return;
         }
-        let key = self.mirror_key();
-        if self.seen.insert(key) {
-            self.out.push(Mapping {
-                groups: self
-                    .groups
-                    .iter()
-                    .map(|&g| FusedGroup::of(bits(g).map(|s| IterId(s as u32)).collect()))
-                    .collect(),
-                correspondence: self.correspondence.clone(),
-            });
+        self.mirror_key();
+        if self.seen.insert(&self.key) {
+            self.out.masks.extend_from_slice(&self.groups);
+            self.out.corr.push(self.corr_id);
         }
     }
 }
@@ -607,6 +739,22 @@ mod tests {
         let def = b.finish().unwrap();
         let g = MappingGenerator::new();
         assert_eq!(g.count(&def, &catalog::wmma_16x16x16()), 0);
+    }
+
+    #[test]
+    fn mirror_keys_answer_by_exact_equality_through_growth() {
+        let mut keys = MirrorKeys {
+            width: 3,
+            ..MirrorKeys::default()
+        };
+        let mut reference = std::collections::HashSet::new();
+        for k in 0u64..2_000 {
+            // Few distinct classes and groups: many repeats, many near misses.
+            let key = [(k as usize % 3, k % 7), (1, k % 11), (2, k % 5)];
+            assert_eq!(keys.insert(&key), reference.insert(key));
+            assert!(!keys.insert(&key), "a second insert finds it");
+        }
+        assert_eq!(keys.keys.len(), 3 * reference.len());
     }
 
     #[test]
@@ -873,14 +1021,14 @@ mod tests {
             let mine = &correspondences[swapped % correspondences.len()];
             run.start_correspondence(mine.clone());
             run.groups = groups_from_code(code, iters, axes);
-            let my_key = run.mirror_key();
+            let my_key = run.mirror_key().to_vec();
             let my_string = string_key(&run.groups, mine);
             let mut collisions = 0;
             for other in &correspondences {
                 run.start_correspondence(other.clone());
                 for other_code in 0..(axes as u64 + 1).pow(iters as u32) {
                     run.groups = groups_from_code(other_code, iters, axes);
-                    let same = run.mirror_key() == my_key;
+                    let same = run.mirror_key() == my_key.as_slice();
                     prop_assert_eq!(same, string_key(&run.groups, other) == my_string);
                     collisions += same as usize;
                 }

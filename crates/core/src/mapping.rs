@@ -67,6 +67,14 @@ impl Mapping {
         Some(masks)
     }
 
+    /// The mapping `program` was lowered from.
+    pub(crate) fn of_program(program: &MappedProgram) -> Mapping {
+        Mapping {
+            groups: program.groups().to_vec(),
+            correspondence: program.correspondence().to_vec(),
+        }
+    }
+
     /// Number of software iterations fused into intrinsic axes.
     pub fn num_mapped(&self) -> usize {
         self.groups.iter().map(|g| g.iters.len()).sum()

@@ -5,12 +5,15 @@
 //! formatted as: network evaluation seeds every search from its hash, so a
 //! changed byte changes winners. Machines are told apart by value: changing
 //! any one field of an `AcceleratorSpec` makes a machine neither cache tier
-//! answers for, and the units of a heterogeneous machine keep their
-//! refinement entries apart.
+//! answers for. A refinement entry is the request's that ran it, and the
+//! units of a heterogeneous machine keep theirs apart.
 
-use amos::core::{shape_fingerprint, CacheConfig, CacheStats, Engine, ExplorerConfig};
+use amos::core::{
+    shape_fingerprint, CacheConfig, CacheStats, Engine, ExplorerConfig, MappingGenerator,
+};
 use amos::hw::{catalog, AcceleratorSpec};
 use amos::ir::{ComputeBuilder, ComputeDef, DType, Expr};
+use amos::sim::simulate;
 use amos::workloads::{configs, networks, ops};
 use std::fmt::Write as _;
 
@@ -242,6 +245,48 @@ fn a_machine_one_field_apart_is_answered_by_neither_tier() {
     assert_eq!(held.cache_stats().misses, before.misses);
     assert_eq!(held.cache_stats().l2_hits, before.l2_hits);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_refinement_entry_answers_only_the_request_that_ran_it() {
+    // A fixed-mapping request over the enumerated list, rotated, refines the
+    // same list positions as the joint search of the shape, but position `i`
+    // is another mapping in each list: the joint search on the same engine
+    // must tune and report its own.
+    let accel = catalog::v100();
+    let generator = MappingGenerator::new();
+    let config = ExplorerConfig {
+        jobs: 1,
+        ..Default::default()
+    };
+    for def in [
+        ops::c1d(1, 64, 64, 256, 3, 1),
+        ops::t2d(1, 64, 32, 14, 14, 3, 3),
+    ] {
+        let mappings = generator.enumerate(&def, &accel.intrinsic);
+        assert!(mappings.len() > 5, "{}", def.name());
+        let fresh = Engine::with_config(config.clone())
+            .explore_op(&def, &accel)
+            .expect("explores");
+        for shift in 1..=5 {
+            let mut rotated = mappings.clone();
+            rotated.rotate_left(shift);
+            let engine = Engine::with_config(config.clone());
+            engine
+                .explore_fixed("rotated", config.clone(), &def, &accel, rotated)
+                .expect("explores");
+            let refined = engine.refine_misses();
+            let got = engine.explore_op(&def, &accel).expect("explores");
+            let at = format!("{} rotated by {shift}", def.name());
+            assert_eq!(engine.refine_hits(), 0, "{at}");
+            assert!(engine.refine_misses() > refined, "{at}");
+            assert_eq!(got.cycles().to_bits(), fresh.cycles().to_bits(), "{at}");
+            assert_eq!(got.best_mapping, fresh.best_mapping, "{at}");
+            assert_eq!(got.best_schedule, fresh.best_schedule, "{at}");
+            let replayed = simulate(&got.best_program, &got.best_schedule, &accel);
+            assert_eq!(replayed.as_ref(), Ok(&got.best_report), "{at}");
+        }
+    }
 }
 
 #[test]
