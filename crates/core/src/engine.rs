@@ -106,11 +106,14 @@ impl MappingSet {
 }
 
 /// Mapped programs, one per mapping per unit (§6 lowering). Output of
-/// [`Engine::lower`]. A unit's programs share one copy of the operator, the
-/// intrinsic and the facts derived from the pair alone, which lowering
-/// derives with the unit's first program. Every other program is lowered
-/// from its masks the first time the search reads it, then screened, and
-/// a search reads only a few hundred of a space that can hold thousands.
+/// [`Engine::lower`]. Each unit holds its first program, lowered, and its
+/// whole mapping set as the enumerator's masks. A unit's programs share one
+/// copy of the operator, the intrinsic and the facts derived from the pair
+/// alone, which lowering derives with the first program. Every other program
+/// is lowered from its masks the first time the search reads it, then
+/// screened, and a search reads only a few hundred of a space that can hold
+/// thousands. [`Engine::explore_fixed`] takes a caller's list through the
+/// same form.
 #[derive(Debug, Clone)]
 pub struct Lowered {
     def: ComputeDef,
@@ -133,7 +136,8 @@ impl Lowered {
     /// Total number of programs across all units, one per mapping, lowered
     /// or still to be lowered on first read.
     pub fn total_programs(&self) -> usize {
-        self.units.iter().map(|u| u.programs.len()).sum()
+        let units = self.units.iter().filter_map(|u| u.programs.as_ref());
+        units.map(|p| p.len()).sum()
     }
 }
 
@@ -570,9 +574,16 @@ impl Engine {
     /// frozen). The tag keeps different mapping flavours over the same
     /// shape from colliding in the cache.
     ///
+    /// The list enters the search as the enumerator's per-axis iteration
+    /// masks, so each fused group, the winner's included, comes back in
+    /// declaration order whatever order the caller listed (see
+    /// [`Explorer::explore_mappings`]).
+    ///
     /// # Errors
     ///
-    /// [`Stage::Explore`] wrapping the exploration failure.
+    /// [`Stage::Explore`] wrapping the exploration failure; a listed mapping
+    /// that cannot lower fails there as [`ExploreError::Sim`] before the
+    /// search starts.
     pub fn explore_fixed(
         &self,
         tag: &str,
@@ -635,6 +646,7 @@ pub fn load_registry(accel_dir: Option<&Path>) -> Result<Registry, AmosError> {
 mod tests {
     use super::*;
     use crate::error::AmosErrorKind;
+    use crate::MappingGenerator;
     use amos_hw::catalog;
     use amos_ir::{ComputeBuilder, DType};
 
@@ -835,6 +847,77 @@ mod tests {
                 amos_sim::SimError::MalformedMapping { .. }
             ))
         ));
+    }
+
+    #[test]
+    fn a_malformed_mapping_in_a_caller_list_is_a_typed_error_before_the_search() {
+        let def = small_gemm();
+        let accel = catalog::v100();
+        let valid = MappingGenerator::new()
+            .enumerate(&def, &accel.intrinsic)
+            .swap_remove(0);
+        let mut doubled = valid.clone();
+        doubled.groups[1].iters.push(valid.groups[0].iters[0]);
+        let mut aliased = valid.clone();
+        aliased.correspondence = vec![0, 0];
+        let engine = Engine::with_config(tiny_config(1));
+        for (tag, malformed) in [("doubled", doubled), ("aliased", aliased)] {
+            let list = vec![valid.clone(), malformed];
+            let err = engine
+                .explore_fixed(tag, tiny_config(1), &def, &accel, list)
+                .expect_err("cannot lower");
+            assert_eq!(err.stage, Some(Stage::Explore), "{tag}");
+            assert!(
+                matches!(
+                    err.kind,
+                    AmosErrorKind::Explore(ExploreError::Sim(
+                        amos_sim::SimError::MalformedMapping { .. }
+                    ))
+                ),
+                "{tag}: {err}"
+            );
+        }
+        // No search ran; the valid mapping alone explores.
+        assert_eq!(engine.refine_misses(), 0);
+        engine
+            .explore_fixed("valid", tiny_config(1), &def, &accel, vec![valid])
+            .expect("explores");
+    }
+
+    #[test]
+    fn a_reordered_fused_group_explores_as_its_declaration_order() {
+        let def = amos_workloads::ops::c2d(amos_workloads::ops::ConvShape {
+            n: 2,
+            c: 8,
+            k: 16,
+            p: 8,
+            q: 8,
+            r: 3,
+            s: 3,
+            stride: 1,
+        });
+        let accel = catalog::v100();
+        let im2col = MappingGenerator::new()
+            .enumerate(&def, &accel.intrinsic)
+            .into_iter()
+            .max_by_key(Mapping::num_mapped)
+            .expect("c2d maps");
+        assert_eq!(
+            im2col.describe(&def, &accel.intrinsic),
+            "i1 <- {n, p, q}, i2 <- {k}, r1 <- {c, r, s}"
+        );
+        let mut reversed = im2col.clone();
+        reversed.groups[2].iters.reverse();
+        // A fresh engine each, so neither run is answered from the cache.
+        let run = |mapping| {
+            Engine::with_config(tiny_config(5))
+                .explore_fixed("im2col", tiny_config(5), &def, &accel, vec![mapping])
+                .expect("explores")
+        };
+        let (declared, reordered) = (run(im2col.clone()), run(reversed));
+        assert_eq!(reordered.cycles().to_bits(), declared.cycles().to_bits());
+        assert_eq!(reordered.best_schedule, declared.best_schedule);
+        assert_eq!(reordered.best_mapping, im2col);
     }
 
     #[test]

@@ -679,42 +679,33 @@ fn finalize(mut result: ExplorationResult) -> ExplorationResult {
 
 /// One per-intrinsic exploration unit of a (possibly heterogeneous)
 /// accelerator: the hierarchy re-targeted at a single intrinsic, with its
-/// mapping set enumerated and lowered. Produced stage-by-stage by the
-/// [`crate::Engine`] pipeline and consumed by
+/// mapping set enumerated as masks and its first program lowered. Produced
+/// stage-by-stage by the [`crate::Engine`] pipeline and consumed by
 /// [`Explorer::explore_units_cached`].
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredUnit {
     /// The accelerator re-targeted at this unit's intrinsic.
     pub(crate) accel: AcceleratorSpec,
-    /// The unit's programs; may be empty.
-    pub(crate) programs: UnitPrograms,
+    /// The unit's programs; `None` when its intrinsic admits no mapping.
+    pub(crate) programs: Option<UnitPrograms>,
 }
 
 /// The programs of one exploration unit, one per mapping, as a search reads
-/// them through [`LazyContexts`].
+/// them through [`LazyContexts`]: program 0 lowered, every other one lowered
+/// from its masks on first read as a [`MappedProgram::sibling`] of program
+/// 0. The masks always lower: an enumeration admits only definitions that
+/// fit a program's 64 loop axes, and [`Explorer::mask_mappings`] checks a
+/// caller's list.
 #[derive(Debug, Clone)]
-pub(crate) enum UnitPrograms {
-    /// An enumerated set: program 0 is lowered, every other one is lowered
-    /// from its masks the first time a search reads it, as a
-    /// [`MappedProgram::sibling`] of program 0. Enumerated masks always
-    /// lower: the enumeration's table bounds the iterations plus the
-    /// intrinsic axes to the 64 a program's loop nest may hold.
-    Masked {
-        first: MappedProgram,
-        set: MaskedMappings,
-    },
-    /// Caller-supplied mappings, every one lowered up front, so a mapping
-    /// that cannot lower fails before the search starts.
-    Lowered(Vec<MappedProgram>),
+pub(crate) struct UnitPrograms {
+    first: MappedProgram,
+    set: MaskedMappings,
 }
 
 impl UnitPrograms {
     /// Number of programs, lowered or not.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            UnitPrograms::Masked { set, .. } => set.len(),
-            UnitPrograms::Lowered(programs) => programs.len(),
-        }
+        self.set.len()
     }
 }
 
@@ -821,43 +812,51 @@ impl Explorer {
         self.generator.enumerate_masks(def, &unit.intrinsic)
     }
 
-    /// Lowers the first mapping of an enumerated set for one unit, which
-    /// derives what its programs share; the search lowers the others the
-    /// first time it reads them ([`UnitPrograms::Masked`]).
+    /// Lowers the first mapping of a unit's set, which derives what its
+    /// programs share; the search lowers the others the first time it reads
+    /// them ([`UnitPrograms`]). `None` for an empty set.
     pub(crate) fn lower_unit(
         &self,
         def: &ComputeDef,
         unit: &AcceleratorSpec,
         set: MaskedMappings,
-    ) -> Result<UnitPrograms, ExploreError> {
+    ) -> Result<Option<UnitPrograms>, ExploreError> {
         if set.is_empty() {
-            return Ok(UnitPrograms::Lowered(Vec::new()));
+            return Ok(None);
         }
         let (groups, corr) = (set.groups(0), set.correspondence(0).to_vec());
         let first = MappedProgram::new(def.clone(), unit.intrinsic.clone(), groups, corr)?;
-        Ok(UnitPrograms::Masked { first, set })
+        Ok(Some(UnitPrograms { first, set }))
     }
 
-    /// Lowers a caller-supplied mapping set for one unit on the calling
-    /// thread (a lowering is microseconds, below the cost of a pool
-    /// hand-off); every program after the first is its
-    /// [`MappedProgram::sibling`], sharing one copy of the pair and its
-    /// facts. The first failure in mapping order aborts.
-    pub(crate) fn lower_mappings(
+    /// A caller's mapping list as the masks an enumeration yields, so every
+    /// group lists its iterations in declaration order. Each mapping is
+    /// first checked as a [`MappedProgram::sibling`] of the first one's
+    /// [`MappedProgram::new`] (then dropped), in list order: the first that
+    /// cannot lower fails with lowering's typed error.
+    fn mask_mappings(
         &self,
         def: &ComputeDef,
         unit: &AcceleratorSpec,
         mappings: &[Mapping],
-    ) -> Result<Vec<MappedProgram>, ExploreError> {
-        let mut programs: Vec<MappedProgram> = Vec::with_capacity(mappings.len());
+    ) -> Result<MaskedMappings, ExploreError> {
+        let mut set = MaskedMappings::default();
+        let Some(head) = mappings.first() else {
+            return Ok(set);
+        };
+        let (groups, corr) = (head.groups.clone(), head.correspondence.clone());
+        let first = MappedProgram::new(def.clone(), unit.intrinsic.clone(), groups, corr)?;
+        let iters = def.iters().len();
         for m in mappings {
-            let (groups, corr) = (m.groups.clone(), m.correspondence.clone());
-            programs.push(match programs.first() {
-                Some(first) => first.sibling(groups, corr)?,
-                None => MappedProgram::new(def.clone(), unit.intrinsic.clone(), groups, corr)?,
-            });
+            first.sibling(m.groups.clone(), m.correspondence.clone())?;
+            let masks = m
+                .group_masks(iters)
+                .ok_or_else(|| SimError::MalformedMapping {
+                    detail: format!("{iters} iterations exceed the 64-bit mapping masks"),
+                })?;
+            set.push(&masks, &m.correspondence);
         }
-        Ok(programs)
+        Ok(set)
     }
 
     /// The multi-unit merge loop over pre-lowered units: explores each unit
@@ -886,9 +885,9 @@ impl Explorer {
             // A unit whose intrinsic admits no mapping simply contributes
             // nothing, exactly like the per-unit `NoValidMapping` of the
             // unstaged path.
-            if unit.programs.len() == 0 {
+            let Some(programs) = &unit.programs else {
                 continue;
-            }
+            };
             // Refinement keys name the unit's machine: the caller's own on a
             // homogeneous device, so its stem is reused as it is.
             let retargeted;
@@ -899,7 +898,7 @@ impl Explorer {
                 }
                 same => same,
             };
-            let ctxs = LazyContexts::new(&unit.programs, &unit.accel);
+            let ctxs = LazyContexts::new(programs, &unit.accel);
             let mut result =
                 self.explore_programs(&unit.accel, &ctxs, self.config.seed, cache, &sup)?;
             quarantine.records.append(&mut result.quarantine.records);
@@ -942,7 +941,12 @@ impl Explorer {
 
     /// Explores with a fixed mapping set (used by the fixed-mapping baseline
     /// ablations of paper §7.6, which keep AMOS's schedule tuner but freeze
-    /// the mapping).
+    /// the mapping), or with the enumerated set when `fixed` is `None`.
+    ///
+    /// A fused group is a set (Def 4.3): the search reads a caller's
+    /// mappings as per-axis masks, so every group, the winner's included,
+    /// comes back in declaration order; that order changes no predicted,
+    /// simulated or executed result.
     ///
     /// Lowering and the generation loop (sampling, screening, simulation,
     /// breeding) run on the calling thread; with more than one mapping, the
@@ -952,6 +956,12 @@ impl Explorer {
     /// keyed by `(seed, generation, slot)`, every round from its own seed,
     /// and rounds are merged in round order, so the winner is bit-identical
     /// for any thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`ExploreError::NoValidMapping`] for an empty set; before the search
+    /// starts, [`ExploreError::Sim`] for the first listed mapping that cannot
+    /// lower or has more than 64 iterations.
     pub fn explore_mappings(
         &self,
         def: &ComputeDef,
@@ -962,8 +972,9 @@ impl Explorer {
     }
 
     /// [`Explorer::explore_mappings`] with an optional shared cache for the
-    /// refinement sub-runs: enumerates (or takes and lowers) the mapping set
-    /// and hands it to the generation loop.
+    /// refinement sub-runs: enumerates the mapping set (or takes the
+    /// caller's as masks), lowers its first program and hands it to the
+    /// generation loop.
     pub(crate) fn explore_mappings_cached(
         &self,
         def: &ComputeDef,
@@ -973,16 +984,16 @@ impl Explorer {
     ) -> Result<ExplorationResult, ExploreError> {
         self.config.validate()?;
         let sup = Supervisor::new(&self.config);
-        let programs = match fixed {
-            Some(mappings) => UnitPrograms::Lowered(self.lower_mappings(def, accel, &mappings)?),
-            None => self.lower_unit(def, accel, self.enumerate_unit(def, accel))?,
+        let set = match fixed {
+            Some(mappings) => self.mask_mappings(def, accel, &mappings)?,
+            None => self.enumerate_unit(def, accel),
         };
-        if programs.len() == 0 {
+        let Some(programs) = self.lower_unit(def, accel, set)? else {
             return Err(ExploreError::NoValidMapping {
                 computation: def.name().to_string(),
                 intrinsic: accel.intrinsic.name.clone(),
             });
-        }
+        };
         let ctxs = LazyContexts::new(&programs, accel);
         let result = self.explore_programs(accel, &ctxs, self.config.seed, cache, &sup)?;
         Ok(finalize(result))
@@ -1323,8 +1334,7 @@ impl Explorer {
                 let ridx = shortlist[round].0;
                 let refine_seed = seed.wrapping_add(round as u64) ^ 0x9e3779b97f4a7c15;
                 let run = || {
-                    let one = std::slice::from_ref(shortlisted[round]);
-                    let ctxs = LazyContexts::over(one, None, accel);
+                    let ctxs = LazyContexts::over(shortlisted[round], None, accel);
                     self.explore_programs(accel, &ctxs, refine_seed, None, sup)
                 };
                 Ok(match cache {
@@ -1444,19 +1454,18 @@ impl Explorer {
 }
 
 /// One run's programs and their screening contexts, each program lowered
-/// (when it is one of an enumerated unit's masks) and screened the first time
-/// the run samples, seeds or measures that mapping. All per-candidate model
-/// queries and feasibility probes run over these precomputed tables, with no
+/// from its masks (all but program 0) and screened the first time the run
+/// samples, seeds or measures that mapping. All per-candidate model queries
+/// and feasibility probes run over these precomputed tables, with no
 /// allocation on the hot path. A default-depth search touches a few hundred
 /// of a mapping space that can hold thousands, and a program and its context
 /// are pure functions of `(mapping, accelerator)`, so building them on demand
 /// changes no result.
 struct LazyContexts<'a> {
-    /// The programs lowered before the run: all of them, or program 0 of a
-    /// masked unit.
-    lowered: &'a [MappedProgram],
-    /// A masked unit's mappings, each but the first lowered on its first read
-    /// as a sibling of `lowered[0]`.
+    /// Program 0, lowered before the run.
+    first: &'a MappedProgram,
+    /// The unit's mappings, each but the first lowered on its first read as
+    /// a sibling of `first`; `None` for a refinement round's one program.
     masks: Option<&'a MaskedMappings>,
     accel: &'a AcceleratorSpec,
     cells: Vec<OnceCell<Touched<'a>>>,
@@ -1470,22 +1479,17 @@ struct Touched<'a> {
 
 impl<'a> LazyContexts<'a> {
     fn new(programs: &'a UnitPrograms, accel: &'a AcceleratorSpec) -> Self {
-        match programs {
-            UnitPrograms::Masked { first, set } => {
-                Self::over(std::slice::from_ref(first), Some(set), accel)
-            }
-            UnitPrograms::Lowered(programs) => Self::over(programs, None, accel),
-        }
+        Self::over(&programs.first, Some(&programs.set), accel)
     }
 
     fn over(
-        lowered: &'a [MappedProgram],
+        first: &'a MappedProgram,
         masks: Option<&'a MaskedMappings>,
         accel: &'a AcceleratorSpec,
     ) -> Self {
-        let len = masks.map_or(lowered.len(), MaskedMappings::len);
+        let len = masks.map_or(1, MaskedMappings::len);
         LazyContexts {
-            lowered,
+            first,
             masks,
             accel,
             cells: (0..len).map(|_| OnceCell::new()).collect(),
@@ -1501,11 +1505,11 @@ impl<'a> LazyContexts<'a> {
         self.cells[idx].get_or_init(|| {
             let program = match self.masks {
                 Some(set) if idx > 0 => Cow::Owned(
-                    self.lowered[0]
+                    self.first
                         .sibling(set.groups(idx), set.correspondence(idx).to_vec())
-                        .expect("enumerated mappings lower"),
+                        .expect("a unit's masks lower"),
                 ),
-                _ => Cow::Borrowed(&self.lowered[idx]),
+                _ => Cow::Borrowed(self.first),
             };
             let ctx = program.screening_context(self.accel);
             Touched { program, ctx }
@@ -2203,8 +2207,8 @@ mod tests {
     ) -> (usize, ExplorationResult, Vec<Read>) {
         let programs = explorer
             .lower_unit(def, unit, explorer.enumerate_unit(def, unit))
-            .expect("enumerated mappings lower");
-        assert!(matches!(programs, UnitPrograms::Masked { .. }));
+            .expect("enumerated mappings lower")
+            .expect("a non-empty set");
         let ctxs = LazyContexts::new(&programs, unit);
         let sup = Supervisor::new(explorer.config());
         let result = explorer

@@ -16,10 +16,10 @@
 //! one `u64` of software iterations per intrinsic axis. The final pass
 //! assembles `X` and `Y` from those masks into two reused matrices and runs
 //! the same [`crate::validate::algorithm1`], once per candidate that passes
-//! the rules; [`crate::validate::validate_mapping`] and
-//! [`fragment_coherent`] are one-shot wrappers over the same tables. A
-//! mapping that passes stays in that form ([`MaskedMappings`]); only
-//! [`MappingGenerator::enumerate`] turns the whole set into [`Mapping`]s.
+//! the rules; [`crate::validate::validate_mapping`] is a one-shot wrapper
+//! over the same tables. A mapping that passes stays in that form
+//! ([`MaskedMappings`]); only [`MappingGenerator::enumerate`] turns the whole
+//! set into [`Mapping`]s.
 //!
 //! Beyond Algorithm 1, three generation rules shape the space (reverse
 //! engineered from the paper's Table 6 counts; see DESIGN.md §5):
@@ -136,13 +136,13 @@ impl MappingGenerator {
 /// A mapping set held the way the enumerator found it: per mapping, one
 /// software-iteration mask per intrinsic axis and the index of its operand
 /// correspondence, in flat buffers. Mapping `i` is
-/// [`MaskedMappings::mapping`]`(i)`; the groups list their iterations in
-/// declaration order, as the enumerated [`Mapping`]s always have.
+/// [`MaskedMappings::mapping`]`(i)`; a mask keeps no order inside a fused
+/// group, so the groups list their iterations in declaration order, as the
+/// enumerated [`Mapping`]s always have.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaskedMappings {
-    /// Masks per mapping: the intrinsic's axis count.
-    axes: usize,
-    /// Mapping `i`'s masks are `masks[i * axes..][..axes]`.
+    /// Mapping `i`'s masks are `masks[i * axes..][..axes]`, `axes` being the
+    /// intrinsic's axis count.
     masks: Vec<u64>,
     /// Mapping `i`'s correspondence is `correspondences[corr[i]]`.
     corr: Vec<u32>,
@@ -150,6 +150,18 @@ pub(crate) struct MaskedMappings {
 }
 
 impl MaskedMappings {
+    /// Appends a mapping: one iteration mask per intrinsic axis and its
+    /// operand correspondence.
+    pub(crate) fn push(&mut self, groups: &[u64], correspondence: &[usize]) {
+        debug_assert_eq!(self.masks.len(), self.len() * groups.len());
+        // A run of mappings under one correspondence shares one copy.
+        if self.correspondences.last().map(Vec::as_slice) != Some(correspondence) {
+            self.correspondences.push(correspondence.to_vec());
+        }
+        self.masks.extend_from_slice(groups);
+        self.corr.push(self.correspondences.len() as u32 - 1);
+    }
+
     /// Number of mappings.
     pub(crate) fn len(&self) -> usize {
         self.corr.len()
@@ -162,7 +174,8 @@ impl MaskedMappings {
 
     /// The fused groups of mapping `i`.
     pub(crate) fn groups(&self, i: usize) -> Vec<FusedGroup> {
-        self.masks[i * self.axes..][..self.axes]
+        let axes = self.masks.len() / self.len();
+        self.masks[i * axes..][..axes]
             .iter()
             .map(|&g| FusedGroup::of(bits(g).map(|s| IterId(s as u32)).collect()))
             .collect()
@@ -331,7 +344,7 @@ impl EnumTable {
 }
 
 /// The affine coefficients fragment-layout coherence compares (see
-/// [`fragment_coherent`]).
+/// [`CoherenceTable::coherent`]).
 struct CoherenceTable {
     /// Per intrinsic source slot, its compound dimensions as
     /// `(intrinsic axis, coefficient)` lists of two or more entries.
@@ -385,7 +398,13 @@ impl CoherenceTable {
         }
     }
 
-    /// The check of [`fragment_coherent`] on per-axis iteration masks.
+    /// Checks that iterations fused into *compound* intrinsic operand
+    /// dimensions (e.g. the `i2 + r2` line buffer of a convolution engine)
+    /// line up with a software window expression: each such axis carries at
+    /// most one software iteration, and the corresponding software access
+    /// contains an index whose coefficients over those iterations match the
+    /// intrinsic dimension's coefficients. `groups` holds one iteration mask
+    /// per intrinsic axis.
     fn coherent(&self, correspondence: &[usize], groups: &[u64]) -> bool {
         let mapped = groups.iter().fold(0, |all, g| all | g);
         for (dims, &access) in self.compound_dims.iter().zip(correspondence) {
@@ -424,8 +443,6 @@ struct Enumeration<'a> {
     table: EnumTable,
     /// `correspondence[m]` is the input access feeding source slot `m`.
     correspondence: Vec<usize>,
-    /// Its index in `out`'s correspondence list.
-    corr_id: u32,
     /// Candidate intrinsic axes per software iteration.
     candidates: Vec<Vec<usize>>,
     /// Axes some iteration could feed (rule 3).
@@ -454,7 +471,6 @@ impl<'a> Enumeration<'a> {
             groups: vec![0; axes],
             table,
             correspondence: Vec::new(),
-            corr_id: 0,
             candidates: Vec::new(),
             pool_nonempty: 0,
             axis_class: Vec::new(),
@@ -464,10 +480,7 @@ impl<'a> Enumeration<'a> {
                 width: axes,
                 ..MirrorKeys::default()
             },
-            out: MaskedMappings {
-                axes,
-                ..MaskedMappings::default()
-            },
+            out: MaskedMappings::default(),
         }
     }
 
@@ -518,8 +531,6 @@ impl<'a> Enumeration<'a> {
                 }
             })
             .collect();
-        self.corr_id = self.out.correspondences.len() as u32;
-        self.out.correspondences.push(correspondence.clone());
         self.correspondence = correspondence;
     }
 
@@ -583,30 +594,9 @@ impl<'a> Enumeration<'a> {
         }
         self.mirror_key();
         if self.seen.insert(&self.key) {
-            self.out.masks.extend_from_slice(&self.groups);
-            self.out.corr.push(self.corr_id);
+            self.out.push(&self.groups, &self.correspondence);
         }
     }
-}
-
-/// Checks that iterations fused into *compound* intrinsic operand dimensions
-/// (e.g. the `i2 + r2` line buffer of a convolution engine) line up with a
-/// software window expression: each such axis carries at most one software
-/// iteration, and the corresponding software access contains an index whose
-/// coefficients over those iterations match the intrinsic dimension's
-/// coefficients. A malformed mapping (unknown or doubly-mapped iteration,
-/// wrong group or slot count) is not coherent.
-pub fn fragment_coherent(def: &ComputeDef, intrinsic: &Intrinsic, mapping: &Mapping) -> bool {
-    let Some(groups) = mapping.group_masks(def.iters().len()) else {
-        return false;
-    };
-    groups.len() == intrinsic.compute.iters().len()
-        && mapping.correspondence.len() == intrinsic.compute.num_srcs()
-        && mapping
-            .correspondence
-            .iter()
-            .all(|&a| a < def.inputs().len())
-        && CoherenceTable::new(def, intrinsic).coherent(&mapping.correspondence, &groups)
 }
 
 /// All permutations of `0..n` in lexicographic order (identity first).
@@ -791,8 +781,10 @@ mod tests {
         let maps = g.enumerate(&def, &catalog::conv_unit());
         assert!(!maps.is_empty(), "direct window mapping must exist");
         // Every surviving mapping respects fragment coherence.
+        let coherence = CoherenceTable::new(&def, &catalog::conv_unit());
         for m in &maps {
-            assert!(fragment_coherent(&def, &catalog::conv_unit(), m));
+            let groups = m.group_masks(def.iters().len()).expect("fits the masks");
+            assert!(coherence.coherent(&m.correspondence, &groups));
         }
     }
 

@@ -96,7 +96,7 @@ pub use explore::{
     random_schedule_with, top_rate_recall, Budget, CancelToken, Completion, ExplorationResult,
     ExploreError, Explorer, ExplorerConfig, QuarantineRecord, QuarantineReport, ScreeningStats,
 };
-pub use generate::{fragment_coherent, MappingGenerator, MappingPolicy};
+pub use generate::{MappingGenerator, MappingPolicy};
 pub use mapping::Mapping;
 pub use parallel::{amos_jobs_override, default_jobs, parallel_map, parse_jobs_value};
 pub use pool::{pool_stats, PoolStats};

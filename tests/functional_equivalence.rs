@@ -1,7 +1,8 @@
 //! Cross-crate integration test: every mapping the generator emits, for
 //! every operator family, must lower to a program whose *functional*
 //! execution through explicit register fragments is bit-identical to the
-//! reference scalar interpreter.
+//! reference scalar interpreter, with its fused groups in declaration order
+//! and in reverse.
 //!
 //! This is the strongest end-to-end statement of mapping correctness: it
 //! exercises signature matching, Algorithm 1, operand correspondence, fused
@@ -14,16 +15,24 @@ use amos::ir::{interp, ComputeBuilder, ComputeDef, DType};
 use amos::sim::functional::execute_mapped;
 use amos::workloads::ops::{self, ConvShape};
 
-/// Checks every enumerated mapping of `def` on `intr` against the reference.
+/// Checks every enumerated mapping of `def` on `intr` against the reference,
+/// once as enumerated and once with the iterations of every fused group in
+/// reverse order: a fused group is a set, and its order must not reach the
+/// output.
 fn assert_all_mappings_exact(def: &ComputeDef, intr: &amos::hw::Intrinsic, seed: u64) {
     let generator = MappingGenerator::new();
-    let mappings = generator.enumerate(def, intr);
+    let enumerated = generator.enumerate(def, intr);
     assert!(
-        !mappings.is_empty(),
+        !enumerated.is_empty(),
         "{} has no mapping on {}",
         def.name(),
         intr.name
     );
+    let reversed = enumerated.iter().cloned().map(|mut m| {
+        m.groups.iter_mut().for_each(|g| g.iters.reverse());
+        m
+    });
+    let mappings: Vec<_> = enumerated.iter().cloned().chain(reversed).collect();
     let tensors = interp::make_inputs(def, seed);
     let reference = interp::execute(def, &tensors).expect("reference executes");
     for mapping in &mappings {
