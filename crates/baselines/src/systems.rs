@@ -250,7 +250,8 @@ pub struct EvalOpts<'a> {
     /// this evaluation runs (AMOS's full search and the baselines'
     /// frozen-mapping tuning alike) is scaled by `depth.max(1)`. `0` and
     /// `1` are the standard budget; benchmarks raise it to make cold
-    /// exploration long enough to measure (`record_network`). Results stay
+    /// exploration long enough to measure (the `net_cold` workload of
+    /// `benchmark/`). Results stay
     /// deterministic per depth, and depth changes the cache fingerprint
     /// (the generation count is part of it), so different depths never
     /// answer each other's lookups.

@@ -66,33 +66,11 @@ pub fn banner(title: &str) {
     println!("================================================================");
 }
 
-/// Extracts the number following `"key":` in the flat JSON the recorder
-/// binaries write. Returns `None` when the key is missing or its value does
-/// not parse — both count as "malformed" for a `--check` gate.
-pub fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use amos_hw::catalog;
     use amos_workloads::networks;
-
-    #[test]
-    fn json_number_reads_flat_json() {
-        let text = "{\n  \"schema\": 1,\n  \"speedup\": -2.5e1,\n  \"name\": \"x\"\n}\n";
-        assert_eq!(json_number(text, "schema"), Some(1.0));
-        assert_eq!(json_number(text, "speedup"), Some(-25.0));
-        assert_eq!(json_number(text, "name"), None, "non-numeric value");
-        assert_eq!(json_number(text, "missing"), None);
-    }
 
     #[test]
     fn stable_seed_is_deterministic_and_distinct() {

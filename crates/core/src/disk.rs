@@ -554,4 +554,82 @@ mod tests {
         assert_eq!(tagged(&mut lines, "corr"), Some(""));
         assert_eq!(tagged(&mut lines, "evals"), None, "wrong tag rejects");
     }
+
+    /// Every prefix of the committed schema-2 entry, and every substitution
+    /// of one of a few bytes at every offset (17 669 cases), goes through the
+    /// parser without a panic and is a cold miss or the entry's own winner:
+    /// its mapping and report bit for bit, since re-simulation rejects any
+    /// other. Two kinds of line are not re-derivable, so a corruption there
+    /// can change an accepted answer: the search statistics, read as
+    /// written, and a schedule gene the timing model is blind to here (a
+    /// register-blocking factor above the block's tile count, `vectorize`).
+    #[test]
+    fn every_prefix_and_byte_substitution_of_an_entry_is_a_miss_or_its_winner() {
+        let text = include_str!("../tests/fixtures/83d21f019876c0d8.amosc");
+        let key = text.lines().nth(2).expect("key line");
+        let def = amos_workloads::ops::gmm(64, 64, 64);
+        let accel = amos_hw::catalog::v100();
+        let winner = |r: &ExplorationResult| {
+            format!(
+                "{:?}",
+                (
+                    &r.best_mapping,
+                    &r.best_program,
+                    &r.best_report,
+                    r.completion,
+                    &r.quarantine,
+                )
+            )
+        };
+        let statistics = |r: &ExplorationResult| {
+            format!(
+                "{:?}",
+                (
+                    r.num_mappings,
+                    r.sim_failures,
+                    r.screening,
+                    r.generations_completed,
+                    &r.evaluations,
+                )
+            )
+        };
+        let reference = parse_and_validate(text, key, &def, &accel).expect("the entry answers");
+        // `changed_line` is `None` for a prefix: any answer must equal the
+        // entry in full.
+        let check = |case: &str, changed_line: Option<&str>| {
+            let Some(r) = parse_and_validate(case, key, &def, &accel) else {
+                return;
+            };
+            assert_eq!(winner(&r), winner(&reference), "{case:?}");
+            let tag = changed_line.and_then(|l| l.split(' ').next());
+            if r.best_schedule != reference.best_schedule {
+                assert!(
+                    matches!(
+                        tag,
+                        Some("grid" | "splitk" | "subcore" | "stage" | "warp" | "flags")
+                    ),
+                    "only a schedule line may change the schedule: {changed_line:?}"
+                );
+            }
+            if statistics(&r) != statistics(&reference) {
+                assert!(
+                    matches!(tag, Some("nmap" | "simf" | "screen" | "gens" | "e")),
+                    "only a statistics line may change a statistic: {changed_line:?}"
+                );
+            }
+        };
+        for end in 0..text.len() {
+            check(&text[..end], None);
+        }
+        let mut case = text.as_bytes().to_vec();
+        for at in 0..text.len() {
+            let line_start = text[..at].rfind('\n').map_or(0, |i| i + 1);
+            let line = text[line_start..].lines().next();
+            for byte in *b"09 \n-f" {
+                case[at] = byte;
+                check(std::str::from_utf8(&case).expect("ascii"), line);
+            }
+            case[at] = text.as_bytes()[at];
+        }
+    }
 }

@@ -16,8 +16,10 @@
 //!
 //! Three functions evaluate the model, pinned **bit-identical** to one
 //! another (same guarded-reciprocal formulation `bytes * (1/bw)`, same
-//! floating-point operation order) by the unit tests below, two proptests
-//! over the Figure-6 operator set and the `screening_throughput` bench gate:
+//! floating-point operation order) by the unit tests below and, over the
+//! Figure-6 operator set, by the `property_tests` proptests
+//! `precomputed_screening_is_bit_identical_to_reference_model` and
+//! `batched_screening_is_bit_identical_to_scalar_screening`:
 //!
 //! * [`predict`] — the oracle: reads the program and accelerator
 //!   descriptions directly, one loop per term of the formula above. Nothing
@@ -257,8 +259,10 @@ pub fn predict_with(
 /// Each lane executes exactly the floating-point operation sequence of
 /// scalar [`predict_with`] (the integer hoisting differs, but integers are
 /// exact), so every result is **bit-identical** to the scalar path — asserted
-/// by unit tests, a proptest over random arenas and the
-/// `screening_throughput` bench gate.
+/// by the unit tests `predict_batch_is_bit_identical_to_predict_with` and
+/// `predict_batch_isolates_malformed_candidates` and by the `property_tests`
+/// proptest `batched_screening_is_bit_identical_to_scalar_screening` over
+/// random arenas.
 ///
 /// Results are appended to `out` in candidate order; structurally malformed
 /// candidates (wrong axis count) yield `Err(SimError::ScheduleAxisMismatch)`

@@ -1,8 +1,9 @@
 //! The persistent worker pool behind `parallel_map`: worker threads must be
 //! spawned once and reused by every subsequent exploration, an exploration
 //! must submit a wave for its refinement rounds only (never per
-//! generation), a panicking wave must leave the pool healthy, and the
-//! pooled path must preserve the bit-identical jobs-invariance contract.
+//! generation), a cold network evaluation must submit one flat wave over its
+//! distinct layer shapes, a panicking wave must leave the pool healthy, and
+//! the pooled path must preserve the bit-identical jobs-invariance contract.
 //!
 //! The pool is process-wide, its counters are cumulative, and a submitter
 //! that finds it busy runs inline without counting a wave — so every test
@@ -11,8 +12,10 @@
 //! submits (jobs = 8): afterwards `PoolStats::threads` can only stay
 //! constant.
 
+use amos::baselines::{NetworkEvaluator, System};
 use amos::core::{parallel_map, pool_stats, Engine, ExplorerConfig};
 use amos::hw::catalog;
+use amos::workloads::networks;
 use amos::workloads::ops::{self, ConvShape};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
@@ -100,6 +103,26 @@ fn pool_waves_per_exploration_do_not_grow_with_generations() {
         "waves must not scale with generations: {shallow} at 3, {deep} at 30"
     );
     assert_eq!(deep, 1, "one wave per unit: the refinement rounds");
+}
+
+#[test]
+fn a_cold_network_evaluation_is_one_pool_wave_over_its_distinct_shapes() {
+    let _serial = warm_pool();
+    // Every distinct layer shape is one slot of a single wave, and each
+    // per-shape search runs serially inside it (nested waves run inline), so
+    // the counts hold on any core count.
+    let mut ev = NetworkEvaluator::new().with_jobs(4);
+    let before = pool_stats();
+    ev.evaluate(System::Amos, &networks::mobilenet_v1(), 1, &catalog::v100());
+    let after = pool_stats();
+    let distinct_shapes = ev.cache_stats().misses as u64;
+    assert!(distinct_shapes > 1, "MobileNet-V1 has several layer shapes");
+    assert_eq!(after.waves - before.waves, 1, "one wave per network");
+    assert_eq!(
+        after.tasks - before.tasks,
+        distinct_shapes,
+        "one pool task per distinct layer shape"
+    );
 }
 
 #[test]
