@@ -14,9 +14,7 @@
 //! count, so `jobs` must not split entries.
 
 use crate::disk::{CacheConfig, DiskCache};
-use crate::explore::{
-    Completion, ExplorationResult, ExploreError, Explorer, ExplorerConfig, LoweredUnit,
-};
+use crate::explore::{Completion, ExplorationResult, ExploreError, Explorer, ExplorerConfig};
 use amos_hw::AcceleratorSpec;
 use amos_ir::{Access, ComputeDef, DType, Expr, IterKind, OpKind, TensorRole};
 use std::borrow::Cow;
@@ -39,7 +37,7 @@ pub struct CacheStats {
     pub misses: usize,
 }
 
-/// A thread-safe memo table for exploration runs.
+/// A thread-safe memo table of top-level exploration requests.
 ///
 /// Failed explorations (`Err`) are cached too: a shape with no valid mapping
 /// stays unmappable, and network sweeps probe such shapes repeatedly.
@@ -52,20 +50,13 @@ pub struct ExplorationCache {
     hits: AtomicUsize,
     l2_hits: AtomicUsize,
     misses: AtomicUsize,
-    // The refinement phase's internal sub-runs are memoised under separate
-    // counters so they don't distort the caller-visible `stats()` — a hit
-    // rate over top-level lookups, as every existing consumer expects.
-    refine_hits: AtomicUsize,
-    refine_misses: AtomicUsize,
-    // Every distinct machine value this cache was asked about: as many as
-    // the process sees (the registry's, plus one unit per intrinsic of a
-    // heterogeneous one).
+    // Every distinct machine value a request named.
     machines: Mutex<Vec<Arc<Machine>>>,
 }
 
 /// One interned machine, and the two things keys call it.
 #[derive(Debug)]
-pub(crate) struct Machine {
+struct Machine {
     spec: AcceleratorSpec,
     /// `#{position in the table}`: its name in this cache's in-memory keys.
     id: String,
@@ -82,6 +73,11 @@ impl Machine {
         })
     }
 }
+
+/// The tag of the joint search over every intrinsic of a machine, shared by
+/// [`ExplorationCache::explore_multi`] and the staged [`crate::Engine`]
+/// pipeline so the two answer each other's requests.
+pub(crate) const MULTI: &str = "multi";
 
 impl ExplorationCache {
     /// An empty cache.
@@ -108,25 +104,15 @@ impl ExplorationCache {
         }
     }
 
-    /// Refinement sub-runs answered from the cache (tracked separately from
-    /// [`ExplorationCache::stats`], which counts top-level lookups only).
-    pub fn refine_hits(&self) -> usize {
-        self.refine_hits.load(Ordering::Relaxed)
-    }
-
-    /// Refinement sub-runs that had to run the generation loop.
-    pub fn refine_misses(&self) -> usize {
-        self.refine_misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct (shape, accelerator, config) entries stored.
+    /// Number of distinct requests stored: one per (tag, shape, accelerator,
+    /// config) answered cleanly or with an error.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("cache lock").len()
     }
 
     /// Interns `accel` **by value**: two specs are one machine exactly when
     /// they compare equal, never because a hash said so.
-    pub(crate) fn intern(&self, accel: &AcceleratorSpec) -> Arc<Machine> {
+    fn intern(&self, accel: &AcceleratorSpec) -> Arc<Machine> {
         let mut machines = self.machines.lock().expect("machine table lock");
         if let Some(known) = machines.iter().find(|m| m.spec == *accel) {
             return Arc::clone(known);
@@ -151,10 +137,7 @@ impl ExplorationCache {
         machine
     }
 
-    /// [`Explorer::explore_multi`] with memoisation. The explorer's
-    /// refinement phase also routes its per-mapping sub-runs through this
-    /// cache, so a miss here still reuses any previously-tuned shortlisted
-    /// mappings.
+    /// [`Explorer::explore_multi`] with memoisation.
     pub fn explore_multi(
         &self,
         explorer: &Explorer,
@@ -175,35 +158,15 @@ impl ExplorationCache {
         accel: &AcceleratorSpec,
         shape: Option<&str>,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_tagged_shaped("multi", explorer, def, accel, shape, |stem| {
-            explorer.explore_multi_cached(def, accel, Some((self, stem)))
+        self.explore_tagged_shaped(MULTI, explorer, def, accel, shape, || {
+            explorer.explore_multi(def, accel)
         })
     }
 
-    /// The staged-pipeline flavour of [`ExplorationCache::explore_multi`]:
-    /// runs the merge loop over pre-lowered units, under the *same* cache
-    /// key, so the staged [`crate::Engine`] pipeline and the one-shot path
-    /// share entries.
-    pub(crate) fn explore_units(
-        &self,
-        explorer: &Explorer,
-        def: &ComputeDef,
-        accel: &AcceleratorSpec,
-        units: &[LoweredUnit],
-    ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_tagged_shaped("multi", explorer, def, accel, None, |stem| {
-            explorer.explore_units_cached(def, accel, units, Some((self, stem)))
-        })
-    }
-
-    /// Probes L1 for `key`, counting a hit in `hits`.
-    fn probe_l1(
-        &self,
-        key: &str,
-        hits: &AtomicUsize,
-    ) -> Option<Result<ExplorationResult, ExploreError>> {
+    /// Probes L1 for `key`, counting a hit.
+    fn probe_l1(&self, key: &str) -> Option<Result<ExplorationResult, ExploreError>> {
         let cached = self.entries.lock().expect("cache lock").get(key)?.clone();
-        hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
         Some(cached)
     }
 
@@ -227,22 +190,20 @@ impl ExplorationCache {
         Some(loaded)
     }
 
-    /// Stores a cacheable result in L1 and, for the top-level request
-    /// `persist` names, writes a clean `Finished` one through to L2 (`Err`
-    /// entries stay in-memory: "this shape has no valid mapping" is cheap to
-    /// rediscover and not worth trusting across code versions; refinement
-    /// sub-runs pass `None`, they would only duplicate their top-level
-    /// entry's information on disk).
+    /// Stores a cacheable result in L1 and writes a clean `Finished` one
+    /// through to L2 (`Err` entries stay in-memory: "this shape has no valid
+    /// mapping" is cheap to rediscover and not worth trusting across code
+    /// versions).
     fn insert(
         &self,
         key: String,
-        persist: Option<&KeyStem>,
+        stem: &KeyStem,
         result: &Result<ExplorationResult, ExploreError>,
     ) {
         if !cacheable(result) {
             return;
         }
-        if let (Some(disk), Some(stem), Ok(r)) = (&self.disk, persist, result) {
+        if let (Some(disk), Ok(r)) = (&self.disk, result) {
             disk.store(stem.file_hash(), &stem.disk_key(), r);
         }
         self.entries
@@ -251,30 +212,12 @@ impl ExplorationCache {
             .insert(key, result.clone());
     }
 
-    /// Memoises one refinement sub-run under `key`, a
-    /// [`KeyStem::refine_key`]. Counted under the refinement counters, not
-    /// [`ExplorationCache::stats`].
-    pub(crate) fn refine(
-        &self,
-        key: String,
-        run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
-    ) -> Result<ExplorationResult, ExploreError> {
-        if let Some(hit) = self.probe_l1(&key, &self.refine_hits) {
-            return hit;
-        }
-        self.refine_misses.fetch_add(1, Ordering::Relaxed);
-        let result = run();
-        self.insert(key, None, &result);
-        result
-    }
-
-    /// The top-level lookup of every exploration flavour, named by `tag`
-    /// (`multi` for [`ExplorationCache::explore_multi`], a fixed-mapping
-    /// baseline's template name, …): render the call's [`KeyStem`], probe L1
-    /// then the persistent L2 (promoting a hit), else run and store. The tag
-    /// keeps different flavours over the same shape from colliding. `shape`,
-    /// when given, must equal `shape_fingerprint(def)`; `run` receives the
-    /// call's stem, from which its refinement rounds' keys derive.
+    /// The lookup of every exploration flavour, named by `tag` ([`MULTI`]
+    /// for the joint search, a fixed-mapping baseline's template name, …):
+    /// render the call's [`KeyStem`], probe L1 then the persistent L2
+    /// (promoting a hit), else `run` the search and store its result. The
+    /// tag keeps different flavours over the same shape from colliding.
+    /// `shape`, when given, must equal `shape_fingerprint(def)`.
     pub(crate) fn explore_tagged_shaped(
         &self,
         tag: &str,
@@ -282,11 +225,11 @@ impl ExplorationCache {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
         shape: Option<&str>,
-        run: impl FnOnce(&KeyStem) -> Result<ExplorationResult, ExploreError>,
+        run: impl FnOnce() -> Result<ExplorationResult, ExploreError>,
     ) -> Result<ExplorationResult, ExploreError> {
         let stem = KeyStem::new(tag, explorer.config(), def, self.intern(accel), shape);
         let key = stem.key();
-        if let Some(hit) = self.probe_l1(&key, &self.hits) {
+        if let Some(hit) = self.probe_l1(&key) {
             return hit;
         }
         if let Some(loaded) = self.probe_l2(&key, &stem, def, accel) {
@@ -297,8 +240,8 @@ impl ExplorationCache {
         // threads racing on the same key both run the (deterministic) search
         // and store identical results — wasteful but correct.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = run(&stem);
-        self.insert(key, Some(&stem), &result);
+        let result = run();
+        self.insert(key, &stem, &result);
         result
     }
 }
@@ -315,21 +258,18 @@ impl ExplorationCache {
 fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
     match result {
         Err(_) => true,
-        // A refinement sub-run reports `Finished` with its quarantined
-        // candidates attached (only the top level folds them into
-        // `Degraded`), so the log is checked as well.
+        // The explorer folds a quarantine log into `Degraded` before it
+        // answers; the log is checked as well, so a run that isolated a
+        // panic is never stored whatever its completion says.
         Ok(r) => r.completion == Completion::Finished && r.quarantine.is_empty(),
     }
 }
 
 /// Structural identity of one exploration request: the tag that names the
-/// flavour of search, and the configuration and the shape fingerprint,
-/// written once per top-level call, beside the interned machine. Every key
-/// of the call is a concatenation with them: `"{tag};" + body + id` in
-/// memory, the same with `accel:{text}` for the id on disk, and
-/// `"{tag}/refine:{round}:{mapping}:{seed};" + body + id` for its refinement
-/// rounds, whose mapping index means something only in the request's own
-/// mapping list.
+/// flavour of search, the configuration and the shape fingerprint, written
+/// once per call as one prefix, beside the interned machine. The request's
+/// keys are that prefix followed by the machine: its id in memory,
+/// `accel:{text}` on disk.
 ///
 /// Deliberately *excludes* the computation's name (same-shape layers must
 /// share an entry) and `config.jobs` (results are thread-count-invariant).
@@ -337,9 +277,8 @@ fn cacheable(result: &Result<ExplorationResult, ExploreError>) -> bool {
 /// policy above is safe: only `Finished` results are stored, and those are
 /// identical under every budget.
 #[derive(Debug)]
-pub(crate) struct KeyStem {
-    tag: String,
-    /// `cfg:…;{shape};[faults:…;]`.
+struct KeyStem {
+    /// `{tag};cfg:…;{shape};[faults:…;]`.
     body: String,
     machine: Arc<Machine>,
 }
@@ -359,8 +298,9 @@ impl KeyStem {
             debug_assert_eq!(fp, shape_fingerprint(def), "stale shape fingerprint");
         }
         let shape = shape.map_or_else(|| Cow::Owned(shape_fingerprint(def)), Cow::Borrowed);
-        let mut body = String::with_capacity(shape.len() + 96);
-        body.push_str("cfg:");
+        let mut body = String::with_capacity(tag.len() + shape.len() + 96);
+        body.push_str(tag);
+        body.push_str(";cfg:");
         for knob in [
             config.population,
             config.generations,
@@ -383,47 +323,24 @@ impl KeyStem {
             use std::fmt::Write as _;
             let _ = write!(body, "faults:{};", config.faults);
         }
-        KeyStem {
-            tag: tag.to_string(),
-            body,
-            machine,
-        }
-    }
-
-    /// The same request against another machine: a unit of a heterogeneous
-    /// accelerator, whose refinement keys name the unit.
-    pub(crate) fn retarget(&self, machine: Arc<Machine>) -> Self {
-        KeyStem {
-            tag: self.tag.clone(),
-            body: self.body.clone(),
-            machine,
-        }
+        KeyStem { body, machine }
     }
 
     /// The in-memory cache key of this request.
     fn key(&self) -> String {
-        [&self.tag, ";", &self.body, &self.machine.id].concat()
-    }
-
-    /// The in-memory cache key of refinement round `round` of this request,
-    /// which tunes mapping `mapping` of its list from `seed`.
-    pub(crate) fn refine_key(&self, round: usize, mapping: usize, seed: u64) -> String {
-        let round = format!("/refine:{round}:{mapping}:{seed};");
-        [self.tag.as_str(), &round, &self.body, &self.machine.id].concat()
+        [self.body.as_str(), &self.machine.id].concat()
     }
 
     /// The request in full, as the disk tier stores and compares it.
     fn disk_key(&self) -> String {
-        [&self.tag, ";", &self.body, "accel:", &self.machine.text().1].concat()
+        [&self.body, "accel:", &self.machine.text().1].concat()
     }
 
     /// What the disk tier names the entry of [`KeyStem::disk_key`] by:
-    /// FNV-1a over `{tag};{body}`, continued over the machine text's own
-    /// hash instead of the text.
+    /// FNV-1a over the prefix, continued over the machine text's own hash
+    /// instead of the text.
     fn file_hash(&self) -> u64 {
-        let h = rand::fnv1a_64(self.tag.as_bytes());
-        let h = rand::fnv1a_64_extend(h, b";");
-        let h = rand::fnv1a_64_extend(h, self.body.as_bytes());
+        let h = rand::fnv1a_64(self.body.as_bytes());
         rand::fnv1a_64_extend(h, &self.machine.text().0.to_le_bytes())
     }
 }
@@ -749,8 +666,8 @@ mod tests {
         let again = cache.intern(&catalog::v100());
         assert!(Arc::ptr_eq(&first, &again), "one machine");
         assert_eq!(first.id, "#0");
-        // A memory-only lookup, miss and hit (refinement rounds included),
-        // never names the machine on disk, so its text is never rendered.
+        // A memory-only lookup, miss and hit, never names the machine on
+        // disk, so its text is never rendered.
         let e = small_explorer(5);
         let g = gemm("g", 64, 64, 64);
         for _ in 0..2 {
@@ -970,13 +887,8 @@ mod tests {
         let body = format!("cfg:8/2/3/2/11/w0;{shape};{faults}");
         let cache = ExplorationCache::new();
         let stem = KeyStem::new("multi", &config, &def, cache.intern(&accel), None);
-        // In memory the machine is its id, the first interned being 0, and
-        // a refinement round is named under the request it refines...
+        // In memory the machine is its id, the first interned being 0...
         assert_eq!(stem.key(), format!("multi;{body}#0"));
-        assert_eq!(
-            stem.refine_key(2, 17, 24301),
-            format!("multi/refine:2:17:24301;{body}#0")
-        );
         // ...on disk it is spelled out, and the file is named by the hash
         // of everything before it continued over the hash of the spelling.
         assert_eq!(stem.disk_key(), format!("multi;{body}accel:{accel:?}"));
@@ -990,21 +902,6 @@ mod tests {
         let fixed =
             |shape| KeyStem::new("fixed:im2col", &config, &def, cache.intern(&accel), shape);
         assert_eq!(fixed(Some(&shape)).key(), fixed(None).key());
-        // Another request over the same shape refines under its own name.
-        assert_ne!(fixed(None).refine_key(0, 0, 1), stem.refine_key(0, 0, 1));
-        // A unit of a heterogeneous machine keys its rounds by the unit.
-        let npu = catalog::ascend_npu();
-        let mut unit = npu.clone();
-        unit.intrinsic = unit.extra_intrinsics.remove(0);
-        let whole = KeyStem::new("multi", &config, &def, cache.intern(&npu), None);
-        let retargeted = whole.retarget(cache.intern(&unit));
-        let direct = KeyStem::new("multi", &config, &def, cache.intern(&unit), None);
-        assert_eq!(retargeted.refine_key(0, 0, 1), direct.refine_key(0, 0, 1));
-        assert_eq!(
-            retargeted.refine_key(0, 0, 1),
-            format!("multi/refine:0:0:1;{body}#2")
-        );
-        assert_ne!(retargeted.refine_key(0, 0, 1), whole.refine_key(0, 0, 1));
         // Byte for byte the key both committed entries store, under the
         // name this schema gives it.
         #[cfg(not(feature = "fault-injection"))]

@@ -25,7 +25,7 @@
 //! All failures are reported as [`AmosError`] values carrying the stage,
 //! operator and accelerator context.
 
-use crate::cache::{CacheStats, ExplorationCache};
+use crate::cache::{CacheStats, ExplorationCache, MULTI};
 use crate::disk::CacheConfig;
 use crate::error::{AmosError, Stage};
 use crate::explore::{ExplorationResult, ExploreError, Explorer, ExplorerConfig, LoweredUnit};
@@ -196,9 +196,9 @@ pub struct Artifact {
 ///
 /// Entry points (CLI, baselines, benches, network evaluation) construct one
 /// `Engine` and compile through it; none of them constructs or threads an
-/// exploration cache by hand. Repeated structures — same shape, accelerator and budget — are answered
-/// from cache, including across the staged and one-shot APIs and across the
-/// refinement sub-runs of different calls.
+/// exploration cache by hand. Repeated requests — same shape, accelerator
+/// and configuration — are answered from cache, across the staged and
+/// one-shot APIs alike.
 #[derive(Debug)]
 pub struct Engine {
     base: ExplorerConfig,
@@ -305,19 +305,10 @@ impl Engine {
         crate::pool::pool_stats()
     }
 
-    /// Number of distinct (shape, accelerator, config) entries cached.
+    /// Number of distinct requests cached: one per (tag, shape,
+    /// accelerator, config) answered cleanly or with an error.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Refinement sub-runs answered from the cache.
-    pub fn refine_hits(&self) -> usize {
-        self.cache.refine_hits()
-    }
-
-    /// Refinement sub-runs that had to run the generation loop.
-    pub fn refine_misses(&self) -> usize {
-        self.cache.refine_misses()
     }
 
     // ---- staged pipeline ---------------------------------------------------
@@ -448,7 +439,9 @@ impl Engine {
         // one-shot lookups share entries.
         let result = self
             .cache
-            .explore_units(&explorer, &def, &accel, &units)
+            .explore_tagged_shaped(MULTI, &explorer, &def, &accel, None, || {
+                explorer.explore_units(&def, &accel, &units)
+            })
             .map_err(|e| {
                 AmosError::from(e)
                     .at_stage(Stage::Explore)
@@ -613,9 +606,8 @@ impl Engine {
     ) -> Result<ExplorationResult, AmosError> {
         let explorer = Explorer::with_config(config);
         self.cache
-            .explore_tagged_shaped(tag, &explorer, def, accel, shape, |stem| {
-                let cache = Some((&self.cache, stem));
-                explorer.explore_mappings_cached(def, accel, Some(mappings), cache)
+            .explore_tagged_shaped(tag, &explorer, def, accel, shape, || {
+                explorer.explore_mappings(def, accel, Some(mappings))
             })
             .map_err(|e| {
                 AmosError::from(e)
@@ -877,8 +869,7 @@ mod tests {
                 "{tag}: {err}"
             );
         }
-        // No search ran; the valid mapping alone explores.
-        assert_eq!(engine.refine_misses(), 0);
+        // The valid mapping alone explores.
         engine
             .explore_fixed("valid", tiny_config(1), &def, &accel, vec![valid])
             .expect("explores");

@@ -5,7 +5,6 @@
 //! analytic performance model, and the most promising ones are measured on
 //! the ground truth — real hardware in the paper, the timing simulator here.
 
-use crate::cache::{ExplorationCache, KeyStem};
 use crate::generate::{MappingGenerator, MaskedMappings};
 use crate::mapping::Mapping;
 use crate::parallel::parallel_map;
@@ -681,7 +680,7 @@ fn finalize(mut result: ExplorationResult) -> ExplorationResult {
 /// accelerator: the hierarchy re-targeted at a single intrinsic, with its
 /// mapping set enumerated as masks and its first program lowered. Produced
 /// stage-by-stage by the [`crate::Engine`] pipeline and consumed by
-/// [`Explorer::explore_units_cached`].
+/// [`Explorer::explore_units`].
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredUnit {
     /// The accelerator re-targeted at this unit's intrinsic.
@@ -746,12 +745,14 @@ impl Explorer {
         def: &ComputeDef,
         accel: &AcceleratorSpec,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_mappings_cached(def, accel, None, None)
+        self.explore_mappings(def, accel, None)
     }
 
     /// Explores across *every* intrinsic of a heterogeneous accelerator
     /// (e.g. an Ascend-style NPU with both cube and vector units) and keeps
-    /// the best mapping over all of them.
+    /// the best mapping over all of them. This is the composition of the
+    /// staged [`crate::Engine`] pipeline: decompose into units, enumerate,
+    /// lower, then run the merge loop.
     ///
     /// # Errors
     ///
@@ -760,19 +761,6 @@ impl Explorer {
         &self,
         def: &ComputeDef,
         accel: &AcceleratorSpec,
-    ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_multi_cached(def, accel, None)
-    }
-
-    /// [`Explorer::explore_multi`] with an optional shared cache for the
-    /// per-intrinsic refinement sub-runs. This is the composition of the
-    /// staged [`crate::Engine`] pipeline: decompose into units, enumerate,
-    /// lower, then run the merge loop.
-    pub(crate) fn explore_multi_cached(
-        &self,
-        def: &ComputeDef,
-        accel: &AcceleratorSpec,
-        cache: Option<(&ExplorationCache, &KeyStem)>,
     ) -> Result<ExplorationResult, ExploreError> {
         let units = self
             .unit_accelerators(accel)
@@ -785,7 +773,7 @@ impl Explorer {
                 })
             })
             .collect::<Result<Vec<_>, ExploreError>>()?;
-        self.explore_units_cached(def, accel, &units, cache)
+        self.explore_units(def, accel, &units)
     }
 
     /// Decomposes a (possibly heterogeneous) accelerator into per-intrinsic
@@ -864,12 +852,11 @@ impl Explorer {
     /// merges the evaluation/screening counters across units. Shared by
     /// [`Explorer::explore_multi`] and the staged [`crate::Engine`] pipeline,
     /// so both produce bit-identical results.
-    pub(crate) fn explore_units_cached(
+    pub(crate) fn explore_units(
         &self,
         def: &ComputeDef,
         accel: &AcceleratorSpec,
         units: &[LoweredUnit],
-        cache: Option<(&ExplorationCache, &KeyStem)>,
     ) -> Result<ExplorationResult, ExploreError> {
         self.config.validate()?;
         let sup = Supervisor::new(&self.config);
@@ -888,19 +875,8 @@ impl Explorer {
             let Some(programs) = &unit.programs else {
                 continue;
             };
-            // Refinement keys name the unit's machine: the caller's own on a
-            // homogeneous device, so its stem is reused as it is.
-            let retargeted;
-            let cache = match cache {
-                Some((c, stem)) if unit.accel != *accel => {
-                    retargeted = stem.retarget(c.intern(&unit.accel));
-                    Some((c, &retargeted))
-                }
-                same => same,
-            };
             let ctxs = LazyContexts::new(programs, &unit.accel);
-            let mut result =
-                self.explore_programs(&unit.accel, &ctxs, self.config.seed, cache, &sup)?;
+            let mut result = self.explore_programs(&unit.accel, &ctxs, self.config.seed, &sup)?;
             quarantine.records.append(&mut result.quarantine.records);
             evaluations.extend(result.evaluations.iter().copied());
             num_mappings += result.num_mappings;
@@ -968,20 +944,6 @@ impl Explorer {
         accel: &AcceleratorSpec,
         fixed: Option<Vec<Mapping>>,
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_mappings_cached(def, accel, fixed, None)
-    }
-
-    /// [`Explorer::explore_mappings`] with an optional shared cache for the
-    /// refinement sub-runs: enumerates the mapping set (or takes the
-    /// caller's as masks), lowers its first program and hands it to the
-    /// generation loop.
-    pub(crate) fn explore_mappings_cached(
-        &self,
-        def: &ComputeDef,
-        accel: &AcceleratorSpec,
-        fixed: Option<Vec<Mapping>>,
-        cache: Option<(&ExplorationCache, &KeyStem)>,
-    ) -> Result<ExplorationResult, ExploreError> {
         self.config.validate()?;
         let sup = Supervisor::new(&self.config);
         let set = match fixed {
@@ -995,7 +957,7 @@ impl Explorer {
             });
         };
         let ctxs = LazyContexts::new(&programs, accel);
-        let result = self.explore_programs(accel, &ctxs, self.config.seed, cache, &sup)?;
+        let result = self.explore_programs(accel, &ctxs, self.config.seed, &sup)?;
         Ok(finalize(result))
     }
 
@@ -1019,7 +981,6 @@ impl Explorer {
         accel: &AcceleratorSpec,
         ctxs: &LazyContexts<'_>,
         seed: u64,
-        cache: Option<(&ExplorationCache, &KeyStem)>,
         sup: &Supervisor,
     ) -> Result<ExplorationResult, ExploreError> {
         // `Some` once a budget limit fires: later phases are skipped and the
@@ -1329,18 +1290,10 @@ impl Explorer {
                     return Err(stop);
                 }
                 // Re-enter the generation loop on a one-program unit: the
-                // program (and its screening context) is reused as-is. When
-                // a shared cache is present the whole sub-run is memoised.
-                let ridx = shortlist[round].0;
+                // program (and its screening context) is reused as-is.
                 let refine_seed = seed.wrapping_add(round as u64) ^ 0x9e3779b97f4a7c15;
-                let run = || {
-                    let ctxs = LazyContexts::over(shortlisted[round], None, accel);
-                    self.explore_programs(accel, &ctxs, refine_seed, None, sup)
-                };
-                Ok(match cache {
-                    Some((c, stem)) => c.refine(stem.refine_key(round, ridx, refine_seed), run),
-                    None => run(),
-                })
+                let ctxs = LazyContexts::over(shortlisted[round], None, accel);
+                Ok(self.explore_programs(accel, &ctxs, refine_seed, sup))
             });
             for (&(ridx, _), outcome) in shortlist.iter().zip(rounds) {
                 // A round the shared budget stopped — before it started
@@ -2212,7 +2165,7 @@ mod tests {
         let ctxs = LazyContexts::new(&programs, unit);
         let sup = Supervisor::new(explorer.config());
         let result = explorer
-            .explore_programs(unit, &ctxs, explorer.config().seed, None, &sup)
+            .explore_programs(unit, &ctxs, explorer.config().seed, &sup)
             .expect("explores");
         let read = ctxs.cells.iter().enumerate().filter_map(|(i, cell)| {
             let touched = cell.get()?;

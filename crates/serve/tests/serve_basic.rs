@@ -101,6 +101,40 @@ fn lifecycle_ping_explore_stats_drain() {
 }
 
 #[test]
+fn a_repeated_counter_truncated_request_gets_the_byte_identical_reply() {
+    let socket = tmp_path("truncated-repeat.sock");
+    let _ = std::fs::remove_file(&socket);
+    let mut config = ServeConfig::new(&socket);
+    config.base = small_base();
+    let (socket, handle) = start(config);
+
+    // Under `small_base` this limit stops the search inside a refinement
+    // round. The truncated answer is not cached, so the repeat runs the same
+    // search under the same budget and must say the same thing.
+    let req = Request::Explore(ExploreRequest {
+        spec: "c1d:n1,c64,k64,q256,s3,st1".into(),
+        accel: None,
+        seed: None,
+        deadline_ms: None,
+        max_evaluations: Some(44),
+        max_measurements: None,
+    });
+    let (first, first_raw) = client::submit(&socket, &req, &one_shot()).unwrap();
+    match &first {
+        Response::Ok(r) => assert_eq!(r.completion, "budget exhausted", "{first_raw}"),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    let (_, second_raw) = client::submit(&socket, &req, &one_shot()).unwrap();
+    assert_eq!(
+        first_raw, second_raw,
+        "a repeat must answer as the first did"
+    );
+
+    drain(&socket);
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn bad_requests_get_typed_errors_and_service_survives() {
     let socket = tmp_path("errors.sock");
     let _ = std::fs::remove_file(&socket);

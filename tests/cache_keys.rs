@@ -5,8 +5,8 @@
 //! formatted as: network evaluation seeds every search from its hash, so a
 //! changed byte changes winners. Machines are told apart by value: changing
 //! any one field of an `AcceleratorSpec` makes a machine neither cache tier
-//! answers for. A refinement entry is the request's that ran it, and the
-//! units of a heterogeneous machine keep theirs apart.
+//! answers for. A fixed-mapping request over the same shape is a request
+//! of its own: it never answers the joint search.
 
 use amos::core::{
     shape_fingerprint, CacheConfig, CacheStats, Engine, ExplorerConfig, MappingGenerator,
@@ -248,7 +248,7 @@ fn a_machine_one_field_apart_is_answered_by_neither_tier() {
 }
 
 #[test]
-fn a_refinement_entry_answers_only_the_request_that_ran_it() {
+fn a_fixed_mapping_request_never_answers_the_joint_search() {
     // A fixed-mapping request over the enumerated list, rotated, refines the
     // same list positions as the joint search of the shape, but position `i`
     // is another mapping in each list: the joint search on the same engine
@@ -275,11 +275,8 @@ fn a_refinement_entry_answers_only_the_request_that_ran_it() {
             engine
                 .explore_fixed("rotated", config.clone(), &def, &accel, rotated)
                 .expect("explores");
-            let refined = engine.refine_misses();
             let got = engine.explore_op(&def, &accel).expect("explores");
             let at = format!("{} rotated by {shift}", def.name());
-            assert_eq!(engine.refine_hits(), 0, "{at}");
-            assert!(engine.refine_misses() > refined, "{at}");
             assert_eq!(got.cycles().to_bits(), fresh.cycles().to_bits(), "{at}");
             assert_eq!(got.best_mapping, fresh.best_mapping, "{at}");
             assert_eq!(got.best_schedule, fresh.best_schedule, "{at}");
@@ -287,63 +284,4 @@ fn a_refinement_entry_answers_only_the_request_that_ran_it() {
             assert_eq!(replayed.as_ref(), Ok(&got.best_report), "{at}");
         }
     }
-}
-
-#[test]
-fn units_of_a_heterogeneous_machine_keep_their_refinement_entries_apart() {
-    // A convolution both units map in more than one way, so both refine.
-    let def = ops::c2d(ops::ConvShape {
-        n: 2,
-        c: 16,
-        k: 16,
-        p: 8,
-        q: 8,
-        r: 3,
-        s: 3,
-        stride: 1,
-    });
-    let npu = catalog::ascend_npu();
-    let units: Vec<AcceleratorSpec> = npu
-        .all_intrinsics()
-        .map(|intrinsic| {
-            let mut unit = npu.clone();
-            unit.intrinsic = intrinsic.clone();
-            unit.extra_intrinsics.clear();
-            unit
-        })
-        .collect();
-    assert_eq!(units.len(), 2);
-    // Each unit alone, in an engine of its own: how many refinement rounds
-    // it runs, and what it finds.
-    let alone: Vec<_> = units
-        .iter()
-        .map(|unit| {
-            let engine = Engine::with_config(small(11));
-            let result = engine.explore_op(&def, unit).expect("unit explores");
-            assert!(
-                engine.refine_misses() > 0,
-                "{} refines",
-                unit.intrinsic.name
-            );
-            (engine.refine_misses(), result)
-        })
-        .collect();
-    let rounds: usize = alone.iter().map(|(rounds, _)| rounds).sum();
-
-    // The whole machine runs every round of both units, and none of them is
-    // answered by the other unit's entry of the same round.
-    let engine = Engine::with_config(small(11));
-    engine.explore_op(&def, &npu).expect("npu explores");
-    assert_eq!(engine.refine_hits(), 0);
-    assert_eq!(engine.refine_misses(), rounds);
-    // The entries are keyed by the unit, not by the machine it is part of:
-    // each unit asked for by itself re-runs the joint search (a new
-    // machine) and finds every round it needs already there, its own.
-    for (unit, (_, expected)) in units.iter().zip(&alone) {
-        let got = engine.explore_op(&def, unit).expect("unit explores");
-        assert_eq!(got.cycles().to_bits(), expected.cycles().to_bits());
-        assert_eq!(got.best_schedule, expected.best_schedule);
-    }
-    assert_eq!(engine.refine_hits(), rounds);
-    assert_eq!(engine.refine_misses(), rounds);
 }

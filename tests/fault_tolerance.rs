@@ -1,10 +1,10 @@
 //! Fault-tolerance contract of the explorer: budget truncation is a
-//! deterministic prefix of the unlimited run, every [`Completion`] variant
-//! is reachable and carries a usable best-so-far, and (with the
-//! `fault-injection` feature) panicking candidates are quarantined without
-//! poisoning the surviving search.
+//! deterministic prefix of the unlimited run that a repeated request
+//! reproduces, every [`Completion`] variant is reachable and carries a
+//! usable best-so-far, and (with the `fault-injection` feature) panicking
+//! candidates are quarantined without poisoning the surviving search.
 
-use amos::core::{Budget, Completion, ExploreError, Explorer, ExplorerConfig};
+use amos::core::{Budget, Completion, Engine, ExploreError, Explorer, ExplorerConfig};
 use amos::hw::catalog;
 use amos::workloads::ops;
 use proptest::prelude::*;
@@ -185,6 +185,42 @@ fn counter_truncation_inside_refinement_is_jobs_invariant_and_a_prefix() {
         stopped_inside_refinement >= 2,
         "the limits must cut at least two runs short inside refinement"
     );
+}
+
+#[test]
+fn a_repeated_counter_truncated_request_answers_as_it_did_cold() {
+    // Both limits stop the search inside a refinement round. A truncated
+    // answer is not stored, so the repeat runs the whole search again and
+    // charges every round to its budget, as the first call did.
+    let def = ops::c1d(1, 64, 64, 256, 3, 1);
+    let accel = catalog::v100();
+    for limit in [457, 679] {
+        let config = ExplorerConfig {
+            jobs: 1,
+            budget: Budget {
+                max_evaluations: Some(limit),
+                ..Budget::default()
+            },
+            ..Default::default()
+        };
+        let cold = Engine::with_config(config.clone())
+            .explore_op(&def, &accel)
+            .expect("explores");
+        let engine = Engine::with_config(config);
+        for call in 1..=2 {
+            let got = engine.explore_op(&def, &accel).expect("explores");
+            let at = format!("limit {limit}, call {call}");
+            assert_eq!(got.completion, cold.completion, "{at}");
+            assert_eq!(got.cycles().to_bits(), cold.cycles().to_bits(), "{at}");
+            assert_eq!(got.best_mapping, cold.best_mapping, "{at}");
+            assert_eq!(got.best_schedule, cold.best_schedule, "{at}");
+            assert_eq!(got.evaluations, cold.evaluations, "{at}");
+            assert_eq!(
+                got.generations_completed, cold.generations_completed,
+                "{at}"
+            );
+        }
+    }
 }
 
 #[test]

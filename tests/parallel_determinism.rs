@@ -27,12 +27,10 @@ fn budget(seed: u64, jobs: usize) -> ExplorerConfig {
 /// rounds the operator must go through — the part of a search that runs as
 /// a pool wave and is merged back in round order.
 fn assert_jobs_invariant(def: &amos::ir::ComputeDef, seed: u64, rounds: usize) {
-    let engine = Engine::with_config(budget(seed, 1));
-    let serial = engine
+    let serial = Engine::with_config(budget(seed, 1))
         .explore_op(def, &catalog::v100())
         .expect("serial exploration succeeds");
     assert!(serial.screening.screened > 0, "screening must have run");
-    assert_eq!(engine.refine_misses(), rounds, "refinement rounds run");
     assert_eq!(
         serial.generations_completed,
         (1 + rounds) * budget(seed, 1).generations,
@@ -166,12 +164,8 @@ fn repeated_resnet_shapes_hit_the_cache_with_identical_cycles() {
     assert_eq!(stats.misses, 3, "one miss per distinct shape");
     assert_eq!(stats.hits, layers.len() - 3, "every repeat must hit");
     assert!(stats.hits > 0);
-    // Refinement sub-runs are memoised too, under separate counters that
-    // must not leak into the top-level stats above.
-    assert!(
-        engine.refine_misses() > 0,
-        "each cold shape's refinement rounds must register as refine misses"
-    );
+    // The memo holds one entry per distinct request and nothing else.
+    assert_eq!(engine.cache_len(), 3, "one entry per distinct shape");
     assert_eq!(
         cold, cached,
         "cached per-layer cycles must equal the cold run"
