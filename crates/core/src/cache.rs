@@ -624,6 +624,34 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_answer_also_answers_a_tighter_budget() {
+        use crate::explore::{Budget, Completion};
+        let accel = catalog::v100();
+        let def = gemm("g", 64, 64, 64);
+        let mut tight = small_explorer(21).config().clone();
+        tight.budget = Budget {
+            max_measurements: Some(1),
+            ..Budget::default()
+        };
+        let tight = Explorer::with_config(tight);
+        let alone = ExplorationCache::new()
+            .explore_multi(&tight, &def, &accel)
+            .unwrap();
+        assert_eq!(alone.completion, Completion::BudgetExhausted);
+        // After an unlimited run of the request, the key (which leaves the
+        // budget out) answers the tighter one with the finished result.
+        let cache = ExplorationCache::new();
+        let finished = cache
+            .explore_multi(&small_explorer(21), &def, &accel)
+            .unwrap();
+        let answered = cache.explore_multi(&tight, &def, &accel).unwrap();
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(answered.completion, Completion::Finished);
+        assert_eq!(answered.cycles().to_bits(), finished.cycles().to_bits());
+        assert_eq!(answered.evaluations, finished.evaluations);
+    }
+
+    #[test]
     fn failed_explorations_are_cached() {
         // A pure reduction has no valid Tensor Core mapping.
         let mut b = ComputeBuilder::new("sum");
@@ -724,6 +752,29 @@ mod tests {
             .collect();
         assert_eq!(entries.len(), 1, "expected one entry: {entries:?}");
         entries.pop().expect("one entry")
+    }
+
+    #[test]
+    fn screening_regret_is_the_same_cold_from_l1_and_from_l2() {
+        let dir = tmp_dir("regret");
+        let accel = catalog::v100();
+        // Many mappings, so the trace spans seeds, generations and rounds.
+        let def = amos_workloads::ops::cap(1, 8, 16, 6, 6, 3, 3, 4);
+        let regret = |cache: &ExplorationCache| {
+            let result = cache
+                .explore_multi(&small_explorer(5), &def, &accel)
+                .unwrap();
+            crate::MappingReport::from_result(&result, &accel).screening_regret
+        };
+        let first = disk_cache(&dir);
+        let cold = regret(&first);
+        let l1 = regret(&first);
+        let second = disk_cache(&dir);
+        let l2 = regret(&second);
+        assert_eq!((first.stats().misses, first.stats().hits), (1, 1));
+        assert_eq!(second.stats().l2_hits, 1);
+        assert_eq!((l1, l2), (cold, cold));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

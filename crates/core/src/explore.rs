@@ -16,10 +16,9 @@ use amos_sim::{
     TimingReport, BATCH_LANES,
 };
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -391,6 +390,7 @@ impl ScreeningStats {
 /// slot, `live` marking the populated prefix. Slots beyond `live` keep their
 /// `Schedule` buffers allocated so breeding fills them in place; compaction
 /// swaps rejected slots' buffers toward the tail instead of dropping them.
+#[derive(Default)]
 struct PopulationArena {
     mapping_idx: Vec<usize>,
     predicted: Vec<f64>,
@@ -405,18 +405,6 @@ struct PopulationArena {
 }
 
 impl PopulationArena {
-    fn new() -> Self {
-        PopulationArena {
-            mapping_idx: Vec::new(),
-            predicted: Vec::new(),
-            schedules: Vec::new(),
-            live: 0,
-            order: Vec::new(),
-            at: Vec::new(),
-            pos: Vec::new(),
-        }
-    }
-
     /// Grows the arrays to at least `n` slots; placeholder schedules are
     /// empty and get filled by `reset_naive`/`clone_from`.
     fn ensure_slots(&mut self, n: usize) {
@@ -483,6 +471,49 @@ impl PopulationArena {
     }
 }
 
+/// The working set of one search: the population arena, the screening
+/// scratch, one batch's sampling outcomes and metadata, the measured memo
+/// and the heuristic seeds' schedule. A search overwrites every slot before
+/// it reads it and clears the memo on entry, so a set keeps only capacity
+/// from one search to the next, never anything that reaches an answer.
+struct SearchBuffers {
+    arena: PopulationArena,
+    scratch: ScreenScratch,
+    sampled: Vec<Sampled>,
+    metas: Vec<(usize, f64, bool)>,
+    measured: MeasuredSet,
+    seed_schedule: Schedule,
+}
+
+thread_local! {
+    /// The idle buffer sets of this thread. A search takes one for its
+    /// duration, so a refinement round run on the thread of the search that
+    /// started it takes another: a thread keeps one set per nesting level
+    /// it has run, each as large as the largest search that used it.
+    static SEARCH_BUFFERS: RefCell<Vec<SearchBuffers>> = const { RefCell::new(Vec::new()) };
+}
+
+impl SearchBuffers {
+    /// Runs `f` over an idle set of this thread (a new one when none is
+    /// idle) and gives the set back afterwards.
+    fn with<R>(f: impl FnOnce(&mut SearchBuffers) -> R) -> R {
+        let idle = SEARCH_BUFFERS.with(|sets| sets.borrow_mut().pop());
+        let mut bufs = idle.unwrap_or_else(|| SearchBuffers {
+            arena: PopulationArena::default(),
+            scratch: ScreenScratch::default(),
+            sampled: Vec::new(),
+            metas: Vec::new(),
+            measured: MeasuredSet::default(),
+            seed_schedule: Schedule::empty(),
+        });
+        bufs.arena.live = 0;
+        bufs.measured.clear();
+        let out = f(&mut bufs);
+        SEARCH_BUFFERS.with(|sets| sets.borrow_mut().push(bufs));
+        out
+    }
+}
+
 /// The integer whose unsigned order is [`f64::total_cmp`]'s order of `x`.
 fn total_order_key(x: f64) -> u64 {
     let bits = x.to_bits();
@@ -491,14 +522,18 @@ fn total_order_key(x: f64) -> u64 {
 
 /// The measured-candidate memo: the `(mapping, schedule)` pairs already sent
 /// to the timing engine. Every measurement rank probes it by reference; a
-/// schedule is cloned only when its candidate is new, which is exactly when
-/// it is simulated. Open addressing over a power-of-two table of indices
+/// schedule is copied only when its candidate is new, which is exactly when
+/// it is simulated, and into a stored buffer an earlier search left behind
+/// when there is one. Open addressing over a power-of-two table of indices
 /// into `keys`, with an in-tree multiply-rotate hash (the keys come from the
 /// search itself, never from outside the program) and exact equality on
 /// every probe, so a hash collision can cost a step but never an answer.
 #[derive(Default)]
 struct MeasuredSet {
+    /// The pairs, in insertion order; entries past `len` are buffers kept
+    /// from before the last [`MeasuredSet::clear`].
     keys: Vec<(usize, Schedule)>,
+    len: usize,
     /// `index + 1` into `keys`; `0` marks an empty slot.
     table: Vec<u32>,
 }
@@ -515,11 +550,19 @@ impl MeasuredSet {
         h >> 32
     }
 
+    /// Empties the set, keeping every buffer.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.table.clear();
+    }
+
     /// Adds the pair; `false` when it was already present.
     fn insert(&mut self, mapping_idx: usize, s: &Schedule) -> bool {
-        if (self.keys.len() + 1) * 2 > self.table.len() {
-            self.table = vec![0; (self.table.len() * 2).max(64)];
-            for k in 0..self.keys.len() {
+        if (self.len + 1) * 2 > self.table.len() {
+            let size = (self.table.len() * 2).max(64);
+            self.table.clear();
+            self.table.resize(size, 0);
+            for k in 0..self.len {
                 let (m, stored) = &self.keys[k];
                 let at = self.slot_of(*m, stored);
                 self.table[at] = k as u32 + 1;
@@ -529,8 +572,15 @@ impl MeasuredSet {
         if self.table[at] != 0 {
             return false;
         }
-        self.keys.push((mapping_idx, s.clone()));
-        self.table[at] = self.keys.len() as u32;
+        match self.keys.get_mut(self.len) {
+            Some((m, stored)) => {
+                *m = mapping_idx;
+                stored.clone_from(s);
+            }
+            None => self.keys.push((mapping_idx, s.clone())),
+        }
+        self.len += 1;
+        self.table[at] = self.len as u32;
         true
     }
 
@@ -976,6 +1026,10 @@ impl Explorer {
     /// logged in the result's quarantine report instead of unwinding the
     /// search; the budget in `sup` is checked cooperatively at phase and
     /// generation boundaries.
+    ///
+    /// The search's buffers come from the calling thread's idle sets
+    /// ([`SearchBuffers`]), so a thread that searches again allocates only
+    /// for what the new search adds.
     fn explore_programs(
         &self,
         accel: &AcceleratorSpec,
@@ -983,6 +1037,26 @@ impl Explorer {
         seed: u64,
         sup: &Supervisor,
     ) -> Result<ExplorationResult, ExploreError> {
+        SearchBuffers::with(|bufs| self.search(accel, ctxs, seed, sup, bufs))
+    }
+
+    /// [`Explorer::explore_programs`] over one buffer set.
+    fn search(
+        &self,
+        accel: &AcceleratorSpec,
+        ctxs: &LazyContexts<'_>,
+        seed: u64,
+        sup: &Supervisor,
+        bufs: &mut SearchBuffers,
+    ) -> Result<ExplorationResult, ExploreError> {
+        let SearchBuffers {
+            arena,
+            scratch,
+            sampled,
+            metas,
+            measured,
+            seed_schedule,
+        } = bufs;
         // `Some` once a budget limit fires: later phases are skipped and the
         // best-so-far is returned with the truncation status.
         let mut truncated: Option<Completion> = sup.check();
@@ -1008,7 +1082,6 @@ impl Explorer {
 
         let mut evaluations: Vec<(f64, f64)> = Vec::new();
         let mut sim_failures = 0usize;
-        let mut measured = MeasuredSet::default();
         let mut best: Option<(usize, Schedule, TimingReport)> = None;
         // Best measured cycles per mapping, for refinement shortlisting.
         let mut best_per_mapping: BTreeMap<usize, f64> = BTreeMap::new();
@@ -1029,10 +1102,10 @@ impl Explorer {
             {
                 seeds += 1;
                 let slot = i as u64;
-                match self.measure_balanced("seed", seed, slot, ctxs, idx) {
+                match self.measure_balanced("seed", seed, slot, ctxs, idx, seed_schedule) {
                     Err(detail) => log_panic("seed", 0, slot, detail),
                     Ok(None) => sim_failures += 1,
-                    Ok(Some((schedule, predicted, report))) => {
+                    Ok(Some((predicted, report))) => {
                         screened += 1;
                         evaluations.push((predicted, report.cycles));
                         let e = best_per_mapping.entry(idx).or_insert(f64::INFINITY);
@@ -1041,7 +1114,7 @@ impl Explorer {
                             .as_ref()
                             .is_none_or(|(_, _, b)| report.cycles < b.cycles)
                         {
-                            best = Some((idx, schedule, report));
+                            best = Some((idx, seed_schedule.clone(), report));
                         }
                     }
                 }
@@ -1057,11 +1130,8 @@ impl Explorer {
         // depends on `(seed, slot)` only, never on evaluation order.
         // [`screen_sampled`] then ranks every sampled slot through the
         // batched model, bit-identical to per-candidate `predict_with`.
-        let mut arena = PopulationArena::new();
         arena.ensure_slots(self.config.population);
-        let mut scratch = ScreenScratch::default();
-        let mut sampled: Vec<Sampled> = Vec::new();
-        let mut metas: Vec<(usize, f64, bool)> = Vec::new();
+        sampled.clear();
         if truncated.is_none() {
             let screen_start = Instant::now();
             for (slot, sched) in arena.schedules[..self.config.population]
@@ -1089,13 +1159,13 @@ impl Explorer {
                 ctxs,
                 &arena.schedules,
                 0,
-                &sampled,
+                sampled,
                 &mut screened,
-                &mut scratch,
-                &mut metas,
+                scratch,
+                metas,
             );
             sup.note_evaluations(self.config.population);
-            arena.compact_accepted(0, &metas);
+            arena.compact_accepted(0, metas);
             screen_seconds += screen_start.elapsed().as_secs_f64();
         }
 
@@ -1204,13 +1274,13 @@ impl Explorer {
                 ctxs,
                 &arena.schedules,
                 survivors,
-                &sampled,
+                sampled,
                 &mut screened,
-                &mut scratch,
-                &mut metas,
+                scratch,
+                metas,
             );
             sup.note_evaluations(wanted);
-            arena.compact_accepted(survivors, &metas);
+            arena.compact_accepted(survivors, metas);
             screen_seconds += screen_start.elapsed().as_secs_f64();
             generations_completed = generation + 1;
         }
@@ -1225,17 +1295,17 @@ impl Explorer {
             for idx in 0..num_mappings {
                 attempts += 1;
                 let slot = idx as u64;
-                match self.measure_balanced("fallback", seed, slot, ctxs, idx) {
+                match self.measure_balanced("fallback", seed, slot, ctxs, idx, seed_schedule) {
                     Err(detail) => log_panic("fallback", 0, slot, detail),
                     Ok(None) => sim_failures += 1,
-                    Ok(Some((schedule, predicted, report))) => {
+                    Ok(Some((predicted, report))) => {
                         screened += 1;
                         evaluations.push((predicted, report.cycles));
                         if best
                             .as_ref()
                             .is_none_or(|(_, _, b)| report.cycles < b.cycles)
                         {
-                            best = Some((idx, schedule, report));
+                            best = Some((idx, seed_schedule.clone(), report));
                         }
                         if truncated.is_some() {
                             break;
@@ -1339,11 +1409,11 @@ impl Explorer {
         })
     }
 
-    /// Measures the balanced heuristic schedule of program `idx` on the
-    /// ground truth (the heuristic seeds and the fallback sweep), isolated
-    /// like every other candidate evaluation, the context fetch included:
-    /// `Err` carries a panic payload, `None` an infeasible schedule or an
-    /// injected error.
+    /// Measures the balanced heuristic schedule of program `idx`, written
+    /// into `schedule`, on the ground truth (the heuristic seeds and the
+    /// fallback sweep), isolated like every other candidate evaluation, the
+    /// context fetch included: `Err` carries a panic payload, `None` an
+    /// infeasible schedule or an injected error.
     fn measure_balanced(
         &self,
         phase: &'static str,
@@ -1351,16 +1421,17 @@ impl Explorer {
         slot: u64,
         ctxs: &LazyContexts<'_>,
         idx: usize,
-    ) -> Result<Option<(Schedule, f64, TimingReport)>, String> {
+        schedule: &mut Schedule,
+    ) -> Result<Option<(f64, TimingReport)>, String> {
         amos_sim::isolate::run_isolated(|| {
             self.injected_fault(phase, seed, 0, slot).ok()?;
             let ctx = ctxs.get(idx);
-            let schedule = Schedule::balanced(ctxs.program(idx), ctxs.accel);
-            let report = ctx.simulate(&schedule)?;
-            let predicted = predict_with(ctx, &schedule)
+            Schedule::balanced_into(ctx, schedule);
+            let report = ctx.simulate(schedule)?;
+            let predicted = predict_with(ctx, schedule)
                 .map(|b| b.cycles)
                 .unwrap_or(report.cycles);
-            Some((schedule, predicted, report))
+            Some((predicted, report))
         })
     }
 
@@ -1615,9 +1686,7 @@ pub fn random_schedule_with(
 
 /// Samples a random legal schedule straight into `s`, reusing its buffers —
 /// the allocation-free form of [`random_schedule_with`] the explorer's slot
-/// workers use. Draw-for-draw identical to sampling from the program: the
-/// context's axis-index tables are built in ascending axis order, matching
-/// the filters the reference sampler builds on the fly.
+/// workers use.
 pub fn random_schedule_into(
     ctx: &ScreeningContext,
     s: &mut Schedule,
@@ -1649,7 +1718,7 @@ pub fn random_schedule_into(
         }
     }
     // Sub-core split on one random spatial axis.
-    if let Some(&i) = ctx.spatial_axes.choose(rng) {
+    if let Some(i) = choose_bit(ctx.spatial_mask, rng) {
         let chunk = s.block_chunk(axes, i);
         s.subcore[i] = random_pow2_at_most(ctx.subcores.min(chunk), rng);
     }
@@ -1670,9 +1739,8 @@ pub fn mutate_schedule(
     mutate_schedule_ctx(&ctx, s, rng);
 }
 
-/// [`mutate_schedule`] over precomputed axis-index tables: no per-call axis
-/// filtering and no allocation. Draw-for-draw identical to the
-/// program-based form.
+/// [`mutate_schedule`] over a precomputed context: no per-call axis
+/// filtering and no allocation.
 pub fn mutate_schedule_ctx(ctx: &ScreeningContext, s: &mut Schedule, rng: &mut impl Rng) {
     draw_mutation(ctx, s, rng);
     repair_schedule_ctx(ctx, s);
@@ -1729,8 +1797,8 @@ fn draw_mutation(ctx: &ScreeningContext, s: &mut Schedule, rng: &mut impl Rng) -
     let axes = &ctx.axes[..];
     let gene = rng.gen_range(0..7);
     match gene {
-        6 => match ctx.nonspatial_axes.choose(rng) {
-            Some(&i) => {
+        6 => match choose_bit(ctx.nonspatial_mask, rng) {
+            Some(i) => {
                 let value = if rng.gen_bool(0.5) {
                     (s.split_k[i] * 2).min(axes[i].extent)
                 } else {
@@ -1741,8 +1809,8 @@ fn draw_mutation(ctx: &ScreeningContext, s: &mut Schedule, rng: &mut impl Rng) -
             None => GeneChange::Nothing,
         },
         // Grow or shrink a grid split.
-        0 => match ctx.spatial_axes.choose(rng) {
-            Some(&i) => {
+        0 => match choose_bit(ctx.spatial_mask, rng) {
+            Some(i) => {
                 let value = if rng.gen_bool(0.5) {
                     (s.grid[i] * 2).min(axes[i].extent)
                 } else {
@@ -1752,12 +1820,12 @@ fn draw_mutation(ctx: &ScreeningContext, s: &mut Schedule, rng: &mut impl Rng) -
             }
             None => GeneChange::Nothing,
         },
-        1 => match ctx.tile_spatial_axes.choose(rng) {
-            Some(&i) => set(&mut s.warp[i], pick_124(rng)),
+        1 => match choose_bit(ctx.tile_spatial_mask, rng) {
+            Some(i) => set(&mut s.warp[i], pick_124(rng)),
             None => GeneChange::Nothing,
         },
-        2 => match ctx.tile_reduction_axes.choose(rng) {
-            Some(&i) => set(&mut s.stage[i], pick_124(rng).min(axes[i].extent)),
+        2 => match choose_bit(ctx.tile_reduction_mask, rng) {
+            Some(i) => set(&mut s.stage[i], pick_124(rng).min(axes[i].extent)),
             None => GeneChange::Nothing,
         },
         3 => {
@@ -1811,6 +1879,24 @@ fn repair_schedule_ctx(ctx: &ScreeningContext, s: &mut Schedule) {
             }
         }
     }
+}
+
+/// Uniform draw from the set bits of `mask`, `None` when it has none: one
+/// `next_u64` modulo their count indexes the ascending list of them, which
+/// is what `choose` over that list draws. The list is laid out on the stack
+/// rather than found by clearing a random number of low bits, a loop whose
+/// exit the branch predictor misses on nearly every draw.
+fn choose_bit(mask: u64, rng: &mut impl Rng) -> Option<usize> {
+    if mask == 0 {
+        return None;
+    }
+    let mut bits = [0u8; 64];
+    let mut len = 0;
+    for bit in amos_sim::set_bits(mask) {
+        bits[len] = bit as u8;
+        len += 1;
+    }
+    Some(usize::from(bits[rng.next_u64() as usize % len]))
 }
 
 /// Uniform draw from `{1, 2, 4}` — the warp/stage gene alphabet. Total (the
@@ -1877,6 +1963,23 @@ pub fn top_rate_recall(pairs: &[(f64, f64)], rate: f64) -> f64 {
     let pred_top: std::collections::BTreeSet<usize> = by_pred[..k].iter().copied().collect();
     let hits = by_meas[..k].iter().filter(|i| pred_top.contains(i)).count();
     hits as f64 / k as f64
+}
+
+/// Screening regret of an evaluation trace: how many `(predicted, measured)`
+/// pairs the model ranked strictly ahead of the measured best. Among pairs
+/// tied at the best measured cycles, the one the model ranked first is the
+/// best. `0` when the model's first choice measured best, or the trace is
+/// empty. A pure function of the trace, so every cache tier agrees on it.
+pub fn screening_regret(pairs: &[(f64, f64)]) -> usize {
+    let best = pairs
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.total_cmp(&b.0)));
+    best.map_or(0, |best| {
+        pairs
+            .iter()
+            .filter(|p| p.0.total_cmp(&best.0).is_lt())
+            .count()
+    })
 }
 
 #[cfg(test)]
@@ -2076,6 +2179,37 @@ mod tests {
     }
 
     #[test]
+    fn screening_regret_counts_model_ranks_ahead_of_the_measured_best() {
+        assert_eq!(screening_regret(&[]), 0);
+        // The model's first choice measured best.
+        assert_eq!(screening_regret(&[(1.0, 10.0), (2.0, 20.0)]), 0);
+        // The best measured candidate is the model's third.
+        let trace = [(3.0, 5.0), (1.0, 30.0), (2.0, 20.0), (4.0, 40.0)];
+        assert_eq!(screening_regret(&trace), 2);
+        // A tie in measured cycles takes the lowest rank among the tied.
+        let tied = [(5.0, 7.0), (1.0, 9.0), (2.0, 7.0), (3.0, 8.0)];
+        assert_eq!(screening_regret(&tied), 1);
+        // A tie in prediction with the best is not ranked ahead of it.
+        assert_eq!(screening_regret(&[(2.0, 9.0), (2.0, 3.0)]), 0);
+    }
+
+    #[test]
+    fn choose_bit_draws_as_choose_over_the_ascending_bits() {
+        use rand::seq::SliceRandom;
+        use rand::RngCore;
+        let mut masks = StdRng::seed_from_u64(17);
+        for _ in 0..2_000 {
+            let mask = masks.next_u64() >> masks.gen_range(0..64u32);
+            let list: Vec<usize> = amos_sim::set_bits(mask).collect();
+            let seed = masks.next_u64();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            assert_eq!(choose_bit(mask, &mut a), list.choose(&mut b).copied());
+            assert_eq!(a.next_u64(), b.next_u64(), "one draw each");
+        }
+        assert_eq!(choose_bit(0, &mut masks), None);
+    }
+
+    #[test]
     fn ranking_places_the_head_of_the_stable_sort_by_total_cmp() {
         let values = [
             3.5,
@@ -2096,7 +2230,7 @@ mod tests {
         expected.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
         // 1, a typical `survivors`, and every rank.
         for keep in [1, 4, n] {
-            let mut arena = PopulationArena::new();
+            let mut arena = PopulationArena::default();
             arena.ensure_slots(n);
             arena.predicted.copy_from_slice(&values);
             for (slot, m) in arena.mapping_idx.iter_mut().enumerate() {
@@ -2136,15 +2270,20 @@ mod tests {
         let accel = catalog::v100();
         let mut rng = StdRng::seed_from_u64(5);
         let mut set = MeasuredSet::default();
-        let mut reference = std::collections::HashSet::new();
-        for k in 0..600 {
-            let s = random_schedule(&prog, &accel, &mut rng);
-            let mapping_idx = k % 3;
-            let fresh = reference.insert((mapping_idx, s.clone()));
-            assert_eq!(set.insert(mapping_idx, &s), fresh);
-            assert!(!set.insert(mapping_idx, &s), "a second probe is a hit");
+        // The second round runs over the first's buffers, as a thread's next
+        // search does, with other mappings so no stored pair is a hit.
+        for round in 0..2 {
+            let mut reference = std::collections::HashSet::new();
+            for k in 0..600 {
+                let s = random_schedule(&prog, &accel, &mut rng);
+                let mapping_idx = k % 3 + 3 * round;
+                let fresh = reference.insert((mapping_idx, s.clone()));
+                assert_eq!(set.insert(mapping_idx, &s), fresh);
+                assert!(!set.insert(mapping_idx, &s), "a second probe is a hit");
+            }
+            assert_eq!(set.len, reference.len());
+            set.clear();
         }
-        assert_eq!(set.keys.len(), reference.len());
     }
 
     /// A program a search read: its index, the program and its context.

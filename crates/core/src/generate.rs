@@ -43,7 +43,7 @@ use crate::mapping::Mapping;
 use crate::validate::AccessTable;
 use amos_hw::{ComputeAbstraction, Intrinsic};
 use amos_ir::{ComputeDef, IterId, IterKind};
-use amos_sim::FusedGroup;
+use amos_sim::{set_bits, FusedGroup};
 
 /// Tunable generation rules.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,7 +177,7 @@ impl MaskedMappings {
         let axes = self.masks.len() / self.len();
         self.masks[i * axes..][..axes]
             .iter()
-            .map(|&g| FusedGroup::of(bits(g).map(|s| IterId(s as u32)).collect()))
+            .map(|&g| FusedGroup::of(set_bits(g).map(|s| IterId(s as u32)).collect()))
             .collect()
     }
 
@@ -253,17 +253,6 @@ impl MirrorKeys {
         }
         at
     }
-}
-
-/// The set bits of `mask`, ascending.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let bit = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            bit
-        })
-    })
 }
 
 /// Bitmask of a set of iterations.
@@ -901,7 +890,7 @@ mod tests {
         Mapping {
             groups: groups
                 .iter()
-                .map(|&g| FusedGroup::of(bits(g).map(|s| IterId(s as u32)).collect()))
+                .map(|&g| FusedGroup::of(set_bits(g).map(|s| IterId(s as u32)).collect()))
                 .collect(),
             correspondence: correspondence.to_vec(),
         }

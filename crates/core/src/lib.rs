@@ -93,8 +93,9 @@ pub use engine::{load_registry, Analyzed, Artifact, Engine, Explored, Lowered, M
 pub use error::{AmosError, AmosErrorKind, Stage};
 pub use explore::{
     mutate_schedule, mutate_schedule_ctx, pairwise_accuracy, random_schedule, random_schedule_into,
-    random_schedule_with, top_rate_recall, Budget, CancelToken, Completion, ExplorationResult,
-    ExploreError, Explorer, ExplorerConfig, QuarantineRecord, QuarantineReport, ScreeningStats,
+    random_schedule_with, screening_regret, top_rate_recall, Budget, CancelToken, Completion,
+    ExplorationResult, ExploreError, Explorer, ExplorerConfig, QuarantineRecord, QuarantineReport,
+    ScreeningStats,
 };
 pub use generate::{MappingGenerator, MappingPolicy};
 pub use mapping::Mapping;

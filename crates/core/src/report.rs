@@ -41,6 +41,9 @@ pub struct MappingReport {
     /// Analytic-screening counters of the exploration (candidates screened,
     /// survivor/measured memo hits, screening throughput).
     pub screening: ScreeningStats,
+    /// Measured candidates the model ranked strictly ahead of the measured
+    /// best ([`crate::screening_regret`] of the evaluation trace).
+    pub screening_regret: usize,
     /// Algorithm-1 validation calls performed by this process so far
     /// (paper §5.2), snapshotted when the report was built.
     pub validation_calls: u64,
@@ -91,6 +94,7 @@ impl MappingReport {
             microseconds: cycles / accel.cycles_per_second() * 1e6,
             sim_failures: result.sim_failures,
             screening: result.screening,
+            screening_regret: crate::explore::screening_regret(&result.evaluations),
             validation_calls: crate::validate::validation_calls(),
             exec_stats: None,
             completion: result.completion,
@@ -141,6 +145,11 @@ impl fmt::Display for MappingReport {
             self.screening.screened,
             self.screening.survivor_memo_hits,
             self.screening.measured_memo_hits
+        )?;
+        writeln!(
+            f,
+            "screening regret : {} measured candidates ranked ahead of the best",
+            self.screening_regret
         )?;
         if let Some(es) = &self.exec_stats {
             writeln!(
@@ -240,6 +249,7 @@ mod tests {
         assert!(text.contains("addr(Src1/a)"));
         assert!(text.contains("Algorithm-1 calls"));
         assert!(text.contains("survivor memo hits"));
+        assert!(text.contains("screening regret : "));
         assert!(!text.contains("hot path"));
         assert!(
             !text.contains("completion"),

@@ -13,7 +13,10 @@
 //! * **in-flight dedup** — explore requests are keyed by
 //!   `(structural shape fingerprint, accelerator, seed)`; requests for a
 //!   key with a running exploration join its *flight* and every member
-//!   receives the same rendered response line, byte for byte;
+//!   receives the same rendered response line, byte for byte — except that
+//!   a budget-truncated answer goes only to joiners with the owner's
+//!   counter limits and a deadline no longer, and any other joiner runs
+//!   its own search;
 //! * **per-request SLAs** — the client's `deadline_ms` /
 //!   `max_evaluations` map onto the engine's cooperative
 //!   [`amos_core::Budget`], so a deadline hit returns the best-so-far
@@ -102,28 +105,72 @@ impl ServeConfig {
     }
 }
 
-/// One in-flight exploration, shared by every deduplicated waiter. The
-/// rendered response line is stored exactly once and handed to all waiters
-/// verbatim — bit identity by construction.
-#[derive(Debug, Default)]
+/// One in-flight exploration, shared by every deduplicated waiter its
+/// answer serves. The rendered response line is stored exactly once and
+/// handed to those waiters verbatim — bit identity by construction.
+#[derive(Debug)]
 struct Flight {
-    line: Mutex<Option<String>>,
+    /// The budget of the request that started the flight.
+    terms: Terms,
+    answer: Mutex<Option<Answer>>,
     cv: Condvar,
 }
 
+/// A request's budget: its counter limits and its deadline.
+#[derive(Debug, Clone, Copy)]
+struct Terms {
+    max_evaluations: Option<u64>,
+    max_measurements: Option<u64>,
+    deadline_ms: u64,
+}
+
+impl Terms {
+    /// Whether a search the `owner` terms truncated answers this request
+    /// too: the same counter limits and a deadline no longer, so identical
+    /// requests share even a truncated answer. An answer that was not
+    /// truncated serves every budget, as the engine's cache serves it.
+    fn covered_by(&self, owner: &Terms) -> bool {
+        self.max_evaluations == owner.max_evaluations
+            && self.max_measurements == owner.max_measurements
+            && self.deadline_ms <= owner.deadline_ms
+    }
+}
+
+/// A flight's rendered response line, and whether a budget limit cut its
+/// search short.
+#[derive(Debug, Clone)]
+struct Answer {
+    line: String,
+    truncated: bool,
+}
+
 impl Flight {
-    fn resolve(&self, line: String) {
-        let mut slot = self.line.lock().unwrap();
-        *slot = Some(line);
+    fn new(terms: Terms) -> Self {
+        Flight {
+            terms,
+            answer: Mutex::new(None),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn resolve(&self, answer: Answer) {
+        let mut slot = self
+            .answer
+            .lock()
+            .expect("no waiter panics holding a flight");
+        *slot = Some(answer);
         self.cv.notify_all();
     }
 
     /// Waits until the flight resolves or `until` passes.
-    fn wait_until(&self, until: Instant) -> Option<String> {
-        let mut slot = self.line.lock().unwrap();
+    fn wait_until(&self, until: Instant) -> Option<Answer> {
+        let mut slot = self
+            .answer
+            .lock()
+            .expect("no waiter panics holding a flight");
         loop {
-            if let Some(line) = slot.as_ref() {
-                return Some(line.clone());
+            if let Some(answer) = slot.as_ref() {
+                return Some(answer.clone());
             }
             let now = Instant::now();
             if now >= until {
@@ -451,76 +498,99 @@ fn explore(core: &Arc<Core>, req: ExploreRequest, receipt: Instant) -> String {
     };
     let seed = req.seed.unwrap_or(core.config.seed);
     let deadline_ms = req.deadline_ms.unwrap_or(core.config.default_deadline_ms);
-    let budget = Budget {
+    let mut budget = Budget {
         deadline_ms: Some(deadline_ms),
         max_evaluations: req.max_evaluations.map(|n| n as usize),
         max_measurements: req.max_measurements.map(|n| n as usize),
     };
-    // The dedup key is the structural cache identity: budget deliberately
-    // excluded (it never changes which candidates run, only how many
-    // generations — the same exclusion the L1/L2 fingerprint makes).
-    // It leads with the shape fingerprint, rendered here once and handed
-    // on to the engine, whose cache key starts from the same text.
+    let terms = Terms {
+        max_evaluations: req.max_evaluations,
+        max_measurements: req.max_measurements,
+        deadline_ms,
+    };
+    let deadline = receipt + Duration::from_millis(deadline_ms);
+    // The dedup key is the structural cache identity, budget excluded (the
+    // same exclusion the L1/L2 fingerprint makes): a finished answer
+    // serves every budget, and [`Terms::covered_by`] decides who a
+    // truncated one serves. It leads with the shape fingerprint, rendered
+    // here once and handed on to the engine, whose cache key starts from
+    // the same text.
     let shape = shape_fingerprint(&def);
     let key = format!("{shape}|{}|{seed}", accel.name);
-
-    let (flight, owner) = {
-        let mut flights = core.flights.lock().unwrap();
-        match flights.get(&key) {
-            Some(f) => (Arc::clone(f), false),
-            None => {
-                let f = Arc::new(Flight::default());
-                flights.insert(key.clone(), Arc::clone(&f));
-                (f, true)
-            }
-        }
-    };
-
-    if owner {
-        // Queue waiting is bounded by the request's own deadline: a slot
-        // that frees later than that can only produce a late answer.
-        let ticket = core.admission.acquire(
-            core.config.workers,
-            core.config.queue,
-            receipt + Duration::from_millis(deadline_ms),
-        );
-        match ticket {
-            Ticket::Shed => {
-                core.shed.fetch_add(1, Ordering::SeqCst);
-                let line = Response::Overloaded {
-                    retry_after_ms: core.config.retry_after_ms,
-                }
-                .encode();
-                resolve_and_remove(core, &key, &flight, line.clone());
-                return line;
-            }
-            Ticket::Admitted => {
-                let core = Arc::clone(core);
-                let key = key.clone();
-                let flight = Arc::clone(&flight);
-                std::thread::spawn(move || {
-                    run_exploration(
-                        &core, &key, &flight, &req, &def, &shape, &accel, seed, budget,
-                    );
-                    core.admission.release();
-                });
-            }
-        }
-    } else {
-        core.dedup_joined.fetch_add(1, Ordering::SeqCst);
-    }
-
+    let job = Arc::new((req, def, shape, accel));
     // Owner and joiners wait identically: `deadline + grace` from *their
     // own* receipt, then a typed timeout — the no-hang guarantee.
     let bound = receipt + Duration::from_millis(deadline_ms + core.config.grace_ms);
-    match flight.wait_until(bound) {
-        Some(line) => line,
-        None => {
-            core.timeouts.fetch_add(1, Ordering::SeqCst);
-            Response::Timeout {
-                waited_ms: receipt.elapsed().as_millis() as u64,
+
+    loop {
+        let (flight, owner) = {
+            let mut flights = core
+                .flights
+                .lock()
+                .expect("no request panics holding the flight table");
+            match flights.get(&key) {
+                Some(f) => (Arc::clone(f), false),
+                None => {
+                    let f = Arc::new(Flight::new(terms));
+                    flights.insert(key.clone(), Arc::clone(&f));
+                    (f, true)
+                }
             }
-            .encode()
+        };
+
+        if owner {
+            // Queue waiting is bounded by the request's own deadline: a slot
+            // that frees later than that can only produce a late answer.
+            let ticket = core
+                .admission
+                .acquire(core.config.workers, core.config.queue, deadline);
+            match ticket {
+                Ticket::Shed => {
+                    core.shed.fetch_add(1, Ordering::SeqCst);
+                    let line = Response::Overloaded {
+                        retry_after_ms: core.config.retry_after_ms,
+                    }
+                    .encode();
+                    let answer = Answer {
+                        line: line.clone(),
+                        truncated: false,
+                    };
+                    resolve_and_remove(core, &key, &flight, answer);
+                    return line;
+                }
+                Ticket::Admitted => {
+                    let core = Arc::clone(core);
+                    let key = key.clone();
+                    let flight = Arc::clone(&flight);
+                    let job = Arc::clone(&job);
+                    std::thread::spawn(move || {
+                        let (req, def, shape, accel) = &*job;
+                        run_exploration(&core, &key, &flight, req, def, shape, accel, seed, budget);
+                        core.admission.release();
+                    });
+                }
+            }
+        } else {
+            core.dedup_joined.fetch_add(1, Ordering::SeqCst);
+        }
+
+        match flight.wait_until(bound) {
+            Some(answer) if owner || !answer.truncated || terms.covered_by(&flight.terms) => {
+                return answer.line
+            }
+            // Another budget cut that search short; this request's own
+            // search gets the time left to its deadline.
+            Some(_) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                budget.deadline_ms = Some(left.as_millis() as u64);
+            }
+            None => {
+                core.timeouts.fetch_add(1, Ordering::SeqCst);
+                return Response::Timeout {
+                    waited_ms: receipt.elapsed().as_millis() as u64,
+                }
+                .encode();
+            }
         }
     }
 }
@@ -551,7 +621,11 @@ fn run_exploration(
             }
             Some(Fault::SimError) => {
                 let line = error_line(core, "injected serve fault: sim error".to_string());
-                resolve_and_remove(core, key, flight, line);
+                let answer = Answer {
+                    line,
+                    truncated: false,
+                };
+                resolve_and_remove(core, key, flight, answer);
                 return;
             }
             Some(Fault::Panic) => true,
@@ -570,6 +644,7 @@ fn run_exploration(
         core.engine
             .explore_op_shaped(config, def, accel, Some(shape))
     }));
+    let truncated = matches!(&outcome, Ok(Ok(result)) if result.completion.is_truncated());
     let line = match outcome {
         Ok(Ok(result)) => Response::Ok(ExploreReply {
             spec: req.spec.clone(),
@@ -593,13 +668,16 @@ fn run_exploration(
             error_line(core, format!("exploration panicked: {text}"))
         }
     };
-    resolve_and_remove(core, key, flight, line);
+    resolve_and_remove(core, key, flight, Answer { line, truncated });
 }
 
-/// Publishes the rendered line to every waiter and retires the flight so
-/// later requests for the key start fresh (and hit the engine cache).
-fn resolve_and_remove(core: &Arc<Core>, key: &str, flight: &Arc<Flight>, line: String) {
-    flight.resolve(line);
-    let mut flights = core.flights.lock().unwrap();
-    flights.remove(key);
+/// Retires the flight, so later requests for the key start fresh (and hit
+/// the engine cache), then publishes the answer to every waiter. Retired
+/// first, a waiter the answer does not serve never finds the flight again.
+fn resolve_and_remove(core: &Arc<Core>, key: &str, flight: &Arc<Flight>, answer: Answer) {
+    core.flights
+        .lock()
+        .expect("no request panics holding the flight table")
+        .remove(key);
+    flight.resolve(answer);
 }

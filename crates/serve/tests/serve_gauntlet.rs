@@ -120,6 +120,79 @@ fn concurrent_duplicates_share_one_flight_bit_identically() {
     handle.join().unwrap().unwrap();
 }
 
+/// A flight's budget-truncated answer belongs to its budget. An unlimited
+/// request that joins a `max_evaluations: 44` flight runs its own search
+/// and answers as the request does alone: finished, at the cycles, depth
+/// and evaluation count of an unlimited search.
+#[test]
+fn an_unlimited_request_joined_to_a_truncated_flight_runs_its_own_search() {
+    const SPEC: &str = "c1d:n1,c64,k64,q256,s3,st1";
+    let socket = tmp_path("budget-join.sock");
+    let _ = std::fs::remove_file(&socket);
+    let mut config = ServeConfig::new(&socket);
+    config.base = small_base();
+    // Every flight waits 300 ms before it explores: the second request
+    // arrives while the first is in flight.
+    config.serve_faults = FaultPlan {
+        delay_ppm: 1_000_000,
+        delay_micros: 300_000,
+        only_phase: Some("serve"),
+        ..FaultPlan::default()
+    };
+    let (socket, handle) = start(config);
+
+    let limited = {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            let req = Request::Explore(ExploreRequest {
+                spec: SPEC.into(),
+                accel: None,
+                seed: Some(7),
+                deadline_ms: None,
+                max_evaluations: Some(44),
+                max_measurements: None,
+            });
+            client::submit(&socket, &req, &one_shot()).expect("submit")
+        })
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    let (unlimited, _) =
+        client::submit(&socket, &explore_req(SPEC, Some(7), None), &one_shot()).expect("submit");
+    let (limited, _) = limited.join().unwrap();
+
+    let Response::Ok(limited) = limited else {
+        panic!("{limited:?}");
+    };
+    assert_eq!(limited.completion, "budget exhausted");
+    let Response::Ok(unlimited) = unlimited else {
+        panic!("{unlimited:?}");
+    };
+    let alone = amos_core::Engine::with_config(ExplorerConfig {
+        seed: 7,
+        ..small_base()
+    })
+    .explore_op(
+        &amos_workloads::spec::parse_spec(SPEC).expect("spec"),
+        &amos_hw::Registry::builtin().build("v100").expect("v100"),
+    )
+    .expect("explores");
+    assert_eq!(unlimited.completion, "finished");
+    assert_eq!(unlimited.cycles_bits, alone.cycles().to_bits());
+    assert_eq!(
+        (unlimited.generations, unlimited.evaluations),
+        (
+            alone.generations_completed as u64,
+            alone.evaluations.len() as u64
+        )
+    );
+    let s = stats(&socket);
+    assert_eq!(s.dedup_joined, 1, "the unlimited request joined the flight");
+    assert_eq!(s.explored, 2, "and then ran its own search");
+
+    drain(&socket);
+    handle.join().unwrap().unwrap();
+}
+
 /// An injected handler panic becomes a typed error response — and the
 /// daemon keeps serving afterwards.
 #[test]

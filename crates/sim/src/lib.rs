@@ -36,7 +36,7 @@ pub use functional::{
 };
 pub use program::{div_ceil, Axis, AxisKind, FusedGroup, MappedProgram};
 pub use schedule::{subcores_per_core, GeneChange, Schedule};
-pub use screening::{BatchTables, ScreeningContext, BATCH_LANES};
+pub use screening::{set_bits, BatchTables, ScreeningContext, BATCH_LANES};
 pub use timing::{scalar_fallback_cycles, simulate, simulate_isolated, TimingReport};
 
 // The explorer shares programs, schedules and reports across worker threads

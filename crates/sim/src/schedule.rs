@@ -10,7 +10,7 @@
 
 use crate::error::SimError;
 use crate::program::{Axis, AxisKind, MappedProgram};
-use crate::screening::{div_ceil_pow2, ScreeningContext};
+use crate::screening::{div_ceil_pow2, set_bits, ScreeningContext};
 use amos_hw::{AcceleratorSpec, OperandRef};
 
 /// A complete schedule for one mapped program.
@@ -153,15 +153,22 @@ impl Schedule {
     /// remaining spatial axis over sub-cores, and enable the toggles. Runs
     /// over the program's cached [`ScreeningContext`].
     pub fn balanced(prog: &MappedProgram, accel: &AcceleratorSpec) -> Self {
-        let mut s = Schedule::naive(prog);
         // A degenerate accelerator with no memory hierarchy admits no
         // parallelism or staging decisions; the naive schedule is the only
         // sensible (and panic-free) answer.
         if accel.levels.is_empty() {
-            return s;
+            return Schedule::naive(prog);
         }
-        let ctx = prog.screening_context(accel);
+        let mut s = Schedule::empty();
+        Schedule::balanced_into(&prog.screening_context(accel), &mut s);
+        s
+    }
+
+    /// [`Schedule::balanced`] written into `s` over a context, reusing its
+    /// buffers: the form the explorer's heuristic seeds use.
+    pub fn balanced_into(ctx: &ScreeningContext, s: &mut Schedule) {
         let axes = &ctx.axes[..];
+        s.reset_naive(axes.len());
         s.double_buffer = true;
         s.unroll = true;
         s.vectorize = true;
@@ -171,11 +178,9 @@ impl Schedule {
         // Grow the grid by doubling the axis with the largest remaining
         // per-block chunk — a roughly square grid minimises operand re-reads.
         while blocks < target_blocks {
-            let Some(&i) = ctx
-                .spatial_axes
-                .iter()
-                .filter(|&&i| s.grid[i] < axes[i].extent)
-                .max_by_key(|&&i| div_ceil_pow2(axes[i].extent, s.grid[i]))
+            let Some(i) = set_bits(ctx.spatial_mask)
+                .filter(|&i| s.grid[i] < axes[i].extent)
+                .max_by_key(|&i| div_ceil_pow2(axes[i].extent, s.grid[i]))
             else {
                 break;
             };
@@ -184,11 +189,9 @@ impl Schedule {
             s.grid[i] = grown;
         }
         // Sub-core split on the spatial axis with the largest leftover chunk.
-        if let Some(&i) = ctx
-            .spatial_axes
-            .iter()
-            .max_by_key(|&&i| s.block_chunk(axes, i))
-            .filter(|&&i| s.block_chunk(axes, i) >= ctx.subcores)
+        if let Some(i) = set_bits(ctx.spatial_mask)
+            .max_by_key(|&i| s.block_chunk(axes, i))
+            .filter(|&i| s.block_chunk(axes, i) >= ctx.subcores)
         {
             s.subcore[i] = ctx.subcores;
         }
@@ -205,18 +208,17 @@ impl Schedule {
                 _ => {}
             }
         }
-        while !ctx.schedule_feasible(&s) && s.warp.iter().any(|&w| w > 1) {
+        while !ctx.schedule_feasible(s) && s.warp.iter().any(|&w| w > 1) {
             for w in &mut s.warp {
                 *w = (*w / 2).max(1);
             }
         }
-        if !ctx.schedule_feasible(&s) {
+        if !ctx.schedule_feasible(s) {
             for st in &mut s.stage {
                 *st = 1;
             }
             s.double_buffer = false;
         }
-        s
     }
 
     /// Validates the schedule against the program shape and the accelerator

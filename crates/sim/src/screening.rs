@@ -96,9 +96,9 @@ pub(crate) const NARROW_AXES: usize = 16;
 /// engine and the schedule sampler need about one
 /// `(MappedProgram, AcceleratorSpec)` pair.
 ///
-/// Axis sets are stored twice: as `u64` bitmasks (for the model's masked
-/// products) and as index lists (for the sampler's uniform `choose` draws,
-/// which must see the same list lengths as the reference implementation).
+/// Axis sets are `u64` bitmasks, bit `i` for axis `i`: the model takes
+/// masked products over them, and the timing engine, the balanced schedule
+/// and the sampler walk their set bits in ascending order ([`set_bits`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScreeningContext {
     /// The program's loop axes, outer-to-inner (a copy of
@@ -109,6 +109,8 @@ pub struct ScreeningContext {
     pub num_srcs: usize,
     /// Bit `i` set when axis `i` is spatial (outer or tile).
     pub spatial_mask: u64,
+    /// Bit `i` set when axis `i` is not spatial (a reduction loop).
+    pub nonspatial_mask: u64,
     /// Bit `i` set when axis `i` is a spatial tile loop.
     pub tile_spatial_mask: u64,
     /// Bit `i` set when axis `i` is a reduction tile loop.
@@ -161,14 +163,6 @@ pub struct ScreeningContext {
     pub shared_capacity_bytes: u64,
     /// Register capacity per PE array, in bytes.
     pub register_capacity_bytes: u64,
-    /// Indices of spatial axes, ascending (the sampler's sub-core draw).
-    pub spatial_axes: Vec<usize>,
-    /// Indices of non-spatial (reduction) axes, ascending.
-    pub nonspatial_axes: Vec<usize>,
-    /// Indices of spatial tile axes, ascending.
-    pub tile_spatial_axes: Vec<usize>,
-    /// Indices of reduction tile axes, ascending.
-    pub tile_reduction_axes: Vec<usize>,
 }
 
 impl ScreeningContext {
@@ -184,30 +178,18 @@ impl ScreeningContext {
         let num_srcs = facts.src_frag_bytes.len();
 
         let mut spatial_mask = 0u64;
+        let mut nonspatial_mask = 0u64;
         let mut tile_spatial_mask = 0u64;
         let mut tile_reduction_mask = 0u64;
-        // Sized up front: growing by pushes reallocated each list once or
-        // twice, a tenth of the whole build.
-        let mut spatial_axes = Vec::with_capacity(axes.len());
-        let mut nonspatial_axes = Vec::with_capacity(axes.len());
-        let mut tile_spatial_axes = Vec::with_capacity(axes.len());
-        let mut tile_reduction_axes = Vec::with_capacity(axes.len());
         for (i, a) in axes.iter().enumerate() {
             if a.kind.is_spatial() {
                 spatial_mask |= 1 << i;
-                spatial_axes.push(i);
             } else {
-                nonspatial_axes.push(i);
+                nonspatial_mask |= 1 << i;
             }
             match a.kind {
-                AxisKind::TileSpatial(_) => {
-                    tile_spatial_mask |= 1 << i;
-                    tile_spatial_axes.push(i);
-                }
-                AxisKind::TileReduction(_) => {
-                    tile_reduction_mask |= 1 << i;
-                    tile_reduction_axes.push(i);
-                }
+                AxisKind::TileSpatial(_) => tile_spatial_mask |= 1 << i,
+                AxisKind::TileReduction(_) => tile_reduction_mask |= 1 << i,
                 _ => {}
             }
         }
@@ -233,6 +215,7 @@ impl ScreeningContext {
         ScreeningContext {
             num_srcs,
             spatial_mask,
+            nonspatial_mask,
             tile_spatial_mask,
             tile_reduction_mask,
             operand_masks,
@@ -256,10 +239,6 @@ impl ScreeningContext {
             subcores: subcores_per_core(accel) as i64,
             shared_capacity_bytes: shared.capacity_bytes,
             register_capacity_bytes: registers.capacity_bytes,
-            spatial_axes,
-            nonspatial_axes,
-            tile_spatial_axes,
-            tile_reduction_axes,
             axes,
         }
     }
@@ -478,6 +457,19 @@ impl ScreeningContext {
     }
 }
 
+/// The set bits of `mask`, ascending: how an axis set of a
+/// [`ScreeningContext`] is walked.
+#[inline]
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
 /// Product of `values[i]` over the set bits `i` of `mask`, ascending.
 #[inline]
 pub(crate) fn masked_product<const N: usize>(values: &[i64; N], mut mask: u64) -> i64 {
@@ -531,6 +523,7 @@ mod tests {
         }
         for (i, a) in ctx.axes.iter().enumerate() {
             assert_eq!(ctx.spatial_mask >> i & 1 == 1, a.kind.is_spatial());
+            assert_eq!(ctx.nonspatial_mask >> i & 1 == 1, !a.kind.is_spatial());
         }
         assert_eq!(ctx.num_srcs, 2);
         assert_eq!(ctx.src_frag_bytes, vec![512, 512]);

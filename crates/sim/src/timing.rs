@@ -21,7 +21,9 @@
 use crate::error::SimError;
 use crate::program::{div_ceil, MappedProgram, MAX_AXES};
 use crate::schedule::Schedule;
-use crate::screening::{div_ceil_pow2, masked_product, AxisChunks, ScreeningContext, NARROW_AXES};
+use crate::screening::{
+    div_ceil_pow2, masked_product, set_bits, AxisChunks, ScreeningContext, NARROW_AXES,
+};
 use amos_hw::AcceleratorSpec;
 
 /// Fixed cost of launching a kernel, in cycles.
@@ -177,7 +179,7 @@ impl ScreeningContext {
         let calls_per_subcore: i64 = c.sub[..n].iter().product();
         // Sequential staging steps a block takes along each spatial axis.
         let mut steps = [1i64; N];
-        for &i in &self.spatial_axes {
+        for i in set_bits(self.spatial_mask) {
             steps[i] = div_ceil_pow2(c.blk[i], c.resident[i]);
         }
 
@@ -224,7 +226,7 @@ impl ScreeningContext {
 
         // Staging synchronisation: one barrier per staged reduction chunk.
         let mut stage_steps = 1i64;
-        for &i in &self.nonspatial_axes {
+        for i in set_bits(self.nonspatial_mask) {
             stage_steps *= div_ceil_pow2(c.blk[i], schedule.stage[i]);
         }
 

@@ -107,6 +107,84 @@ fn conv_search_is_identical_across_thread_counts() {
     assert_jobs_invariant(&def, 1234, 3);
 }
 
+/// Everything a search reports that is deterministic, with cycles as bits.
+fn answer(result: &amos::core::ExplorationResult) -> impl PartialEq + std::fmt::Debug {
+    let trace: Vec<(u64, u64)> = result
+        .evaluations
+        .iter()
+        .map(|(p, m)| (p.to_bits(), m.to_bits()))
+        .collect();
+    let s = &result.screening;
+    (
+        result.cycles().to_bits(),
+        result.best_schedule.clone(),
+        result.best_mapping.clone(),
+        trace,
+        result.num_mappings,
+        result.sim_failures,
+        (s.screened, s.survivor_memo_hits, s.measured_memo_hits),
+        result.generations_completed,
+        result.completion,
+    )
+}
+
+/// The explorer keeps its working buffers per thread. A deeper search with
+/// a larger population and measured set, run on the thread in between, must
+/// leave nothing that a later search reads: the second answer for A equals
+/// the answer for A on a thread that never searched.
+#[test]
+fn a_search_answers_as_on_a_fresh_thread_whatever_its_thread_searched_before() {
+    let a = ops::c2d(ConvShape {
+        n: 8,
+        c: 64,
+        k: 64,
+        p: 14,
+        q: 14,
+        r: 3,
+        s: 3,
+        stride: 1,
+    });
+    let b = ops::c2d(ConvShape {
+        n: 16,
+        c: 128,
+        k: 128,
+        p: 28,
+        q: 28,
+        r: 3,
+        s: 3,
+        stride: 1,
+    });
+    let deeper = ExplorerConfig {
+        population: 40,
+        generations: 10,
+        survivors: 8,
+        measure_top: 6,
+        ..budget(99, 1)
+    };
+    // A fresh engine per search: no cache tier answers a repeat.
+    let explore = |config: ExplorerConfig, def: &amos::ir::ComputeDef| {
+        Engine::with_config(config)
+            .explore_op(def, &catalog::v100())
+            .expect("explores")
+    };
+    let fresh = {
+        let a = a.clone();
+        std::thread::spawn(move || answer(&explore(budget(77, 1), &a)))
+            .join()
+            .expect("fresh thread")
+    };
+    let first = explore(budget(77, 1), &a);
+    let between = explore(deeper, &b);
+    assert!(
+        between.evaluations.len() > first.evaluations.len()
+            && between.generations_completed > first.generations_completed,
+        "the search in between must be the larger one"
+    );
+    let again = explore(budget(77, 1), &a);
+    assert_eq!(answer(&first), fresh);
+    assert_eq!(answer(&again), fresh);
+}
+
 #[test]
 fn repeated_resnet_shapes_hit_the_cache_with_identical_cycles() {
     // A ResNet-style layer list: the same residual-block shapes recur many
